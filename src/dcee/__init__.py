@@ -13,7 +13,7 @@ reproducible simulation harness with CSV traces.
 from .dual import (DualDiagnostics, DualState, contraction_check, dcee_step,
                    exploit_grad, explore_grad, explore_grad_analytic)
 from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, mse_bound,
-                       predict, predicted_spread_trace, stats)
+                       predict, stats)
 from .errors import ConfigError, DomainError, NumericalError, RegulationError
 from .harness import (Metrics, ScenarioConfig, Trace, builtin_config, compare,
                       compute_metrics, config_from_dict, emit_csv, load_config,

@@ -88,16 +88,12 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
         if up_ok and dn_ok:
             grad[j] = (predicted_r_var(ens, up, model)
                        - predicted_r_var(ens, dn, model)) / (2.0 * fd_eps)
-        elif dn_ok:
-            logger.warning("explore gradient at y[%d]=%g clips the admissible "
-                           "range; using one-sided difference", j, y[j])
-            grad[j] = (predicted_r_var(ens, y, model)
-                       - predicted_r_var(ens, dn, model)) / fd_eps
         else:
             logger.warning("explore gradient at y[%d]=%g clips the admissible "
                            "range; using one-sided difference", j, y[j])
-            grad[j] = (predicted_r_var(ens, up, model)
-                       - predicted_r_var(ens, y, model)) / fd_eps
+            hi_pt, lo_pt = (y, dn) if dn_ok else (up, y)
+            grad[j] = (predicted_r_var(ens, hi_pt, model)
+                       - predicted_r_var(ens, lo_pt, model)) / fd_eps
     return grad
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "adapt",
     "stats",
     "predict",
-    "predicted_spread_trace",
     "mse_bound",
 ]
 
@@ -65,13 +64,11 @@ class BeliefStats:
     """Sample statistics of an estimator set.
 
     mean    : (m,) average parameter vector
-    spread  : (N, m, m) stack of deviation outer products
     r_mean  : (q,) average predicted optimum
     r_var   : scalar spread of the predicted optima (exploration term)
     """
 
     mean: np.ndarray
-    spread: np.ndarray
     r_mean: np.ndarray
     r_var: float
 
@@ -124,21 +121,16 @@ def _clamped(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
 
 def _optima(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
     """Map every estimator to its predicted optimum, (N, q)."""
-    th = _clamped(thetas, model)
-    if model.optimum_map_batch is not None:
-        return np.atleast_2d(np.asarray(model.optimum_map_batch(th), dtype=float))
-    return np.stack([np.atleast_1d(np.asarray(model.optimum_map(t), dtype=float))
-                     for t in th])
+    r = model.optimum_map_batch(_clamped(thetas, model))
+    return np.atleast_2d(np.asarray(r, dtype=float))
 
 
 def _stats_of(thetas: np.ndarray, model: RewardModel) -> BeliefStats:
     mean = thetas.mean(axis=0)
-    dev = thetas - mean
-    spread = dev[:, :, None] * dev[:, None, :]
     r = _optima(thetas, model)
     r_mean = r.mean(axis=0)
     r_var = float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
-    return BeliefStats(mean=mean, spread=spread, r_mean=r_mean, r_var=r_var)
+    return BeliefStats(mean=mean, r_mean=r_mean, r_var=r_var)
 
 
 def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
@@ -169,20 +161,6 @@ def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel) -> float:
     r = _optima(_predicted_thetas(ens, y_cand, model), model)
     r_mean = r.mean(axis=0)
     return float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
-
-
-def predicted_spread_trace(ens: Ensemble, y_cand, model: RewardModel) -> float:
-    """Alternative propagated-covariance diagnostic.
-
-    Stacks the per-estimator update directions F_i = (phi . d_i) * phi
-    against the block-diagonal deviation covariance, giving
-    trace(F' P F) = sum_i (phi . d_i)**4.  Reported for comparison with
-    the sample variance of predicted optima; not used by the controller.
-    """
-    phi = model.unknown_basis(y_cand)
-    dev = ens.thetas - ens.thetas.mean(axis=0)
-    s = dev @ phi
-    return float(np.sum(s ** 4))
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

@@ -27,7 +27,6 @@ import copy
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -547,35 +546,22 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
     return _build_trace(rows)
 
 
-def run_seeds(config: ScenarioConfig, seeds, max_workers: int | None = None):
-    """Run the same scenario under several seeds (optionally in parallel).
-
-    The DCEE_THREADS environment variable caps the worker count (runs are
-    serial unless it asks for more); results are returned in seed order
-    and are independent of the pool size.
-    """
-    seeds = list(seeds)
-    if max_workers is None:
-        max_workers = int(os.environ.get("DCEE_THREADS", "0")) or 1
-    max_workers = max(1, min(max_workers, len(seeds)))
-    configs = [config.with_updates(seed=s) for s in seeds]
-    if max_workers == 1:
-        return [run_scenario(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_scenario, configs))
+def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
+    """Run the same scenario under each seed in turn; traces in seed order."""
+    return [run_scenario(config.with_updates(seed=s)) for s in seeds]
 
 
-def compute_metrics(trace: Trace, oracle, *, power_col: str = "p",
-                    output_col: str = "v", window_frac: float = 0.1) -> Metrics:
-    """Integrate extracted vs. achievable energy and the steady output band.
+def compute_metrics(trace: Trace, oracle) -> Metrics:
+    """Integrate extracted vs. achievable energy and the steady voltage band.
 
     ``oracle`` is the per-step maximum-power series; it must match the
-    trace length.  The steady-state band is the output range over the
-    final ``window_frac`` of the horizon.
+    trace length.  Energy integrates the power column ``p``; the
+    steady-state band is the range of the voltage column ``v`` over the
+    final tenth of the horizon.
     """
     oracle = np.asarray(oracle, dtype=float)
     t = trace.column("t")
-    p = trace.column(power_col)
+    p = trace.column("p")
     if oracle.shape != p.shape:
         raise ValueError("oracle series length does not match the trace")
     if t.size > 1:
@@ -584,8 +570,8 @@ def compute_metrics(trace: Trace, oracle, *, power_col: str = "p",
     else:
         energy, energy_max = 0.0, 0.0
     efficiency = energy / energy_max if energy_max > 0 else 1.0
-    window = max(1, int(round(trace.n_rows * window_frac)))
-    tail = trace.column(output_col)[-window:]
+    window = max(1, int(round(trace.n_rows * 0.1)))
+    tail = trace.column("v")[-window:]
     return Metrics(energy_extracted=energy, energy_max=energy_max,
                    efficiency=efficiency, power_loss=energy_max - energy,
                    steady_state_band=float(tail.max() - tail.min()))

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
 
-from .reward import RewardModel
 from .errors import DomainError
+from .reward import RewardModel, scan_regressor_bound
 
 __all__ = [
     "PvParams",
@@ -189,19 +189,22 @@ def open_circuit_voltage(params: PvParams, irradiance: float,
     return float(brentq(h, 0.0, hi, xtol=1e-9))
 
 
-def mpp_oracle(params: PvParams, irradiance: float, temperature: float,
-               grid_points: int = 1000) -> tuple[float, float]:
-    """Maximum power point (v_star, p_star) by grid scan + golden refinement."""
-    if grid_points < 1000:
-        raise ValueError("grid scan needs at least 1000 points")
+def mpp_oracle(params: PvParams, irradiance: float,
+               temperature: float) -> tuple[float, float]:
+    """Maximum power point (v_star, p_star) by grid scan + golden refinement.
+
+    The scan evaluates the closed-form current on 1000 voltages between 0
+    and open circuit; a golden-section search then refines the best grid
+    cell against the bracketed diode solve.  A dark panel gives (0, 0).
+    """
     v_oc = open_circuit_voltage(params, irradiance, temperature)
     if v_oc <= 0:
         return 0.0, 0.0
-    grid = np.linspace(0.0, v_oc, grid_points)
+    grid = np.linspace(0.0, v_oc, 1000)
     power = grid * _current_grid(params, grid, irradiance, temperature)
     i = int(np.argmax(power))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
+    hi = grid[min(i + 1, grid.size - 1)]
 
     def neg_power(v):
         return -pv_power(params, float(v), irradiance, temperature)
@@ -299,26 +302,16 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def known(y):
         return 0.0
 
-    def opt(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if not np.all(np.isfinite(theta)):
-            raise DomainError("polynomial coefficients must be finite")
-        return _poly_argmax_batch(theta[None, :], s_lo, s_hi, v_scale, v_shift)[0]
-
     def opt_batch(thetas):
         if not np.all(np.isfinite(thetas)):
             raise DomainError("polynomial coefficients must be finite")
         return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
 
-    from .reward import scan_regressor_bound
-
     return RewardModel(
         known_basis=known,
         unknown_basis=basis,
-        optimum_map=opt,
         dim=degree + 1,
         y_range=(float(v_range[0]), float(v_range[1])),
         regressor_bound=scan_regressor_bound(basis, v_range),
-        theta_floor=None,
         optimum_map_batch=opt_batch,
     )

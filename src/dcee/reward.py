@@ -5,8 +5,9 @@ unknown part that is linear in an environment parameter vector:
 
     J(theta, y) = known(y) + phi(y) . theta
 
-``optimum_map`` sends a parameter vector to the operating point that
-maximises the reward; it is the quantity the dual controller tracks.
+``optimum_map_batch`` sends a stack of parameter vectors to the
+operating points that maximise the reward; the optimum is the quantity
+the dual controller tracks.
 Models carry the admissible operating interval and a regressor bound
 (the largest ``||phi(y)||`` on that interval, found by grid scan).
 """
@@ -43,34 +44,32 @@ class RewardModel:
         y -> scalar offset with known coefficient.
     unknown_basis : callable
         y -> regressor vector of length ``dim``.
-    optimum_map : callable
-        theta -> maximising operating point (length-q array).
     dim : int
         Number of unknown parameters.
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     regressor_bound : float
         max ||unknown_basis(y)|| over ``y_range``.
+    optimum_map_batch : callable
+        (N, dim) parameter vectors -> (N, q) maximising operating points;
+        the only optimum map (``optimum_of`` passes a single row).
     theta_floor : float or None
         If set, parameter vectors are clamped elementwise to this floor
-        before being pushed through ``optimum_map`` in ensemble code.
-        Guards maps with singularities (e.g. 1/theta near zero).
-    optimum_map_batch : callable or None
-        Optional vectorised map, (N, dim) -> (N, q).
+        before being pushed through ``optimum_map_batch`` in ensemble
+        code.  Guards maps with singularities (e.g. 1/theta near zero).
     basis_jacobian : callable or None
         y -> d(unknown_basis)/dy, shape (dim,), scalar-y models only.
     optimum_jacobian : callable or None
-        theta -> d(optimum_map)/dtheta, shape (q, dim).
+        theta -> d(optimum)/dtheta for one parameter vector, shape (q, dim).
     """
 
     known_basis: Callable[[np.ndarray], float]
     unknown_basis: Callable[[np.ndarray], np.ndarray]
-    optimum_map: Callable[[np.ndarray], np.ndarray]
     dim: int
     y_range: tuple[float, float]
     regressor_bound: float
+    optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     theta_floor: float | None = None
-    optimum_map_batch: Callable[[np.ndarray], np.ndarray] | None = None
     basis_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     optimum_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -95,9 +94,9 @@ class Observation:
     step: int = 0
 
 
-def scan_regressor_bound(unknown_basis, y_range, points: int = 2001) -> float:
-    """max ||phi(y)|| over the admissible interval, by grid scan."""
-    grid = np.linspace(y_range[0], y_range[1], points)
+def scan_regressor_bound(unknown_basis, y_range) -> float:
+    """max ||phi(y)|| over the admissible interval, by a 2001-point grid scan."""
+    grid = np.linspace(y_range[0], y_range[1], 2001)
     return max(float(np.linalg.norm(unknown_basis(np.array([v])))) for v in grid)
 
 
@@ -120,12 +119,6 @@ def quadratic_reward(known_gain: float = 2.0,
         v = float(np.atleast_1d(y)[0])
         return np.array([-(v * v)])
 
-    def opt(theta):
-        t = float(np.atleast_1d(theta)[0])
-        if t == 0.0:
-            raise DomainError("optimum map 1/theta is singular at theta = 0")
-        return np.array([half_gain / t])
-
     def opt_batch(thetas):
         if np.any(thetas == 0.0):
             raise DomainError("optimum map 1/theta is singular at theta = 0")
@@ -142,12 +135,11 @@ def quadratic_reward(known_gain: float = 2.0,
     return RewardModel(
         known_basis=known,
         unknown_basis=phi,
-        optimum_map=opt,
         dim=1,
         y_range=(float(y_range[0]), float(y_range[1])),
         regressor_bound=scan_regressor_bound(phi, y_range),
-        theta_floor=theta_floor,
         optimum_map_batch=opt_batch,
+        theta_floor=theta_floor,
         basis_jacobian=dphi,
         optimum_jacobian=dopt,
     )
@@ -178,5 +170,5 @@ def observe(model: RewardModel, theta_true: np.ndarray, y: np.ndarray,
 
 def optimum_of(model: RewardModel, theta: np.ndarray) -> np.ndarray:
     """Operating point that maximises the reward for parameters theta."""
-    return np.asarray(model.optimum_map(np.atleast_1d(np.asarray(theta, float))),
-                      dtype=float)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.asarray(model.optimum_map_batch(theta[None, :])[0], dtype=float)

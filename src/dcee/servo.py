@@ -12,7 +12,8 @@ x = Psi xi, y = xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,5 +224,8 @@ def servo_step(plant: LinearPlant, servo: ServoState, gains: ServoGains,
         xi_new = np.clip(xi_new, xi_limits[0], xi_limits[1])
     u = -(gains.K @ plant.x) + (gains.G + gains.K @ gains.Psi) @ xi_new
     x_new = plant.A @ plant.x + plant.B @ u
-    new_plant = replace(plant, x=x_new)
+    # the matrices were validated when the plant was built; a shallow copy
+    # with the new state skips re-running that check every tick
+    new_plant = copy.copy(plant)
+    new_plant.x = x_new
     return new_plant, ServoState(xi=xi_new), u, diag

@@ -4,6 +4,7 @@ import pytest
 from dcee import (DualState, Ensemble, contraction_check, dcee_step,
                   exploit_grad, explore_grad, explore_grad_analytic,
                   init_ensemble, predict, quadratic_reward)
+from dcee.ensemble import predicted_r_var
 
 
 def collapsed(value, n=5, rate=0.005):
@@ -60,13 +61,20 @@ def test_explore_pushes_away_from_uninformative_origin():
     assert explore_grad([-0.1], ens, model, 1e-5)[0] > 0  # descent moves -
 
 
-def test_explore_grad_one_sided_at_boundary(caplog):
+@pytest.mark.parametrize("y", [4.0, -4.0], ids=["upper", "lower"])
+def test_explore_grad_one_sided_at_boundary(caplog, y):
     model = quadratic_reward(y_range=(-4.0, 4.0))
     rng = np.random.default_rng(3)
     ens = init_ensemble(20, [0.5], [20.0], 0.005, rng)
+    eps = 1e-5
     with caplog.at_level("WARNING"):
-        g = explore_grad([4.0], ens, model, 1e-5)
+        g = explore_grad([y], ens, model, eps)
+    # the probe that would leave the interval is replaced by y itself
+    hi_pt, lo_pt = ([y], [y - eps]) if y > 0 else ([y + eps], [y])
+    expected = (predicted_r_var(ens, hi_pt, model)
+                - predicted_r_var(ens, lo_pt, model)) / eps
     assert np.isfinite(g[0])
+    assert g[0] == expected
     assert any("one-sided" in rec.message for rec in caplog.records)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcee import (Ensemble, adapt, init_ensemble, mse_bound, predict,
-                  predicted_spread_trace, quadratic_reward, stats)
+                  quadratic_reward, stats)
 from dcee.ensemble import _optima
 from dcee.reward import RewardModel
 
@@ -12,7 +12,6 @@ def identity_model(dim=1):
     return RewardModel(
         known_basis=lambda y: 0.0,
         unknown_basis=lambda y: np.ones(dim),
-        optimum_map=lambda th: np.asarray(th, dtype=float),
         dim=dim,
         y_range=(-1.0, 1.0),
         regressor_bound=float(np.sqrt(dim)),
@@ -96,7 +95,6 @@ def test_stats_two_point_example():
     assert s.mean[0] == pytest.approx(1.0)
     assert s.r_mean[0] == pytest.approx(1.0)
     assert s.r_var == pytest.approx(0.25)
-    assert s.spread.shape == (2, 1, 1)
 
 
 def test_stats_collapsed_ensemble_has_zero_spread():
@@ -192,17 +190,6 @@ def test_adapt_noise_free_is_contraction():
         j = 2.0 * y - theta_true * y * y
         out = adapt(ens, [y], j, model)
         assert abs(out.thetas[0, 0] - theta_true) <= abs(theta - theta_true) + 1e-15
-
-
-def test_predicted_spread_trace_matches_direct_formula():
-    model = quadratic_reward()
-    rng = np.random.default_rng(6)
-    ens = init_ensemble(20, [0.5], [10.0], 0.01, rng)
-    y = np.array([1.2])
-    phi = model.unknown_basis(y)
-    dev = ens.thetas - ens.thetas.mean(axis=0)
-    expected = float(np.sum((dev @ phi) ** 4))
-    assert predicted_spread_trace(ens, y, model) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_bound_values_and_rejection():

@@ -85,16 +85,11 @@ def test_mpp_voltage_drops_with_temperature(params):
 
 def test_mpp_oracle_grid_refinement_accuracy(params):
     # golden refinement is as good as a 10x finer grid scan
-    v_star, _ = mpp_oracle(params, **REF, grid_points=1000)
+    v_star, _ = mpp_oracle(params, **REF)
     voc = open_circuit_voltage(params, **REF)
     fine = np.linspace(0.0, voc, 10_000)
     v_fine = fine[np.argmax(fine * _current_grid(params, fine, **REF))]
     assert abs(v_star - v_fine) < 1e-2  # within one fine-grid cell
-
-
-def test_mpp_oracle_rejects_coarse_grid(params):
-    with pytest.raises(ValueError):
-        mpp_oracle(params, 1000.0, 25.0, grid_points=500)
 
 
 def test_params_validation():

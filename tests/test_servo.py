@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dcee import (Ensemble, LinearPlant, RegulationError, ServoGains, ServoState,
-                  builtin_config, check_rank, config_from_dict, design_gains,
-                  quadratic_reward, run_scenario, servo_step, solve_regulation,
-                  stabilizing_gain)
+import dcee.servo as servo_mod
+from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains,
+                  ServoState, adapt, builtin_config, check_rank, config_from_dict,
+                  design_gains, init_ensemble, quadratic_reward, run_scenario,
+                  sample_noise, servo_step, solve_regulation, stabilizing_gain)
+from dcee.harness import _spawn_rngs
 
 A = np.array([[0.0, 1.0], [2.0, 1.0]])
 B = np.array([[1.0], [1.0]])
@@ -146,27 +148,58 @@ def test_regulation_residual_invariants():
         accepted += 1
 
 
-def test_servo_step_matches_scenario_loop():
-    # one tick of the public composed op reproduces the harness update
+def _servo_loop_columns(seed: int, horizon: int) -> dict:
+    """Run adapt + servo_step on the harness's random streams for one seed."""
     d = builtin_config("quadratic-linear")
-    d["noise"]["variance"] = 0.0
-    d["run"]["horizon"] = 1
-    tr = run_scenario(config_from_dict(d))
-
-    from dcee import init_ensemble, adapt
-    import numpy.random as npr
+    rng_init, rng_noise = _spawn_rngs(seed)
+    ens_cfg = d["ensemble"]
+    ens = init_ensemble(ens_cfg["n"], ens_cfg["prior_low"], ens_cfg["prior_high"],
+                        ens_cfg["rate"], rng_init)
     model = quadratic_reward(known_gain=2.0, y_range=(-4.0, 4.0))
-    streams = np.random.SeedSequence(d["run"]["seed"]).spawn(2)
-    rng_init = npr.default_rng(streams[0])
-    ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
+    noise = NoiseSpec(d["noise"]["variance"])
     gains = design_gains(A, B, C, poles=[0.4, 0.7])
-    x0 = np.array(d["plant"]["x0"])
-    plant = LinearPlant(A=A, B=B, C=C, x=x0)
-    y0 = (C @ x0)
-    j = 2.0 * y0[0] - y0[0] ** 2
-    ens = adapt(ens, y0, j, model)
-    _, new_servo, u, _ = servo_step(plant, ServoState(xi=[3.6]), gains, ens,
-                                    model, delta=0.5, fd_eps=1e-5,
-                                    xi_limits=(-4.0 + 1e-5, 4.0 - 1e-5))
-    assert u[0] == pytest.approx(tr.column("u")[0], rel=1e-12)
-    assert new_servo.xi[0] == pytest.approx(tr.column("xi")[1], rel=1e-12)
+    plant = LinearPlant(A=A, B=B, C=C, x=d["plant"]["x0"])
+    servo = ServoState(xi=d["controller"]["xi0"])
+    xi_limits = (-4.0 + 1e-5, 4.0 - 1e-5)
+    cols = {name: [] for name in ("y", "xi", "u", "theta_mean_0", "grad_explore_norm")}
+    for _ in range(horizon):
+        y = float(plant.output()[0])
+        j = 2.0 * y - 1.0 * (y * y) + sample_noise(noise, rng_noise)
+        ens = adapt(ens, [y], j, model)
+        cols["y"].append(y)
+        cols["xi"].append(servo.xi[0])
+        cols["theta_mean_0"].append(ens.thetas.mean(axis=0)[0])
+        plant, servo, u, diag = servo_step(plant, servo, gains, ens, model,
+                                           delta=0.5, fd_eps=1e-5,
+                                           xi_limits=xi_limits)
+        cols["u"].append(u[0])
+        cols["grad_explore_norm"].append(abs(diag.explore_grad[0]))
+    return {name: np.array(vals) for name, vals in cols.items()}
+
+
+def test_servo_step_matches_scenario_loop():
+    # the public adapt + servo_step ops reproduce the scenario loop's
+    # inlined arithmetic bit for bit over the whole horizon
+    horizon = 400
+    for seed in (1, 7):
+        d = builtin_config("quadratic-linear")
+        d["run"].update(horizon=horizon, seed=seed)
+        tr = run_scenario(config_from_dict(d))
+        for name, got in _servo_loop_columns(seed, horizon).items():
+            assert np.array_equal(got, tr.column(name)[:horizon]), (seed, name)
+
+
+def test_servo_step_does_not_revalidate_plant(monkeypatch):
+    model = quadratic_reward()
+    gains = design_gains(A, B, C, poles=[0.4, 0.7])
+    plant = LinearPlant(A=A, B=B, C=C, x=[1.2, 3.6])
+    servo = ServoState(xi=[3.6])
+    ens = Ensemble(thetas=np.linspace(0.5, 2.0, 10)[:, None], rates=np.full(10, 0.005))
+    calls = []
+    real = servo_mod._controllable
+    monkeypatch.setattr(servo_mod, "_controllable",
+                        lambda *a: calls.append(a) or real(*a))
+    for _ in range(50):
+        plant, servo, _, _ = servo_step(plant, servo, gains, ens, model, delta=0.5)
+    assert calls == []
+    assert np.array_equal(plant.A, A) and plant.x.shape == (2,)
