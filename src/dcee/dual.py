@@ -2,10 +2,13 @@
 
 The controller descends the sum of two terms evaluated one step ahead:
 the squared distance to the mean predicted optimum (exploitation) and
-the spread of the predicted optima (exploration).  The exploration
-gradient is taken by central finite differences of the predicted spread;
-models that expose closed-form jacobians also get an analytic gradient,
-used to validate the finite-difference path.
+the spread of the predicted optima (exploration).  Where the reward
+model exposes closed-form jacobians (the quadratic and pv-poly models),
+``predict`` returns the exploration gradient in closed form from the same
+optimum-map solve as the belief; ``explore_grad_analytic`` reads it.
+``explore_grad`` takes central finite differences of the predicted
+spread; it works for any model, drives ``dcee_step`` and is the reference
+the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, _clamped, _optima, _predicted_thetas, predict, predicted_r_var
+from .ensemble import Ensemble, predict, predicted_r_var
 from .errors import NumericalError
 from .reward import RewardModel
 
@@ -100,8 +103,8 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
 def explore_grad_analytic(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
     """Closed-form gradient of the predicted spread for scalar-output models.
 
-    Requires the model to expose both basis and optimum-map jacobians.
-    Estimators pinned at the parameter floor contribute zero sensitivity.
+    The gradient is the ``r_var_grad`` that ``predict`` computes whenever
+    the model exposes both basis and optimum-map jacobians.
     """
     if model.basis_jacobian is None or model.optimum_jacobian is None:
         raise ValueError("model does not provide the jacobians needed for "
@@ -109,22 +112,7 @@ def explore_grad_analytic(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != 1:
         raise ValueError("analytic gradient implemented for scalar outputs")
-    phi = model.unknown_basis(y)
-    dphi = model.basis_jacobian(y)
-    dev = ens.thetas - ens.thetas.mean(axis=0)
-    s = dev @ phi
-    pred = _predicted_thetas(ens, y, model)
-    # d(theta_i')/dy for the prediction update theta_i - eta_i*phi*(phi.d_i)
-    dpred = -(ens.rates[:, None]
-              * (dphi[None, :] * s[:, None] + phi[None, :] * (dev @ dphi)[:, None]))
-    clamped = _clamped(pred, model)
-    if model.theta_floor is not None:
-        dpred = np.where(pred > model.theta_floor, dpred, 0.0)
-    r = _optima(pred, model)
-    r_ctr = r - r.mean(axis=0)
-    dr = np.stack([model.optimum_jacobian(t) @ g for t, g in zip(clamped, dpred)])
-    g = 2.0 * np.mean(np.sum(r_ctr * dr, axis=1))
-    return np.array([g])
+    return predict(ens, y, model).r_var_grad
 
 
 def dcee_step(state: DualState, ens: Ensemble,

@@ -6,7 +6,8 @@ sample statistics of their predicted optima quantify how uncertain the
 current belief is.  ``adapt`` consumes a real observation, ``predict``
 applies the same update with the noise-free reward the current mean
 parameter implies, giving the one-step-ahead belief used by the
-controller.
+controller.  For models with closed-form jacobians the prediction also
+carries the exploration gradient, from the same optimum-map solve.
 """
 
 from __future__ import annotations
@@ -63,14 +64,17 @@ class Ensemble:
 class BeliefStats:
     """Sample statistics of an estimator set.
 
-    mean    : (m,) average parameter vector
-    r_mean  : (q,) average predicted optimum
-    r_var   : scalar spread of the predicted optima (exploration term)
+    mean       : (m,) average parameter vector
+    r_mean     : (q,) average predicted optimum
+    r_var      : scalar spread of the predicted optima (exploration term)
+    r_var_grad : (1,) closed-form d r_var / d y_cand, set by ``predict``
+                 when the model exposes both jacobians, else None
     """
 
     mean: np.ndarray
     r_mean: np.ndarray
     r_var: float
+    r_var_grad: np.ndarray | None = None
 
 
 def init_ensemble(n: int, prior_low, prior_high, rates,
@@ -125,17 +129,15 @@ def _optima(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
     return np.atleast_2d(np.asarray(r, dtype=float))
 
 
-def _stats_of(thetas: np.ndarray, model: RewardModel) -> BeliefStats:
-    mean = thetas.mean(axis=0)
-    r = _optima(thetas, model)
+def _stats_of(thetas: np.ndarray, r: np.ndarray) -> BeliefStats:
     r_mean = r.mean(axis=0)
     r_var = float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
-    return BeliefStats(mean=mean, r_mean=r_mean, r_var=r_var)
+    return BeliefStats(mean=thetas.mean(axis=0), r_mean=r_mean, r_var=r_var)
 
 
 def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     """Current belief statistics of the ensemble."""
-    return _stats_of(ens.thetas, model)
+    return _stats_of(ens.thetas, _optima(ens.thetas, model))
 
 
 def _predicted_thetas(ens: Ensemble, y_cand, model: RewardModel) -> np.ndarray:
@@ -151,16 +153,45 @@ def _predicted_thetas(ens: Ensemble, y_cand, model: RewardModel) -> np.ndarray:
     return ens.thetas - (ens.rates * resid)[:, None] * phi[None, :]
 
 
+def _r_var_grad(ens: Ensemble, y_cand, model: RewardModel,
+                pred: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """d r_var / d y_cand (scalar) from the predicted estimates and optima.
+
+    Chain rule through theta_i - eta_i*phi*(phi.d_i), d_i = theta_i - mean,
+    and the optimum jacobian; r_mean drops out since the r_i - r_mean sum
+    to zero.  Estimators pinned at the parameter floor contribute zero.
+    """
+    phi = model.unknown_basis(y_cand)
+    dphi = model.basis_jacobian(y_cand)
+    dev = ens.thetas - ens.thetas.mean(axis=0)
+    dpred = -(ens.rates[:, None]
+              * (dphi[None, :] * (dev @ phi)[:, None]
+                 + phi[None, :] * (dev @ dphi)[:, None]))
+    if model.theta_floor is not None:
+        dpred = np.where(pred > model.theta_floor, dpred, 0.0)
+    jac = model.optimum_jacobian(_clamped(pred, model), r)
+    dr = np.einsum("nqm,nm->nq", jac, dpred)
+    return np.array([2.0 * np.mean(np.sum((r - r.mean(axis=0)) * dr, axis=1))])
+
+
 def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
-    """Belief statistics after a hypothetical observation at y_cand."""
-    return _stats_of(_predicted_thetas(ens, y_cand, model), model)
+    """Belief statistics after a hypothetical observation at y_cand.
+
+    One optimum-map solve serves the statistics and, when the model has
+    both jacobians, the exploration gradient ``r_var_grad``.
+    """
+    pred = _predicted_thetas(ens, y_cand, model)
+    r = _optima(pred, model)
+    out = _stats_of(pred, r)
+    if model.basis_jacobian is not None and model.optimum_jacobian is not None:
+        out.r_var_grad = _r_var_grad(ens, y_cand, model, pred, r)
+    return out
 
 
 def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel) -> float:
     """Exploration term only; cheaper than ``predict`` for gradient loops."""
-    r = _optima(_predicted_thetas(ens, y_cand, model), model)
-    r_mean = r.mean(axis=0)
-    return float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
+    pred = _predicted_thetas(ens, y_cand, model)
+    return _stats_of(pred, _optima(pred, model)).r_var
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

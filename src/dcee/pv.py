@@ -263,7 +263,8 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float,
     cands = [np.full(n, s_lo), np.full(n, s_hi)]
     if deg >= 1:
         lead = deriv[:, -1]
-        ok = np.abs(lead) > 1e-12 * np.maximum(np.max(np.abs(deriv), axis=1), 1.0)
+        tiny = 1e-12 * np.maximum(np.max(np.abs(deriv), axis=1), 1.0)
+        ok = np.abs(lead) > tiny
         roots = np.full((n, deg), s_lo)
         if np.any(ok):
             monic = deriv[ok] / lead[ok, None]
@@ -274,7 +275,10 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float,
             real = np.abs(eig.imag) <= 1e-8 * (1.0 + np.abs(eig.real))
             roots[ok] = np.where(real, np.clip(eig.real, s_lo, s_hi), s_lo)
         for idx in np.flatnonzero(~ok):
-            rr = np.roots(deriv[idx, ::-1])
+            # drop the negligible leading coefficients: a subnormal one
+            # would overflow np.roots' companion matrix
+            keep = np.flatnonzero(np.abs(deriv[idx]) > tiny[idx])
+            rr = np.roots(deriv[idx, :keep[-1] + 1][::-1]) if keep.size else []
             rr = [float(np.clip(r.real, s_lo, s_hi)) for r in rr
                   if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real))]
             roots[idx, :len(rr)] = rr
@@ -293,7 +297,9 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
 
     ``v_scale`` and ``v_shift`` normalise the voltage inside the basis so
     the regressor stays well-conditioned over the operating range; the
-    estimated coefficients are simply reparameterised accordingly.
+    estimated coefficients are simply reparameterised accordingly.  The
+    basis and optimum-map jacobians are closed-form, so the exploration
+    gradient needs no extra optimum-map solves.
     """
     basis = PolyBasis(degree=degree, scale=v_scale, shift=v_shift)
     s_lo = (v_range[0] - v_shift) / v_scale
@@ -302,10 +308,32 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def known(y):
         return 0.0
 
+    # the exact voltages the argmax returns for an endpoint maximum (a
+    # stationary point clipped into the interval lands there as well)
+    v_lo = s_lo * v_scale + v_shift
+    v_hi = s_hi * v_scale + v_shift
+    j = np.arange(degree + 1)
+
     def opt_batch(thetas):
         if not np.all(np.isfinite(thetas)):
             raise DomainError("polynomial coefficients must be finite")
         return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
+
+    def dbasis(y):
+        s = (float(np.atleast_1d(y)[0]) - v_shift) / v_scale
+        return j * s ** np.maximum(j - 1, 0) / v_scale
+
+    def dopt(thetas, optima):
+        # implicit function theorem on p'(s) = 0 at an interior maximum:
+        # ds/dtheta_j = -j s^(j-1) / p''(s); an endpoint maximum stays put
+        v = optima[:, 0]
+        pw = np.vander((v - v_shift) / v_scale, degree, increasing=True)
+        dslope = j[1:] * pw  # j s^(j-1) for j >= 1
+        curv = np.sum(j[2:] * j[1:-1] * thetas[:, 2:] * pw[:, :-1], axis=1)
+        interior = (v > v_lo) & (v < v_hi) & (curv < 0.0)
+        jac = np.zeros((v.size, 1, degree + 1))
+        jac[interior, 0, 1:] = -v_scale * dslope[interior] / curv[interior, None]
+        return jac
 
     return RewardModel(
         known_basis=known,
@@ -314,4 +342,6 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         y_range=(float(v_range[0]), float(v_range[1])),
         regressor_bound=scan_regressor_bound(basis, v_range),
         optimum_map_batch=opt_batch,
+        basis_jacobian=dbasis,
+        optimum_jacobian=dopt,
     )

@@ -7,7 +7,9 @@ unknown part that is linear in an environment parameter vector:
 
 ``optimum_map_batch`` sends a stack of parameter vectors to the
 operating points that maximise the reward; the optimum is the quantity
-the dual controller tracks.
+the dual controller tracks.  Models may also expose the jacobians of the
+regressor and of the optimum map, which give the exploration gradient in
+closed form (see ``ensemble.predict``).
 Models carry the admissible operating interval and a regressor bound
 (the largest ``||phi(y)||`` on that interval, found by grid scan).
 """
@@ -60,7 +62,10 @@ class RewardModel:
     basis_jacobian : callable or None
         y -> d(unknown_basis)/dy, shape (dim,), scalar-y models only.
     optimum_jacobian : callable or None
-        theta -> d(optimum)/dtheta for one parameter vector, shape (q, dim).
+        (thetas (N, dim), optima (N, q)) -> d(optimum)/dtheta per row,
+        shape (N, q, dim).  ``optima`` must be what ``optimum_map_batch``
+        returned for ``thetas``; the jacobian reuses it instead of solving
+        again.
     """
 
     known_basis: Callable[[np.ndarray], float]
@@ -71,7 +76,7 @@ class RewardModel:
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     theta_floor: float | None = None
     basis_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    optimum_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -128,9 +133,8 @@ def quadratic_reward(known_gain: float = 2.0,
         v = float(np.atleast_1d(y)[0])
         return np.array([-2.0 * v])
 
-    def dopt(theta):
-        t = float(np.atleast_1d(theta)[0])
-        return np.array([[-half_gain / (t * t)]])
+    def dopt(thetas, optima):
+        return (-optima / thetas)[:, :, None]
 
     return RewardModel(
         known_basis=known,

@@ -49,6 +49,18 @@ def test_explore_grad_analytic_matches_fd_randomized():
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
+def test_explore_grad_analytic_ignores_estimators_at_the_floor():
+    # the first prediction stays below theta_floor at and around y, so its
+    # optimum is pinned at 1/floor and it adds nothing to the gradient; the
+    # tolerance is loose because that 1e6 optimum costs the difference
+    # quotient about four digits
+    model = quadratic_reward(theta_floor=1e-6)
+    ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
+    fd = explore_grad([1.0], ens, model, 1e-5)[0]
+    an = explore_grad_analytic([1.0], ens, model)[0]
+    assert abs(fd - an) <= 1e-3 * abs(an)
+
+
 def test_explore_pushes_away_from_uninformative_origin():
     # predicted spread has a plateau of non-reduction at y = 0
     model = quadratic_reward()

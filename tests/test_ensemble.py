@@ -129,6 +129,22 @@ def test_predict_is_identity_for_collapsed_ensemble():
     assert pred.r_var == cur.r_var == 0.0
 
 
+def test_predict_gradient_only_with_jacobians():
+    ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
+    assert predict(ens, [0.5], identity_model()).r_var_grad is None
+    assert stats(ens, quadratic_reward()).r_var_grad is None
+    # quadratic, phi = -y^2: theta_i' = theta_i - eta y^4 d_i and r_i = 1/theta_i'
+    model = quadratic_reward()
+    y = 0.7
+    dev = ens.thetas[:, 0] - 1.25
+    pred = ens.thetas[:, 0] - 0.1 * y ** 4 * dev
+    dpred = -0.4 * y ** 3 * dev
+    r = 1.0 / pred
+    dr = -dpred / pred ** 2
+    expect = 2.0 * np.mean((r - r.mean()) * dr)
+    assert predict(ens, [y], model).r_var_grad[0] == pytest.approx(expect, rel=1e-12)
+
+
 def test_predict_zero_regressor_changes_nothing():
     # the quadratic regressor vanishes at y = 0: no information there
     model = quadratic_reward()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from dcee import (ConfigError, NumericalError, Trace, builtin_config, compare,
                   compute_metrics, config_from_dict, emit_csv, load_config,
                   read_trace_csv, render_comparison, run_scenario, run_seeds)
+from dcee import harness
 from dcee.cli import main as cli_main
 from dcee.harness import write_plot_script
 
@@ -68,6 +70,13 @@ def test_mppt_validation_rules():
     d["ensemble"]["prior_low"] = [0.0] * 5  # degree+1 mismatch
     with pytest.raises(ConfigError):
         config_from_dict(d)
+    d = builtin_config("mppt")
+    d["controller"]["fd_eps"] = 1e-5  # the PV gradient is closed-form
+    with pytest.raises(ConfigError, match="fd_eps"):
+        config_from_dict(d)
+    d = builtin_config("mppt")
+    d["controller"]["v_limits"] = d["reward"]["v_range"]  # no probe margin needed
+    config_from_dict(d)
 
 
 def test_horizon_zero_gives_single_record(tmp_path):
@@ -147,6 +156,61 @@ def test_numerical_failure_persists_partial_trace(tmp_path):
     assert err.value.step is not None
     assert err.value.partial_path == str(tmp_path / "partial.csv")
     assert (tmp_path / "partial.csv").exists()
+
+
+def _prior_low_above_high(d):
+    d["ensemble"]["prior_low"][0] = d["ensemble"]["prior_high"][0] + 1.0
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    ("mppt", lambda d: d["ensemble"].update(rate=-1.0)),
+    ("mppt", _prior_low_above_high),
+    ("mppt", lambda d: d["plant"].update(r_s=-1.0)),
+    ("quadratic-linear", lambda d: d["plant"].update(B=[[0.0], [0.0]])),
+], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
+    d = builtin_config(kind)
+    mutate(d)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [5.0, 50.0])
+def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, rate):
+    d = builtin_config("mppt")
+    d["ensemble"]["rate"] = rate
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "diverge.csv"
+    with np.errstate(all="ignore"):
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    assert "estimator ensemble diverged" in capsys.readouterr().err
+    tr = read_trace_csv(out)
+    assert 0 < tr.n_rows < 2001
+    for col in tr.columns:
+        assert np.all(np.isfinite(tr.values[col])), col
+
+
+def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
+    solved = []
+    build = harness.pv_poly_reward
+
+    def counting_model(*args, **kwargs):
+        model = build(*args, **kwargs)
+        solve = model.optimum_map_batch
+
+        def counted(thetas):
+            solved.append(len(thetas))
+            return solve(thetas)
+
+        return dataclasses.replace(model, optimum_map_batch=counted)
+
+    monkeypatch.setattr(harness, "pv_poly_reward", counting_model)
+    run_scenario(short_mppt(horizon=30))
+    assert solved == [50] * 31
 
 
 def test_emit_csv_round_trip(tmp_path):

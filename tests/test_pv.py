@@ -176,3 +176,50 @@ def test_pv_poly_reward_optimum_matches_fit(params):
     coef = np.polyfit((grid - 22.0) / 22.0, power, 5)[::-1]
     v_star, _ = mpp_oracle(params, **REF)
     assert abs(optimum_of(model, coef)[0] - v_star) < 0.5
+
+
+def _shipped_model_and_prior():
+    from dcee import builtin_config
+    ens = builtin_config("mppt")["ensemble"]
+    model = pv_poly_reward(degree=5, v_range=(2.0, 43.0), v_scale=22.0,
+                           v_shift=22.0)
+    return model, np.array(ens["prior_low"]), np.array(ens["prior_high"])
+
+
+def test_pv_poly_basis_jacobian_matches_difference():
+    model, _, _ = _shipped_model_and_prior()
+    h = 1e-6
+    for v in (4.0, 16.0, 22.0, 35.5, 42.0):
+        fd = (model.unknown_basis([v + h]) - model.unknown_basis([v - h])) / (2 * h)
+        np.testing.assert_allclose(model.basis_jacobian([v]), fd, rtol=1e-7, atol=1e-9)
+
+
+def test_pv_poly_optimum_jacobian_matches_difference():
+    model, low, high = _shipped_model_and_prior()
+    thetas = np.random.default_rng(4).uniform(low, high, size=(40, 6))
+    optima = model.optimum_map_batch(thetas)
+    jac = model.optimum_jacobian(thetas, optima)
+    assert jac.shape == (40, 1, 6)
+    h = 1e-6
+    for j in range(6):
+        step = np.zeros(6)
+        step[j] = h
+        fd = (model.optimum_map_batch(thetas + step)
+              - model.optimum_map_batch(thetas - step)) / (2 * h)
+        np.testing.assert_allclose(jac[:, :, j], fd, rtol=1e-5, atol=1e-8)
+
+
+def test_pv_poly_optimum_jacobian_zero_at_endpoint_maximum():
+    model, low, high = _shipped_model_and_prior()
+    thetas = np.vstack([
+        [0.0, 3.0, -1.0, 0.0, 0.0, 0.0],    # rising, concave: maximum at the top end
+        [0.0, -3.0, -1.0, 0.0, 0.0, 0.0],   # falling, concave: maximum at the bottom end
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],     # convex: an endpoint, p'' > 0
+        [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],    # -s^4: interior maximum with p'' = 0
+        0.5 * (low + high),                 # interior maximum, p'' < 0
+    ])
+    optima = model.optimum_map_batch(thetas)
+    assert optima[0, 0] == 43.0 and optima[1, 0] == 2.0 and optima[3, 0] == 22.0
+    jac = model.optimum_jacobian(thetas, optima)
+    assert np.all(jac[:4] == 0.0)
+    assert np.all(jac[4, 0, 1:] != 0.0) and jac[4, 0, 0] == 0.0
