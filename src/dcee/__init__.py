@@ -11,7 +11,7 @@ reproducible simulation harness with CSV traces.
 """
 
 from .dual import (DualDiagnostics, DualState, contraction_check, dcee_step,
-                   exploit_grad, explore_grad, explore_grad_analytic)
+                   exploit_grad, explore_grad)
 from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, mse_bound,
                        predict, stats)
 from .errors import ConfigError, DomainError, NumericalError, RegulationError

@@ -2,13 +2,11 @@
 
 The controller descends the sum of two terms evaluated one step ahead:
 the squared distance to the mean predicted optimum (exploitation) and
-the spread of the predicted optima (exploration).  Where the reward
-model exposes closed-form jacobians (the quadratic and pv-poly models),
-``predict`` returns the exploration gradient in closed form from the same
-optimum-map solve as the belief; ``explore_grad_analytic`` reads it.
-``explore_grad`` takes central finite differences of the predicted
-spread; it works for any model, drives ``dcee_step`` and is the reference
-the closed form is tested against.
+the spread of the predicted optima (exploration).  ``dcee_step`` takes
+the exploration gradient in closed form from ``predict``, which computes
+it from the same optimum-map solve as the belief.  ``explore_grad`` takes
+central finite differences of the predicted spread; no control loop
+calls it, it is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ __all__ = [
     "DualDiagnostics",
     "exploit_grad",
     "explore_grad",
-    "explore_grad_analytic",
     "dcee_step",
     "contraction_check",
 ]
@@ -37,18 +34,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class DualState:
-    """Decision point, gradient step size and finite-difference width."""
+    """Decision point and gradient step size."""
 
     y: np.ndarray
     step_size: float
-    fd_eps: float = 1e-5
 
     def __post_init__(self):
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
-        if self.fd_eps <= 0:
-            raise ValueError("finite-difference width must be positive")
 
 
 @dataclass
@@ -74,9 +68,11 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
                  fd_eps: float = 1e-5) -> np.ndarray:
     """Finite-difference gradient of the predicted-optima spread at y.
 
-    Central differences are used whenever both probe points stay inside
-    the model's admissible interval; at the boundary the difference
-    falls back to one-sided and a warning is logged.
+    The reference for the closed-form ``predict(...).r_var_grad``; it
+    needs no jacobians.  Central differences are used whenever both
+    probe points stay inside the model's admissible interval; at the
+    boundary the difference falls back to one-sided and a warning is
+    logged.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi = model.y_range
@@ -100,32 +96,16 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
     return grad
 
 
-def explore_grad_analytic(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
-    """Closed-form gradient of the predicted spread for scalar-output models.
-
-    The gradient is the ``r_var_grad`` that ``predict`` computes whenever
-    the model exposes both basis and optimum-map jacobians.
-    """
-    if model.basis_jacobian is None or model.optimum_jacobian is None:
-        raise ValueError("model does not provide the jacobians needed for "
-                         "the analytic exploration gradient")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != 1:
-        raise ValueError("analytic gradient implemented for scalar outputs")
-    return predict(ens, y, model).r_var_grad
-
-
 def dcee_step(state: DualState, ens: Ensemble,
               model: RewardModel) -> tuple[DualState, DualDiagnostics]:
     """One dual gradient step:  y' = y - delta * (grad C + grad P)."""
     ps = predict(ens, state.y, model)
     g_exploit = exploit_grad(state.y, ps.r_mean)
-    g_explore = explore_grad(state.y, ens, model, state.fd_eps)
+    g_explore = ps.r_var_grad
     u = -state.step_size * (g_exploit + g_explore)
     if not np.all(np.isfinite(u)):
         raise NumericalError("dual gradient step produced non-finite control")
-    new_state = DualState(y=state.y + u, step_size=state.step_size,
-                          fd_eps=state.fd_eps)
+    new_state = DualState(y=state.y + u, step_size=state.step_size)
     diag = DualDiagnostics(
         exploit_grad=g_exploit,
         explore_grad=g_explore,

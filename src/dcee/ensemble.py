@@ -6,8 +6,10 @@ sample statistics of their predicted optima quantify how uncertain the
 current belief is.  ``adapt`` consumes a real observation, ``predict``
 applies the same update with the noise-free reward the current mean
 parameter implies, giving the one-step-ahead belief used by the
-controller.  For models with closed-form jacobians the prediction also
-carries the exploration gradient, from the same optimum-map solve.
+controller.  The prediction also carries the exploration gradient in
+closed form, from the same optimum-map solve.  ``predicted_r_var``
+recomputes the predicted spread alone; finite differences of it are the
+reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class Ensemble:
 
     thetas: np.ndarray
     rates: np.ndarray
-    step: int = 0
 
     def __post_init__(self):
         self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
@@ -64,14 +65,12 @@ class Ensemble:
 class BeliefStats:
     """Sample statistics of an estimator set.
 
-    mean       : (m,) average parameter vector
     r_mean     : (q,) average predicted optimum
     r_var      : scalar spread of the predicted optima (exploration term)
-    r_var_grad : (1,) closed-form d r_var / d y_cand, set by ``predict``
-                 when the model exposes both jacobians, else None
+    r_var_grad : (1,) closed-form d r_var / d y_cand, set by ``predict``;
+                 None from ``stats``
     """
 
-    mean: np.ndarray
     r_mean: np.ndarray
     r_var: float
     r_var_grad: np.ndarray | None = None
@@ -97,7 +96,7 @@ def init_ensemble(n: int, prior_low, prior_high, rates,
     rates_arr = np.asarray(rates, dtype=float)
     if rates_arr.ndim == 0:
         rates_arr = np.full(n, float(rates_arr))
-    return Ensemble(thetas=thetas, rates=rates_arr, step=0)
+    return Ensemble(thetas=thetas, rates=rates_arr)
 
 
 def adapt(ens: Ensemble, y_prev, j_obs: float, model: RewardModel) -> Ensemble:
@@ -114,7 +113,7 @@ def adapt(ens: Ensemble, y_prev, j_obs: float, model: RewardModel) -> Ensemble:
     target = j_obs - model.known_basis(y_prev)
     resid = ens.thetas @ phi - target
     thetas = ens.thetas - (ens.rates * resid)[:, None] * phi[None, :]
-    return Ensemble(thetas=thetas, rates=ens.rates, step=ens.step + 1)
+    return Ensemble(thetas=thetas, rates=ens.rates)
 
 
 def _clamped(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
@@ -129,15 +128,15 @@ def _optima(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
     return np.atleast_2d(np.asarray(r, dtype=float))
 
 
-def _stats_of(thetas: np.ndarray, r: np.ndarray) -> BeliefStats:
+def _stats_of(r: np.ndarray) -> BeliefStats:
     r_mean = r.mean(axis=0)
     r_var = float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
-    return BeliefStats(mean=thetas.mean(axis=0), r_mean=r_mean, r_var=r_var)
+    return BeliefStats(r_mean=r_mean, r_var=r_var)
 
 
 def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     """Current belief statistics of the ensemble."""
-    return _stats_of(ens.thetas, _optima(ens.thetas, model))
+    return _stats_of(_optima(ens.thetas, model))
 
 
 def _predicted_thetas(ens: Ensemble, y_cand, model: RewardModel) -> np.ndarray:
@@ -177,21 +176,24 @@ def _r_var_grad(ens: Ensemble, y_cand, model: RewardModel,
 def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
     """Belief statistics after a hypothetical observation at y_cand.
 
-    One optimum-map solve serves the statistics and, when the model has
-    both jacobians, the exploration gradient ``r_var_grad``.
+    One optimum-map solve serves the statistics and the exploration
+    gradient ``r_var_grad``.
     """
     pred = _predicted_thetas(ens, y_cand, model)
     r = _optima(pred, model)
-    out = _stats_of(pred, r)
-    if model.basis_jacobian is not None and model.optimum_jacobian is not None:
-        out.r_var_grad = _r_var_grad(ens, y_cand, model, pred, r)
+    out = _stats_of(r)
+    out.r_var_grad = _r_var_grad(ens, y_cand, model, pred, r)
     return out
 
 
 def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel) -> float:
-    """Exploration term only; cheaper than ``predict`` for gradient loops."""
+    """Predicted spread alone, the function ``dual.explore_grad`` differences.
+
+    Only the finite-difference reference uses it; the control loops take
+    the closed-form gradient from ``predict``.
+    """
     pred = _predicted_thetas(ens, y_cand, model)
-    return _stats_of(pred, _optima(pred, model)).r_var
+    return _stats_of(_optima(pred, model)).r_var
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

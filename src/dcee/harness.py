@@ -31,16 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# explore_grad is not called here (the PV loop takes the closed-form
-# gradient from predict); it stays a harness attribute because the
-# benchmark's tracer patches the loop's names on this module
+# explore_grad is not called here (both loops take the closed-form
+# gradient); it stays a harness attribute because the benchmark's tracer
+# patches the loop's names on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
 from .ensemble import adapt, init_ensemble, predict
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, RegulationError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
 from .reward import NoiseSpec, quadratic_reward, sample_noise
-from .servo import check_rank, design_gains
+from .servo import design_gains
 
 __all__ = [
     "ScenarioConfig",
@@ -68,7 +68,7 @@ _ALLOWED = {
         "plant": {"A", "B", "C", "x0"},
         "reward": {"name", "known_gain", "theta_true", "y_range", "theta_floor"},
         "ensemble": {"n", "prior_low", "prior_high", "rate"},
-        "controller": {"delta", "fd_eps", "poles", "K", "xi0"},
+        "controller": {"delta", "poles", "K", "xi0"},
         "noise": {"variance"},
         "run": {"horizon", "dt", "seed", "out"},
     },
@@ -114,7 +114,6 @@ def builtin_config(kind: str) -> dict:
             },
             "controller": {
                 "delta": 0.5,
-                "fd_eps": 1e-5,
                 "poles": [0.4, 0.7],
                 "xi0": [3.6],
             },
@@ -274,20 +273,19 @@ def _validate_sections(kind: str, d: dict) -> None:
     if not lo < hi:
         raise ConfigError("reward range must be an interval with lo < hi")
     if kind == "quadratic-linear":
-        if float(ctl["fd_eps"]) <= 0:
-            raise ConfigError("controller.fd_eps must be positive")
         if d["reward"]["name"] != "quadratic":
             raise ConfigError("quadratic-linear scenarios use the 'quadratic' reward")
         if len(ens["prior_low"]) != len(d["reward"]["theta_true"]):
             raise ConfigError("prior bounds and theta_true disagree on dimension")
+        xi0 = np.asarray(ctl["xi0"], dtype=float)
+        if not np.all((lo <= xi0) & (xi0 <= hi)):
+            raise ConfigError("controller.xi0 must lie inside reward.y_range")
         plant = d["plant"]
         try:
-            solvable = check_rank(plant["A"], plant["B"], plant["C"])
-        except ValueError as exc:
-            raise ConfigError(f"plant: {exc}") from exc
-        if not solvable:
-            raise ConfigError("plant: regulation equations unsolvable, the matrix "
-                              "[[A-I, B], [C, 0]] does not have full rank")
+            design_gains(plant["A"], plant["B"], plant["C"],
+                         poles=ctl.get("poles"), K=ctl.get("K"))
+        except (RegulationError, ValueError) as exc:
+            raise ConfigError(f"plant/controller gains: {exc}") from exc
     else:
         if d["reward"]["name"] != "pv-poly":
             raise ConfigError("mppt scenarios use the 'pv-poly' reward")
@@ -391,13 +389,10 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
 
     ctl = cfg.section("controller")
     delta = float(ctl["delta"])
-    fd_eps = float(ctl["fd_eps"])
     gains = design_gains(A, B, C, poles=ctl.get("poles"), K=ctl.get("K"))
     feed = gains.G + gains.K @ gains.Psi
     xi = float(np.atleast_1d(ctl["xi0"])[0])
-    # the reference stays one probe width inside the admissible interval,
-    # so the exploration difference is always two-sided
-    xi_lim = (model.y_range[0] + fd_eps, model.y_range[1] - fd_eps)
+    xi_lo, xi_hi = model.y_range
 
     ens_cfg = cfg.section("ensemble")
     rng_init, rng_noise = _spawn_rngs(cfg.seed)
@@ -407,19 +402,29 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
     flag = int(contraction_check(delta, 2.0))
 
     # flat-array fast path, numerically identical to adapt/predict/
-    # exploit_grad/explore_grad for this single-parameter model
+    # exploit_grad for this single-parameter model
     th = ens.thetas[:, 0].copy()
     rates = ens.rates
     half_gain = gain / 2.0
     floor = model.theta_floor
 
     def belief_at(y_cand, th_mean):
+        """Predicted optimum mean, spread and closed-form spread gradient."""
         phi = -(y_cand * y_cand)
+        dphi = -2.0 * y_cand
         resid = th * phi - phi * th_mean
         pred = th - (rates * resid) * phi
-        r = half_gain / (np.maximum(pred, floor) if floor is not None else pred)
+        dev = th - th_mean
+        dpred = -(rates * (dphi * (dev * phi) + phi * (dev * dphi)))
+        clamped = pred
+        if floor is not None:
+            clamped = np.maximum(pred, floor)
+            dpred = np.where(pred > floor, dpred, 0.0)
+        r = half_gain / clamped
+        dr = (-r / clamped) * dpred
         r_mean = r.mean()
-        return r_mean, ((r - r_mean) ** 2).mean()
+        return (r_mean, ((r - r_mean) ** 2).mean(),
+                2.0 * ((r - r_mean) * dr).mean())
 
     names = (["k", "t"] + [f"x{i}" for i in range(x.size)]
              + ["y", "xi", "u", "j_obs", "theta_mean_0", "theta_std_0",
@@ -436,15 +441,17 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
         th = th - (rates * resid) * phi
         th_mean = th.mean()
         th_std = th.std()
-        r_mean, p_explore = belief_at(xi, th_mean)
+        if not (np.isfinite(th_mean) and np.isfinite(th_std)):
+            path = _persist_partial(cfg, rows, k)
+            raise NumericalError(f"estimator ensemble diverged at step {k}",
+                                 step=k, partial_path=path)
+        r_mean, p_explore, g_explore = belief_at(xi, th_mean)
         g_exploit = 2.0 * (xi - r_mean)
-        g_explore = (belief_at(xi + fd_eps, th_mean)[1]
-                     - belief_at(xi - fd_eps, th_mean)[1]) / (2.0 * fd_eps)
 
         x_rec, xi_rec = x, xi
         if k < cfg.horizon:
             xi = float(np.clip(xi - delta * (g_exploit + g_explore),
-                               xi_lim[0], xi_lim[1]))
+                               xi_lo, xi_hi))
             u = -(gains.K @ x) + feed[:, 0] * xi
             x = A @ x + B @ u
         else:
@@ -467,8 +474,7 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
         rows["err_track"].append(y - xi_rec)
         rows["contraction_ok"].append(flag)
 
-        if not (np.all(np.isfinite(x)) and np.isfinite(xi)
-                and np.isfinite(th_mean)):
+        if not (np.all(np.isfinite(x)) and np.isfinite(xi)):
             path = _persist_partial(cfg, rows, k)
             raise NumericalError(f"state became non-finite at step {k}",
                                  step=k, partial_path=path)

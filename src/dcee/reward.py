@@ -7,9 +7,9 @@ unknown part that is linear in an environment parameter vector:
 
 ``optimum_map_batch`` sends a stack of parameter vectors to the
 operating points that maximise the reward; the optimum is the quantity
-the dual controller tracks.  Models may also expose the jacobians of the
-regressor and of the optimum map, which give the exploration gradient in
-closed form (see ``ensemble.predict``).
+the dual controller tracks.  Every model also supplies the jacobians of
+the regressor and of the optimum map, which give the exploration
+gradient in closed form (see ``ensemble.predict``).
 Models carry the admissible operating interval and a regressor bound
 (the largest ``||phi(y)||`` on that interval, found by grid scan).
 """
@@ -55,17 +55,17 @@ class RewardModel:
     optimum_map_batch : callable
         (N, dim) parameter vectors -> (N, q) maximising operating points;
         the only optimum map (``optimum_of`` passes a single row).
-    theta_floor : float or None
-        If set, parameter vectors are clamped elementwise to this floor
-        before being pushed through ``optimum_map_batch`` in ensemble
-        code.  Guards maps with singularities (e.g. 1/theta near zero).
-    basis_jacobian : callable or None
-        y -> d(unknown_basis)/dy, shape (dim,), scalar-y models only.
-    optimum_jacobian : callable or None
+    basis_jacobian : callable
+        y -> d(unknown_basis)/dy, shape (dim,); y is scalar.
+    optimum_jacobian : callable
         (thetas (N, dim), optima (N, q)) -> d(optimum)/dtheta per row,
         shape (N, q, dim).  ``optima`` must be what ``optimum_map_batch``
         returned for ``thetas``; the jacobian reuses it instead of solving
         again.
+    theta_floor : float or None
+        If set, parameter vectors are clamped elementwise to this floor
+        before being pushed through ``optimum_map_batch`` in ensemble
+        code.  Guards maps with singularities (e.g. 1/theta near zero).
     """
 
     known_basis: Callable[[np.ndarray], float]
@@ -74,9 +74,9 @@ class RewardModel:
     y_range: tuple[float, float]
     regressor_bound: float
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
+    basis_jacobian: Callable[[np.ndarray], np.ndarray]
+    optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_floor: float | None = None
-    basis_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -143,9 +143,9 @@ def quadratic_reward(known_gain: float = 2.0,
         y_range=(float(y_range[0]), float(y_range[1])),
         regressor_bound=scan_regressor_bound(phi, y_range),
         optimum_map_batch=opt_batch,
-        theta_floor=theta_floor,
         basis_jacobian=dphi,
         optimum_jacobian=dopt,
+        theta_floor=theta_floor,
     )
 
 

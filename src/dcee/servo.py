@@ -206,8 +206,7 @@ def design_gains(A, B, C, poles=None, K=None) -> ServoGains:
 
 
 def servo_step(plant: LinearPlant, servo: ServoState, gains: ServoGains,
-               ens: Ensemble, model: RewardModel, delta: float,
-               fd_eps: float = 1e-5, xi_limits=None
+               ens: Ensemble, model: RewardModel, delta: float, xi_limits=None
                ) -> tuple[LinearPlant, ServoState, np.ndarray, DualDiagnostics]:
     """Advance reference, control and plant by one tick.
 
@@ -217,7 +216,7 @@ def servo_step(plant: LinearPlant, servo: ServoState, gains: ServoGains,
 
         u = -K x + (G + K Psi) xi'
     """
-    dual_state = DualState(y=servo.xi, step_size=delta, fd_eps=fd_eps)
+    dual_state = DualState(y=servo.xi, step_size=delta)
     moved, diag = dcee_step(dual_state, ens, model)
     xi_new = moved.y
     if xi_limits is not None:

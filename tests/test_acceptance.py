@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from dcee import (Ensemble, adapt, builtin_config, compare, config_from_dict,
-                  explore_grad, explore_grad_analytic, init_ensemble,
-                  mse_bound, quadratic_reward, run_scenario, run_seeds,
+                  explore_grad, init_ensemble, mse_bound, predict,
+                  quadratic_reward, run_scenario, run_seeds,
                   solve_regulation, stabilizing_gain, stats)
 from dcee.ensemble import _optima
 from dcee.harness import _spawn_rngs
@@ -112,7 +112,7 @@ def test_criterion_6_exploration_gradient_cross_check():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = explore_grad_analytic([y], ens, model)[0]
+        an = predict(ens, [y], model).r_var_grad[0]
         rel = abs(fd - an) / max(abs(an), abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from dcee import (DualState, Ensemble, contraction_check, dcee_step,
-                  exploit_grad, explore_grad, explore_grad_analytic,
-                  init_ensemble, predict, quadratic_reward)
+                  exploit_grad, explore_grad, init_ensemble, predict,
+                  quadratic_reward)
 from dcee.ensemble import predicted_r_var
 
 
@@ -32,7 +34,7 @@ def test_explore_grad_analytic_matches_fd_two_point():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.005))
     fd = explore_grad([1.0], ens, model, 1e-5)
-    an = explore_grad_analytic([1.0], ens, model)
+    an = predict(ens, [1.0], model).r_var_grad
     assert abs(fd[0] - an[0]) <= 1e-5 * max(abs(an[0]), 1e-12)
 
 
@@ -45,7 +47,7 @@ def test_explore_grad_analytic_matches_fd_randomized():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = explore_grad_analytic([y], ens, model)[0]
+        an = predict(ens, [y], model).r_var_grad[0]
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
@@ -57,7 +59,7 @@ def test_explore_grad_analytic_ignores_estimators_at_the_floor():
     model = quadratic_reward(theta_floor=1e-6)
     ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
     fd = explore_grad([1.0], ens, model, 1e-5)[0]
-    an = explore_grad_analytic([1.0], ens, model)[0]
+    an = predict(ens, [1.0], model).r_var_grad[0]
     assert abs(fd - an) <= 1e-3 * abs(an)
 
 
@@ -113,6 +115,21 @@ def test_dcee_step_increment_identity():
     _, diag = dcee_step(state, ens, model)
     expect = -0.5 * (diag.exploit_grad + diag.explore_grad)
     assert np.array_equal(diag.u, expect)
+    assert np.array_equal(diag.explore_grad, predict(ens, [1.7], model).r_var_grad)
+
+
+def test_dcee_step_solves_the_optimum_map_once():
+    base = quadratic_reward()
+    rows = []
+
+    def counted(thetas):
+        rows.append(len(thetas))
+        return base.optimum_map_batch(thetas)
+
+    model = dataclasses.replace(base, optimum_map_batch=counted)
+    ens = init_ensemble(30, [0.5], [20.0], 0.005, np.random.default_rng(5))
+    dcee_step(DualState(y=[1.7], step_size=0.5), ens, model)
+    assert rows == [30]
 
 
 def test_collapsed_dcee_contracts_linearly():

@@ -3,7 +3,7 @@ import pytest
 
 from dcee import (Ensemble, adapt, init_ensemble, mse_bound, predict,
                   quadratic_reward, stats)
-from dcee.ensemble import _optima
+from dcee.ensemble import _optima, _predicted_thetas
 from dcee.reward import RewardModel
 
 
@@ -16,6 +16,9 @@ def identity_model(dim=1):
         y_range=(-1.0, 1.0),
         regressor_bound=float(np.sqrt(dim)),
         optimum_map_batch=lambda ths: np.asarray(ths, dtype=float),
+        basis_jacobian=lambda y: np.zeros(dim),
+        optimum_jacobian=lambda ths, r: np.broadcast_to(np.eye(dim),
+                                                         (len(ths), dim, dim)),
     )
 
 
@@ -56,7 +59,6 @@ def test_adapt_single_step_hand_computed():
     ens = Ensemble(thetas=np.zeros((1, 1)), rates=np.array([0.5]))
     out = adapt(ens, [0.0], 1.0, model)
     assert out.thetas[0, 0] == pytest.approx(0.5)
-    assert out.step == 1
 
 
 def test_adapt_fixed_point_at_truth():
@@ -92,7 +94,7 @@ def test_stats_two_point_example():
     model = identity_model()
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.1))
     s = stats(ens, model)
-    assert s.mean[0] == pytest.approx(1.0)
+    # the identity optimum map makes r_mean the parameter mean
     assert s.r_mean[0] == pytest.approx(1.0)
     assert s.r_var == pytest.approx(0.25)
 
@@ -129,10 +131,11 @@ def test_predict_is_identity_for_collapsed_ensemble():
     assert pred.r_var == cur.r_var == 0.0
 
 
-def test_predict_gradient_only_with_jacobians():
+def test_predict_gradient_matches_hand_derivation():
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
-    assert predict(ens, [0.5], identity_model()).r_var_grad is None
     assert stats(ens, quadratic_reward()).r_var_grad is None
+    # a constant regressor carries no information about where to probe
+    assert predict(ens, [0.5], identity_model()).r_var_grad[0] == 0.0
     # quadratic, phi = -y^2: theta_i' = theta_i - eta y^4 d_i and r_i = 1/theta_i'
     model = quadratic_reward()
     y = 0.7
@@ -152,7 +155,8 @@ def test_predict_zero_regressor_changes_nothing():
     cur = stats(ens, model)
     pred = predict(ens, [0.0], model)
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
-    np.testing.assert_allclose(pred.mean, cur.mean)
+    assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
+    assert np.array_equal(_predicted_thetas(ens, [0.0], model), ens.thetas)
 
 
 def test_predict_informative_point_shrinks_spread():

@@ -17,8 +17,8 @@ from dcee import builtin_config, config_from_dict, load_config, run_scenario
 REPO = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
-    "quadratic-seed1": "0ed67e005d16c3d634abbcc312818b1af678478e9e2187d1f835f7781e0aece3",
-    "quadratic-seed7": "eaa9db857ab06b5e7c70ef6e5ed8b8ad6482235104ba41be59927399fb25f359",
+    "quadratic-seed1": "63b4578ef79a613ce0568b4828babfdca7c7febc361a19fd4f29644818f1fefa",
+    "quadratic-seed7": "630f3de68175857ddea0d60f14995f20773ed4193a458f47bb1d3732bc2852b7",
     "mppt-hc": "15fbe138d37ab022fa37e731c973ffd542667d535329d83c9e35659d29b894a7",
     "mppt-ic": "9f55c72b2e9856100dc8d12de4a8cbaea54fd0f1f1db1f7c2aa00017e3a76d78",
     "mppt-dcee": "a2b5a8a2a50e8cd6f3e958c3a0623aa4fe6d1c5f14f9054070b355fa86f633a4",

@@ -79,6 +79,13 @@ def test_mppt_validation_rules():
     config_from_dict(d)
 
 
+def test_quadratic_rejects_fd_eps():
+    d = builtin_config("quadratic-linear")
+    d["controller"]["fd_eps"] = 1e-5  # the quadratic gradient is closed-form too
+    with pytest.raises(ConfigError, match="fd_eps"):
+        config_from_dict(d)
+
+
 def test_horizon_zero_gives_single_record(tmp_path):
     cfg = quad_config(horizon=0)
     tr = run_scenario(cfg)
@@ -167,14 +174,22 @@ def _prior_low_above_high(d):
     ("mppt", _prior_low_above_high),
     ("mppt", lambda d: d["plant"].update(r_s=-1.0)),
     ("quadratic-linear", lambda d: d["plant"].update(B=[[0.0], [0.0]])),
-], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B"])
+    ("quadratic-linear", lambda d: d["controller"].update(poles=[1.2, 0.5])),
+    ("quadratic-linear", lambda d: d["controller"].update(poles=[0.5])),
+    ("quadratic-linear", lambda d: d["plant"].update(B=[[1.0, 0.0], [1.0, 1.0]])),
+    ("quadratic-linear", lambda d: d["controller"].update(xi0=[9.0])),
+], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
+        "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
+        "xi0-outside-y_range"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(d))
-    assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    commands = ["run", "gains"] if kind == "quadratic-linear" else ["run"]
+    for command in commands:
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rate", [5.0, 50.0])
@@ -190,6 +205,20 @@ def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, r
     assert "estimator ensemble diverged" in capsys.readouterr().err
     tr = read_trace_csv(out)
     assert 0 < tr.n_rows < 2001
+    for col in tr.columns:
+        assert np.all(np.isfinite(tr.values[col])), col
+
+
+def test_quadratic_estimator_divergence_stops_before_non_finite_rows(tmp_path):
+    # rate 0.05 overshoots: theta_std_0 overflows long before the plant does
+    d = builtin_config("quadratic-linear")
+    d["ensemble"]["rate"] = 0.05
+    d["run"]["out"] = str(tmp_path / "partial.csv")
+    with pytest.raises(NumericalError, match="estimator ensemble diverged") as err, \
+            np.errstate(all="ignore"):
+        run_scenario(config_from_dict(d))
+    tr = read_trace_csv(tmp_path / "partial.csv")
+    assert 0 < tr.n_rows == err.value.step < d["run"]["horizon"]
     for col in tr.columns:
         assert np.all(np.isfinite(tr.values[col])), col
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcee import builtin_config, explore_grad, explore_grad_analytic, init_ensemble, pv_poly_reward
+from dcee import builtin_config, explore_grad, init_ensemble, predict, pv_poly_reward
 from dcee.pv import _poly_argmax_batch
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -43,5 +43,5 @@ def test_pv_poly_closed_form_gradient_matches_fd(seed, n, v):
     rng = np.random.default_rng(seed)
     ens = init_ensemble(n, PRIOR_LOW, PRIOR_HIGH, rng.uniform(0.01, 0.2, n), rng)
     fd = explore_grad([v], ens, MODEL, 1e-5)[0]
-    an = explore_grad_analytic([v], ens, MODEL)[0]
+    an = predict(ens, [v], MODEL).r_var_grad[0]
     assert abs(fd - an) <= 1e-5 * (abs(an) + 1e-3)

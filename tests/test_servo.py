@@ -148,10 +148,9 @@ def test_regulation_residual_invariants():
         accepted += 1
 
 
-def _servo_loop_columns(seed: int, horizon: int) -> dict:
-    """Run adapt + servo_step on the harness's random streams for one seed."""
-    d = builtin_config("quadratic-linear")
-    rng_init, rng_noise = _spawn_rngs(seed)
+def _servo_loop_columns(d: dict, horizon: int) -> dict:
+    """Run adapt + servo_step on the harness's random streams for config d."""
+    rng_init, rng_noise = _spawn_rngs(d["run"]["seed"])
     ens_cfg = d["ensemble"]
     ens = init_ensemble(ens_cfg["n"], ens_cfg["prior_low"], ens_cfg["prior_high"],
                         ens_cfg["rate"], rng_init)
@@ -160,7 +159,7 @@ def _servo_loop_columns(seed: int, horizon: int) -> dict:
     gains = design_gains(A, B, C, poles=[0.4, 0.7])
     plant = LinearPlant(A=A, B=B, C=C, x=d["plant"]["x0"])
     servo = ServoState(xi=d["controller"]["xi0"])
-    xi_limits = (-4.0 + 1e-5, 4.0 - 1e-5)
+    xi_limits = (-4.0, 4.0)
     cols = {name: [] for name in ("y", "xi", "u", "theta_mean_0", "grad_explore_norm")}
     for _ in range(horizon):
         y = float(plant.output()[0])
@@ -170,8 +169,7 @@ def _servo_loop_columns(seed: int, horizon: int) -> dict:
         cols["xi"].append(servo.xi[0])
         cols["theta_mean_0"].append(ens.thetas.mean(axis=0)[0])
         plant, servo, u, diag = servo_step(plant, servo, gains, ens, model,
-                                           delta=0.5, fd_eps=1e-5,
-                                           xi_limits=xi_limits)
+                                           delta=0.5, xi_limits=xi_limits)
         cols["u"].append(u[0])
         cols["grad_explore_norm"].append(abs(diag.explore_grad[0]))
     return {name: np.array(vals) for name, vals in cols.items()}
@@ -185,8 +183,20 @@ def test_servo_step_matches_scenario_loop():
         d = builtin_config("quadratic-linear")
         d["run"].update(horizon=horizon, seed=seed)
         tr = run_scenario(config_from_dict(d))
-        for name, got in _servo_loop_columns(seed, horizon).items():
+        for name, got in _servo_loop_columns(d, horizon).items():
             assert np.array_equal(got, tr.column(name)[:horizon]), (seed, name)
+
+
+def test_servo_step_matches_scenario_loop_with_floored_estimators():
+    # slow learners drawn below theta_floor stay there, so predictions are
+    # clamped and their gradient terms must be zeroed in both paths
+    horizon = 100
+    d = builtin_config("quadratic-linear")
+    d["ensemble"].update(prior_low=[-2.0], rate=1e-5)
+    d["run"].update(horizon=horizon)
+    tr = run_scenario(config_from_dict(d))
+    for name, got in _servo_loop_columns(d, horizon).items():
+        assert np.array_equal(got, tr.column(name)[:horizon]), name
 
 
 def test_servo_step_does_not_revalidate_plant(monkeypatch):
