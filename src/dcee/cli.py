@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericalError
 from .harness import (compare, emit_csv, load_config, render_comparison,
                       run_scenario, write_plot_script)
-from .servo import design_gains
 
 
 def _add_common(parser):
@@ -75,14 +74,10 @@ def _cmd_run(args, algo=None) -> int:
 
 
 def _print_gains(cfg) -> None:
-    plant = cfg.section("plant")
-    ctl = cfg.section("controller")
-    gains = design_gains(plant["A"], plant["B"], plant["C"],
-                         poles=ctl.get("poles"), K=ctl.get("K"))
     with np.printoptions(precision=12, suppress=True):
-        print("Psi =", gains.Psi.ravel())
-        print("G   =", gains.G.ravel())
-        print("K   =", gains.K.ravel())
+        print("Psi =", cfg.gains.Psi.ravel())
+        print("G   =", cfg.gains.G.ravel())
+        print("K   =", cfg.gains.K.ravel())
 
 
 def _cmd_gains(args) -> int:

@@ -36,11 +36,11 @@ import numpy as np
 # patches the loop's names on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
 from .ensemble import adapt, init_ensemble, predict
-from .errors import ConfigError, NumericalError, RegulationError
+from .errors import ConfigError, NumericalError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
-from .reward import NoiseSpec, quadratic_reward, sample_noise
-from .servo import design_gains
+from .reward import NoiseSpec, RewardModel, quadratic_reward, sample_noise
+from .servo import LinearPlant, ServoGains, design_gains
 
 __all__ = [
     "ScenarioConfig",
@@ -66,7 +66,7 @@ _INT_COLUMNS = {"k", "contraction_ok"}
 _ALLOWED = {
     "quadratic-linear": {
         "plant": {"A", "B", "C", "x0"},
-        "reward": {"name", "known_gain", "theta_true", "y_range", "theta_floor"},
+        "reward": {"known_gain", "theta_true", "y_range", "theta_floor"},
         "ensemble": {"n", "prior_low", "prior_high", "rate"},
         "controller": {"delta", "poles", "K", "xi0"},
         "noise": {"variance"},
@@ -76,7 +76,7 @@ _ALLOWED = {
         "plant": {"i_sc_ref", "v_oc_ref", "n_cells", "ideality", "r_s", "r_sh",
                   "temp_coeff_i", "temp_coeff_v", "g_ref", "t_ref"},
         "profile": {"irradiance", "temperature"},
-        "reward": {"name", "degree", "v_range", "v_scale", "v_shift"},
+        "reward": {"degree", "v_range", "v_scale", "v_shift"},
         "ensemble": {"n", "prior_low", "prior_high", "rate"},
         "controller": {"algo", "delta", "u_max", "v_init", "v_limits",
                        "hc_step", "ic_step", "ic_deadband"},
@@ -100,7 +100,6 @@ def builtin_config(kind: str) -> dict:
                 "x0": [1.2, 3.6],
             },
             "reward": {
-                "name": "quadratic",
                 "known_gain": 2.0,
                 "theta_true": [1.0],
                 "y_range": [-4.0, 4.0],
@@ -140,7 +139,6 @@ def builtin_config(kind: str) -> dict:
                 "temperature": [[0.0, 25.0], [1.0, 35.0]],
             },
             "reward": {
-                "name": "pv-poly",
                 "degree": 5,
                 "v_range": [2.0, 43.0],
                 "v_scale": 22.0,
@@ -173,7 +171,10 @@ def builtin_config(kind: str) -> dict:
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description."""
+    """Validated scenario: the merged sections (``data``) and the objects
+    a run uses.  ``plant`` is the ``LinearPlant`` at its initial state
+    (quadratic, with its servo ``gains``) or the ``PvParams`` panel (mppt,
+    with its ``profile`` and initial ``hc`` / ``ic`` tracker states)."""
 
     kind: str
     data: dict
@@ -181,6 +182,13 @@ class ScenarioConfig:
     horizon: int
     dt: float
     out: str | None
+    model: RewardModel
+    noise: NoiseSpec
+    plant: LinearPlant | PvParams
+    gains: ServoGains | None = None
+    profile: EnvProfile | None = None
+    hc: HcState | None = None
+    ic: IcState | None = None
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -204,11 +212,15 @@ def _check_keys(kind, section, given, allowed):
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    """Validate a scenario dictionary (defaults filled per section)."""
+    """Validate a scenario dictionary by building what its run needs.
+
+    Unset keys take the built-in defaults.  A value that fails to convert,
+    or that a constructor rejects, is a ``ConfigError``.
+    """
     if not isinstance(d, dict):
         raise ConfigError("scenario config must be a JSON object")
     kind = d.get("kind")
-    if kind not in _ALLOWED:
+    if not isinstance(kind, str) or kind not in _ALLOWED:
         raise ConfigError(f"scenario kind must be one of {sorted(_ALLOWED)}, "
                           f"got {kind!r}")
     allowed_sections = set(_ALLOWED[kind]) | {"kind"}
@@ -222,89 +234,90 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         _check_keys(kind, section, user.keys(), allowed)
         merged[section].update(copy.deepcopy(user))
 
-    run = merged["run"]
-    if kind == "mppt" and "horizon" in run and "duration" in run:
+    user_run = d.get("run", {})
+    if "horizon" in user_run and "duration" in user_run:
+        raise ConfigError("give either run.horizon or run.duration, not both")
+    if kind == "mppt" and "horizon" in user_run:
         # a user-supplied horizon replaces the default duration
-        if "horizon" in d.get("run", {}) and "duration" in d.get("run", {}):
-            raise ConfigError("give either run.horizon or run.duration, not both")
-        if "horizon" in d.get("run", {}):
-            run.pop("duration")
+        merged["run"].pop("duration")
 
-    dt = float(run.get("dt", 1.0))
-    if dt <= 0:
-        raise ConfigError("run.dt must be positive")
+    try:
+        return _build(kind, merged)
+    except (ValueError, TypeError, OverflowError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{kind} scenario: {exc}") from exc
+
+
+def _positive(value, name: str) -> None:
+    if not 0 < float(value) < np.inf:
+        raise ConfigError(f"{name} must be finite and positive")
+
+
+def _build(kind: str, d: dict) -> ScenarioConfig:
+    run, rw, ens, ctl = d["run"], d["reward"], d["ensemble"], d["controller"]
+    dt = float(run["dt"])
+    _positive(dt, "run.dt")
     if "duration" in run:
-        duration = float(run["duration"])
-        if duration < 0:
-            raise ConfigError("run.duration must be nonnegative")
-        horizon = int(round(duration / dt))
+        horizon = int(round(float(run["duration"]) / dt))
     else:
         horizon = int(run["horizon"])
     if horizon < 0:
-        raise ConfigError("run horizon must be nonnegative")
+        raise ConfigError("run horizon (or duration) must be nonnegative")
+    seed, out = int(run["seed"]), run.get("out")
+    if seed < 0 or not (out is None or isinstance(out, str)):
+        raise ConfigError("run.seed must be nonnegative and run.out a path or null")
+    _positive(ctl["delta"], "controller.delta")
 
-    _validate_sections(kind, merged)
-    return ScenarioConfig(kind=kind, data=merged, seed=int(run["seed"]),
-                          horizon=horizon, dt=dt, out=run.get("out"))
+    if kind == "quadratic-linear":
+        model = quadratic_reward(known_gain=float(rw["known_gain"]),
+                                 y_range=rw["y_range"], theta_floor=rw["theta_floor"])
+        if np.asarray(rw["theta_true"], dtype=float).shape != (model.dim,):
+            raise ConfigError("reward.theta_true must have one entry per model "
+                              "parameter")
+        p = d["plant"]
+        plant = LinearPlant(p["A"], p["B"], p["C"], p["x0"])
+        xi0 = np.asarray(ctl["xi0"], dtype=float)
+        lo, hi = model.y_range
+        if plant.q != 1 or xi0.shape != (1,) or not lo <= xi0[0] <= hi:
+            raise ConfigError("the quadratic reward needs one plant output and "
+                              "one controller.xi0 inside reward.y_range")
+        gains = design_gains(plant.A, plant.B, plant.C,
+                             poles=ctl.get("poles"), K=ctl.get("K"))
+        built = dict(plant=plant, gains=gains)
+    else:
+        model = pv_poly_reward(degree=int(rw["degree"]), v_range=rw["v_range"],
+                               v_scale=float(rw["v_scale"]),
+                               v_shift=float(rw["v_shift"]))
+        if ctl["algo"] not in ("dcee", "hc", "ic"):
+            raise ConfigError("controller.algo must be dcee, hc or ic")
+        _positive(ctl["u_max"], "controller.u_max")
+        lo, hi = model.y_range
+        vlo, vhi = (float(v) for v in ctl["v_limits"])
+        if not lo <= vlo < vhi <= hi:
+            raise ConfigError("controller.v_limits must sit inside reward.v_range")
+        v_init = float(ctl["v_init"])
+        if not vlo <= v_init <= vhi:
+            raise ConfigError("controller.v_init must lie inside controller.v_limits")
+        built = dict(plant=PvParams(**d["plant"]), profile=EnvProfile(**d["profile"]),
+                     hc=HcState(v_prev=v_init, step=float(ctl["hc_step"])),
+                     ic=IcState(step=float(ctl["ic_step"]),
+                                deadband=float(ctl["ic_deadband"])))
 
-
-def _validate_sections(kind: str, d: dict) -> None:
-    ens = d["ensemble"]
     n = int(ens["n"])
     if n < 1:
         raise ConfigError("ensemble.n must be at least 1")
-    low = np.asarray(ens["prior_low"], dtype=float)
-    high = np.asarray(ens["prior_high"], dtype=float)
-    if low.shape != high.shape:
-        raise ConfigError("ensemble prior bounds must have equal length")
-    if np.any(low > high):
-        raise ConfigError("ensemble.prior_low must not exceed prior_high")
-    rate = np.asarray(ens["rate"], dtype=float)
-    if rate.ndim > 1 or (rate.ndim == 1 and rate.size != n):
-        raise ConfigError("ensemble.rate must be one number or one per estimator")
-    if not np.all(np.isfinite(rate) & (rate > 0)):
-        raise ConfigError("ensemble.rate must be finite and positive")
-    if float(d["noise"]["variance"]) < 0:
-        raise ConfigError("noise.variance must be nonnegative")
-    ctl = d["controller"]
-    if float(ctl["delta"]) <= 0:
-        raise ConfigError("controller.delta must be positive")
-    lo, hi = d["reward"].get("y_range", d["reward"].get("v_range"))
-    if not lo < hi:
-        raise ConfigError("reward range must be an interval with lo < hi")
-    if kind == "quadratic-linear":
-        if d["reward"]["name"] != "quadratic":
-            raise ConfigError("quadratic-linear scenarios use the 'quadratic' reward")
-        if len(ens["prior_low"]) != len(d["reward"]["theta_true"]):
-            raise ConfigError("prior bounds and theta_true disagree on dimension")
-        xi0 = np.asarray(ctl["xi0"], dtype=float)
-        if not np.all((lo <= xi0) & (xi0 <= hi)):
-            raise ConfigError("controller.xi0 must lie inside reward.y_range")
-        plant = d["plant"]
-        try:
-            design_gains(plant["A"], plant["B"], plant["C"],
-                         poles=ctl.get("poles"), K=ctl.get("K"))
-        except (RegulationError, ValueError) as exc:
-            raise ConfigError(f"plant/controller gains: {exc}") from exc
-    else:
-        if d["reward"]["name"] != "pv-poly":
-            raise ConfigError("mppt scenarios use the 'pv-poly' reward")
-        if ctl["algo"] not in ("dcee", "hc", "ic"):
-            raise ConfigError("controller.algo must be dcee, hc or ic")
-        m = int(d["reward"]["degree"]) + 1
-        if len(ens["prior_low"]) != m:
-            raise ConfigError(f"ensemble prior bounds must have length {m} "
-                              "(polynomial degree + 1)")
-        vlo, vhi = ctl["v_limits"]
-        if not (lo <= vlo < vhi <= hi):
-            raise ConfigError("controller.v_limits must sit inside reward.v_range")
-        if not vlo <= float(ctl["v_init"]) <= vhi:
-            raise ConfigError("controller.v_init must lie inside controller.v_limits")
-        for name, build in (("plant", PvParams), ("profile", EnvProfile)):
-            try:
-                build(**d[name])
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+    low, high, rate = (np.asarray(ens[key], dtype=float)
+                       for key in ("prior_low", "prior_high", "rate"))
+    if not (low.shape == high.shape == (model.dim,)
+            and np.all(np.isfinite(low) & np.isfinite(high) & (low <= high))):
+        raise ConfigError(f"ensemble prior bounds need {model.dim} finite entries "
+                          "each (one per model parameter) with prior_low <= prior_high")
+    if rate.shape not in ((), (n,)) or not np.all((rate > 0) & (rate < np.inf)):
+        raise ConfigError("ensemble.rate must be one finite positive number or one "
+                          "per estimator")
+
+    return ScenarioConfig(kind=kind, data=d, seed=seed, horizon=horizon, dt=dt,
+                          out=out, model=model,
+                          noise=NoiseSpec(float(d["noise"]["variance"])), **built)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -358,12 +371,13 @@ def _build_trace(rows: dict) -> Trace:
     return Trace(columns=cols, values=values)
 
 
-def _persist_partial(cfg: ScenarioConfig, rows: dict, step: int) -> str | None:
-    path = None
+def _partial_failure(cfg: ScenarioConfig, rows: dict, k: int,
+                     what: str) -> NumericalError:
+    """Write the rows so far (when the run has an output path) and describe
+    the failure at step k."""
     if cfg.out:
-        path = str(cfg.out)
-        emit_csv(_build_trace(rows), path)
-    return path
+        emit_csv(_build_trace(rows), cfg.out)
+    return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
@@ -374,31 +388,22 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
 
 def _run_quadratic(cfg: ScenarioConfig) -> Trace:
-    plant_cfg = cfg.section("plant")
-    A = np.asarray(plant_cfg["A"], dtype=float)
-    B = np.asarray(plant_cfg["B"], dtype=float)
-    C = np.asarray(plant_cfg["C"], dtype=float)
-    x = np.asarray(plant_cfg["x0"], dtype=float)
-
+    A, B, C, x = cfg.plant.A, cfg.plant.B, cfg.plant.C, cfg.plant.x
+    model, gains, noise = cfg.model, cfg.gains, cfg.noise
     rw = cfg.section("reward")
     gain = float(rw["known_gain"])
-    model = quadratic_reward(known_gain=gain,
-                             y_range=tuple(rw["y_range"]),
-                             theta_floor=rw["theta_floor"])
-    theta_true = np.asarray(rw["theta_true"], dtype=float)
+    theta_true = float(rw["theta_true"][0])
 
     ctl = cfg.section("controller")
     delta = float(ctl["delta"])
-    gains = design_gains(A, B, C, poles=ctl.get("poles"), K=ctl.get("K"))
     feed = gains.G + gains.K @ gains.Psi
-    xi = float(np.atleast_1d(ctl["xi0"])[0])
+    xi = float(ctl["xi0"][0])
     xi_lo, xi_hi = model.y_range
 
     ens_cfg = cfg.section("ensemble")
     rng_init, rng_noise = _spawn_rngs(cfg.seed)
     ens = init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
                         ens_cfg["prior_high"], ens_cfg["rate"], rng_init)
-    noise = NoiseSpec(float(cfg.section("noise")["variance"]))
     flag = int(contraction_check(delta, 2.0))
 
     # flat-array fast path, numerically identical to adapt/predict/
@@ -434,7 +439,7 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
 
     for k in range(cfg.horizon + 1):
         y = float((C @ x)[0])
-        j_obs = (gain * y - theta_true[0] * (y * y)
+        j_obs = (gain * y - theta_true * (y * y)
                  + sample_noise(noise, rng_noise))
         phi = -(y * y)
         resid = th * phi - (j_obs - gain * y)
@@ -442,9 +447,7 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
         th_mean = th.mean()
         th_std = th.std()
         if not (np.isfinite(th_mean) and np.isfinite(th_std)):
-            path = _persist_partial(cfg, rows, k)
-            raise NumericalError(f"estimator ensemble diverged at step {k}",
-                                 step=k, partial_path=path)
+            raise _partial_failure(cfg, rows, k, "estimator ensemble diverged")
         r_mean, p_explore, g_explore = belief_at(xi, th_mean)
         g_exploit = 2.0 * (xi - r_mean)
 
@@ -475,22 +478,14 @@ def _run_quadratic(cfg: ScenarioConfig) -> Trace:
         rows["contraction_ok"].append(flag)
 
         if not (np.all(np.isfinite(x)) and np.isfinite(xi)):
-            path = _persist_partial(cfg, rows, k)
-            raise NumericalError(f"state became non-finite at step {k}",
-                                 step=k, partial_path=path)
+            raise _partial_failure(cfg, rows, k, "state became non-finite")
 
     return _build_trace(rows)
 
 
 def _run_mppt(cfg: ScenarioConfig) -> Trace:
-    params = PvParams(**cfg.section("plant"))
-    profile = EnvProfile(**cfg.section("profile"))
-    rw = cfg.section("reward")
-    model = pv_poly_reward(degree=int(rw["degree"]),
-                           v_range=tuple(rw["v_range"]),
-                           v_scale=float(rw["v_scale"]),
-                           v_shift=float(rw.get("v_shift", 0.0)))
-
+    params, profile, model, noise = cfg.plant, cfg.profile, cfg.model, cfg.noise
+    hc, ic = cfg.hc, cfg.ic
     ctl = cfg.section("controller")
     algo = ctl["algo"]
     delta = float(ctl["delta"])
@@ -499,12 +494,9 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
     v = float(ctl["v_init"])
 
     rng_init, rng_noise = _spawn_rngs(cfg.seed)
-    noise = NoiseSpec(float(cfg.section("noise")["variance"]))
     ens_cfg = cfg.section("ensemble")
     ens = init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
                         ens_cfg["prior_high"], ens_cfg["rate"], rng_init)
-    hc = HcState(v_prev=v, step=float(ctl["hc_step"]))
-    ic = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
     flag = int(contraction_check(delta, 2.0))
 
     m = model.dim
@@ -534,9 +526,7 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
             theta_mean = ens.thetas.mean(axis=0)
             theta_std = ens.thetas.std(axis=0)
             if not (np.all(np.isfinite(theta_mean)) and np.all(np.isfinite(theta_std))):
-                path = _persist_partial(cfg, rows, k)
-                raise NumericalError(f"estimator ensemble diverged at step {k}",
-                                     step=k, partial_path=path)
+                raise _partial_failure(cfg, rows, k, "estimator ensemble diverged")
             ps = predict(ens, [v], model)
             g_exploit = exploit_grad([v], ps.r_mean)
             g_explore = ps.r_var_grad
@@ -573,9 +563,7 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
         if k < cfg.horizon:
             v = float(np.clip(v + u, v_lo, v_hi))
         if not np.isfinite(v):
-            path = _persist_partial(cfg, rows, k)
-            raise NumericalError(f"voltage became non-finite at step {k}",
-                                 step=k, partial_path=path)
+            raise _partial_failure(cfg, rows, k, "voltage became non-finite")
 
     return _build_trace(rows)
 

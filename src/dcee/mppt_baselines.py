@@ -27,8 +27,8 @@ class HcState:
     step: float = 0.3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("perturbation step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("perturbation step must be finite and positive")
         if self.last_dir not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
 
@@ -43,10 +43,10 @@ class IcState:
     deadband: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("perturbation step must be positive")
-        if self.deadband < 0:
-            raise ValueError("deadband must be nonnegative")
+        if not 0 < self.step < math.inf:
+            raise ValueError("perturbation step must be finite and positive")
+        if not 0 <= self.deadband < math.inf:
+            raise ValueError("deadband must be finite and nonnegative")
 
 
 def hc_step(state: HcState, p_now: float, v_now: float) -> tuple[float, HcState]:

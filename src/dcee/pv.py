@@ -22,7 +22,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
 
 from .errors import DomainError
-from .reward import RewardModel, scan_regressor_bound
+from .reward import RewardModel
 
 __all__ = [
     "PvParams",
@@ -57,12 +57,15 @@ class PvParams:
     t_ref: float = 25.0          # reference temperature, degC
 
     def __post_init__(self):
-        if self.i_sc_ref <= 0 or self.v_oc_ref <= 0:
-            raise ValueError("reference currents and voltages must be positive")
-        if self.r_s < 0 or self.r_sh <= 0:
+        if not (self.i_sc_ref > 0 and self.v_oc_ref > 0
+                and self.ideality > 0 and self.g_ref > 0):
+            raise ValueError("i_sc_ref, v_oc_ref, ideality and g_ref must be positive")
+        if not (self.r_s >= 0 and self.r_sh > 0):
             raise ValueError("need r_s >= 0 and r_sh > 0 (np.inf allowed)")
-        if self.n_cells < 1:
+        if not self.n_cells >= 1:
             raise ValueError("need at least one cell")
+        if not all(math.isfinite(v) for k, v in vars(self).items() if k != "r_sh"):
+            raise ValueError("panel parameters other than r_sh must be finite")
 
 
 @dataclass
@@ -83,6 +86,8 @@ class EnvProfile:
         if not self.irradiance or not self.temperature:
             raise ValueError("profile needs at least one breakpoint per channel")
         for pts in (self.irradiance, self.temperature):
+            if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
+                raise ValueError("profile breakpoints must be finite")
             ts = [t for t, _ in pts]
             if any(b < a for a, b in zip(ts, ts[1:])):
                 raise ValueError("profile breakpoints must be time-sorted")
@@ -106,8 +111,8 @@ class PolyBasis:
     def __post_init__(self):
         if self.degree < 2:
             raise ValueError("polynomial degree must be at least 2")
-        if self.scale <= 0:
-            raise ValueError("voltage scale must be positive")
+        if not (0 < self.scale < math.inf and math.isfinite(self.shift)):
+            raise ValueError("voltage scale must be finite and positive, shift finite")
 
     def __call__(self, v) -> np.ndarray:
         s = (float(np.atleast_1d(v)[0]) - self.shift) / self.scale
@@ -302,8 +307,11 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     gradient needs no extra optimum-map solves.
     """
     basis = PolyBasis(degree=degree, scale=v_scale, shift=v_shift)
-    s_lo = (v_range[0] - v_shift) / v_scale
-    s_hi = (v_range[1] - v_shift) / v_scale
+    lo, hi = (float(v) for v in v_range)
+    if not lo < hi:
+        raise ValueError("v_range must be an interval with lo < hi")
+    s_lo = (lo - v_shift) / v_scale
+    s_hi = (hi - v_shift) / v_scale
 
     def known(y):
         return 0.0
@@ -339,8 +347,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         known_basis=known,
         unknown_basis=basis,
         dim=degree + 1,
-        y_range=(float(v_range[0]), float(v_range[1])),
-        regressor_bound=scan_regressor_bound(basis, v_range),
+        y_range=(lo, hi),
         optimum_map_batch=opt_batch,
         basis_jacobian=dbasis,
         optimum_jacobian=dopt,

@@ -10,8 +10,8 @@ operating points that maximise the reward; the optimum is the quantity
 the dual controller tracks.  Every model also supplies the jacobians of
 the regressor and of the optimum map, which give the exploration
 gradient in closed form (see ``ensemble.predict``).
-Models carry the admissible operating interval and a regressor bound
-(the largest ``||phi(y)||`` on that interval, found by grid scan).
+Models carry the admissible operating interval; ``scan_regressor_bound``
+finds the largest ``||phi(y)||`` on it by grid scan.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class RewardModel:
         Number of unknown parameters.
     y_range : (float, float)
         Admissible operating interval (scalar output models).
-    regressor_bound : float
-        max ||unknown_basis(y)|| over ``y_range``.
     optimum_map_batch : callable
         (N, dim) parameter vectors -> (N, q) maximising operating points;
         the only optimum map (``optimum_of`` passes a single row).
@@ -72,7 +70,6 @@ class RewardModel:
     unknown_basis: Callable[[np.ndarray], np.ndarray]
     dim: int
     y_range: tuple[float, float]
-    regressor_bound: float
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     basis_jacobian: Callable[[np.ndarray], np.ndarray]
     optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -86,8 +83,8 @@ class NoiseSpec:
     variance: float = 0.0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError("noise variance must be finite and nonnegative")
 
 
 @dataclass
@@ -115,6 +112,11 @@ def quadratic_reward(known_gain: float = 2.0,
     gain of 2.
     """
 
+    lo, hi = (float(v) for v in y_range)
+    if not (lo < hi and math.isfinite(known_gain)):
+        raise ValueError("need a y_range with lo < hi and a finite known_gain")
+    if theta_floor is not None and not theta_floor > 0:
+        raise ValueError("theta_floor must be positive (or None)")
     half_gain = known_gain / 2.0
 
     def known(y):
@@ -140,8 +142,7 @@ def quadratic_reward(known_gain: float = 2.0,
         known_basis=known,
         unknown_basis=phi,
         dim=1,
-        y_range=(float(y_range[0]), float(y_range[1])),
-        regressor_bound=scan_regressor_bound(phi, y_range),
+        y_range=(lo, hi),
         optimum_map_batch=opt_batch,
         basis_jacobian=dphi,
         optimum_jacobian=dopt,

@@ -15,6 +15,7 @@ from dcee import (Ensemble, adapt, builtin_config, compare, config_from_dict,
                   solve_regulation, stabilizing_gain, stats)
 from dcee.ensemble import _optima
 from dcee.harness import _spawn_rngs
+from dcee.reward import scan_regressor_bound
 
 A = [[0.0, 1.0], [2.0, 1.0]]
 B = [[1.0], [1.0]]
@@ -144,7 +145,8 @@ def test_criterion_7_estimator_mse_bound():
                 sq_err += (ens.thetas[:, 0] - 1.0) ** 2
                 max_a = max(max_a, abs(1.0 - 0.005 * ys[k] ** 4))
         mse = sq_err / window
-        bound = mse_bound(0.005, model.regressor_bound, 2.0, max_a)
+        bound = mse_bound(0.005, scan_regressor_bound(model.unknown_basis, model.y_range),
+                          2.0, max_a)
         assert np.all(mse <= bound), (seed, mse.max(), bound)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

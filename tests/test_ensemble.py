@@ -14,7 +14,6 @@ def identity_model(dim=1):
         unknown_basis=lambda y: np.ones(dim),
         dim=dim,
         y_range=(-1.0, 1.0),
-        regressor_bound=float(np.sqrt(dim)),
         optimum_map_batch=lambda ths: np.asarray(ths, dtype=float),
         basis_jacobian=lambda y: np.zeros(dim),
         optimum_jacobian=lambda ths, r: np.broadcast_to(np.eye(dim),

@@ -169,6 +169,10 @@ def _prior_low_above_high(d):
     d["ensemble"]["prior_low"][0] = d["ensemble"]["prior_high"][0] + 1.0
 
 
+def _two_entry_prior(d):
+    d["ensemble"].update(prior_low=[0.0, 0.0], prior_high=[20.0, 20.0])
+
+
 @pytest.mark.parametrize("kind, mutate", [
     ("mppt", lambda d: d["ensemble"].update(rate=-1.0)),
     ("mppt", _prior_low_above_high),
@@ -178,9 +182,31 @@ def _prior_low_above_high(d):
     ("quadratic-linear", lambda d: d["controller"].update(poles=[0.5])),
     ("quadratic-linear", lambda d: d["plant"].update(B=[[1.0, 0.0], [1.0, 1.0]])),
     ("quadratic-linear", lambda d: d["controller"].update(xi0=[9.0])),
+    ("mppt", lambda d: (d["reward"].update(degree=1), _two_entry_prior(d))),
+    ("mppt", lambda d: d["reward"].update(v_scale=0.0)),
+    ("mppt", lambda d: d["controller"].update(hc_step=0.0)),
+    ("mppt", lambda d: d["controller"].update(ic_deadband=-1.0)),
+    ("quadratic-linear", lambda d: d["plant"].update(x0=[1.2])),
+    ("quadratic-linear", lambda d: d["run"].update(dt="x")),
+    ("quadratic-linear",
+     lambda d: (d["reward"].update(theta_true=[1.0, 1.0]), _two_entry_prior(d))),
+    ("mppt", lambda d: d["controller"].update(u_max=-1.0)),
+    ("mppt", lambda d: d["controller"].update(delta=float("nan"))),
+    ("mppt", lambda d: d["plant"].update(g_ref=0.0)),
+    ("mppt", lambda d: d["controller"].update(hc_step=float("nan"))),
+    ("mppt", lambda d: d["controller"].update(ic_deadband=float("nan"))),
+    ("mppt", lambda d: d["reward"].update(v_shift=float("nan"))),
+    ("mppt", lambda d: d["noise"].update(variance=float("nan"))),
+    ("quadratic-linear", lambda d: d["ensemble"].update(prior_high=[float("inf")])),
+    ("quadratic-linear", lambda d: d["run"].update(seed=-1)),
+    ("quadratic-linear", lambda d: d["run"].update(horizon=float("inf"))),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
-        "xi0-outside-y_range"])
+        "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
+        "ic_deadband-negative", "x0-wrong-length", "dt-not-a-number",
+        "theta_true-two-entries", "u_max-negative", "delta-nan", "g_ref-0",
+        "hc_step-nan", "ic_deadband-nan", "v_shift-nan", "noise-nan",
+        "prior-infinite", "seed-negative", "horizon-infinite"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -190,6 +216,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     for command in commands:
         assert cli_main([command, "--config", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_run_out_must_be_a_path_or_null():
+    d = builtin_config("quadratic-linear")
+    d["run"]["out"] = 5  # would otherwise be opened as a file descriptor
+    with pytest.raises(ConfigError, match="run.out"):
+        config_from_dict(d)
 
 
 @pytest.mark.parametrize("rate", [5.0, 50.0])
@@ -221,6 +254,25 @@ def test_quadratic_estimator_divergence_stops_before_non_finite_rows(tmp_path):
     assert 0 < tr.n_rows == err.value.step < d["run"]["horizon"]
     for col in tr.columns:
         assert np.all(np.isfinite(tr.values[col])), col
+
+
+def test_design_gains_runs_once_per_validation(tmp_path, monkeypatch):
+    design = harness.design_gains
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return design(*args, **kwargs)
+
+    cfg = quad_config(horizon=5)
+    monkeypatch.setattr(harness, "design_gains", counting)
+    cfg_path = tmp_path / "quad.json"
+    cfg_path.write_text(json.dumps(cfg.data))
+    assert cli_main(["run", "--config", str(cfg_path), "--seed", "3"]) == 0
+    assert len(calls) == 2  # load_config and the --seed re-validation
+    calls.clear()
+    run_seeds(cfg, range(1, 11))
+    assert len(calls) == 10  # one re-validation per seed; the loop reuses the gains
 
 
 def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from dcee import (DomainError, NoiseSpec, observe, optimum_of, quadratic_reward,
                   reward_true, sample_noise)
+from dcee.reward import scan_regressor_bound
 
 
 @pytest.fixture
@@ -86,6 +87,8 @@ def test_reward_concave_in_output(model):
 
 def test_regressor_bound_from_grid_scan():
     model = quadratic_reward(y_range=(-4.0, 4.0))
-    assert model.regressor_bound == pytest.approx(16.0, rel=1e-12)
+    bound = scan_regressor_bound(model.unknown_basis, model.y_range)
+    assert bound == pytest.approx(16.0, rel=1e-12)
     model = quadratic_reward(y_range=(-2.0, 3.0))
-    assert model.regressor_bound == pytest.approx(9.0, rel=1e-12)
+    bound = scan_regressor_bound(model.unknown_basis, model.y_range)
+    assert bound == pytest.approx(9.0, rel=1e-12)
