@@ -10,8 +10,7 @@ power point tracking application with classical baselines, and a
 reproducible simulation harness with CSV traces.
 """
 
-from .dual import (DualDiagnostics, DualState, contraction_check, dcee_step,
-                   exploit_grad, explore_grad)
+from .dual import contraction_check, exploit_grad, explore_grad
 from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, mse_bound,
                        predict, stats)
 from .errors import ConfigError, DomainError, NumericalError, RegulationError
@@ -21,9 +20,8 @@ from .harness import (Metrics, ScenarioConfig, Trace, builtin_config, compare,
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import (EnvProfile, PolyBasis, PvParams, mpp_oracle, open_circuit_voltage,
                  profile_eval, pv_current, pv_poly_reward, pv_power)
-from .reward import (NoiseSpec, Observation, RewardModel, observe, optimum_of,
-                     quadratic_reward, reward_true, sample_noise)
-from .servo import (LinearPlant, ServoGains, ServoState, check_rank, design_gains,
-                    servo_step, solve_regulation, stabilizing_gain)
+from .reward import NoiseSpec, RewardModel, optimum_of, quadratic_reward, sample_noise
+from .servo import (LinearPlant, ServoGains, check_rank, design_gains,
+                    solve_regulation, stabilizing_gain)
 
 __version__ = "0.1.0"

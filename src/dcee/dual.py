@@ -2,63 +2,40 @@
 
 The controller descends the sum of two terms evaluated one step ahead:
 the squared distance to the mean predicted optimum (exploitation) and
-the spread of the predicted optima (exploration).  ``dcee_step`` takes
-the exploration gradient in closed form from ``predict``, which computes
-it from the same optimum-map solve as the belief.  ``explore_grad`` takes
-central finite differences of the predicted spread; no control loop
-calls it, it is the reference the closed form is tested against.
+the spread of the predicted optima (exploration).  The control loops in
+``harness`` take one step per tick,
+
+    y' = y - delta * (exploit_grad(y, r_mean) + r_var_grad),
+
+with the belief and the exploration gradient ``r_var_grad`` both from
+``ensemble.predict``, which computes them from one optimum-map solve.
+``explore_grad`` takes central finite differences of the predicted
+spread; no control loop calls it, it is the reference the closed form
+is tested against.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, predict, predicted_r_var
-from .errors import NumericalError
+from .ensemble import Ensemble, predicted_r_var
 from .reward import RewardModel
 
 __all__ = [
-    "DualState",
-    "DualDiagnostics",
     "exploit_grad",
     "explore_grad",
-    "dcee_step",
     "contraction_check",
 ]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class DualState:
-    """Decision point and gradient step size."""
-
-    y: np.ndarray
-    step_size: float
-
-    def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
-
-
-@dataclass
-class DualDiagnostics:
-    """Per-step gradient components and the resulting increment."""
-
-    exploit_grad: np.ndarray
-    explore_grad: np.ndarray
-    u: np.ndarray
-    contraction_ok: bool
-
-
 def exploit_grad(y, r_mean) -> np.ndarray:
-    """Gradient of ||y - r_mean||^2 with respect to y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r_mean = np.atleast_1d(np.asarray(r_mean, dtype=float))
+    """Gradient of ||y - r_mean||^2 with respect to y (per batch entry)."""
+    y = np.asarray(y, dtype=float)
+    r_mean = np.asarray(r_mean, dtype=float)
     if y.shape != r_mean.shape:
         raise ValueError("y and r_mean must have equal dimension")
     return 2.0 * (y - r_mean)
@@ -94,25 +71,6 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
             grad[j] = (predicted_r_var(ens, hi_pt, model)
                        - predicted_r_var(ens, lo_pt, model)) / fd_eps
     return grad
-
-
-def dcee_step(state: DualState, ens: Ensemble,
-              model: RewardModel) -> tuple[DualState, DualDiagnostics]:
-    """One dual gradient step:  y' = y - delta * (grad C + grad P)."""
-    ps = predict(ens, state.y, model)
-    g_exploit = exploit_grad(state.y, ps.r_mean)
-    g_explore = ps.r_var_grad
-    u = -state.step_size * (g_exploit + g_explore)
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("dual gradient step produced non-finite control")
-    new_state = DualState(y=state.y + u, step_size=state.step_size)
-    diag = DualDiagnostics(
-        exploit_grad=g_exploit,
-        explore_grad=g_explore,
-        u=u,
-        contraction_ok=contraction_check(state.step_size, 2.0),
-    )
-    return new_state, diag
 
 
 def contraction_check(delta: float, hessian_bound: float) -> bool:

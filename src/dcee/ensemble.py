@@ -10,11 +10,18 @@ controller.  The prediction also carries the exploration gradient in
 closed form, from the same optimum-map solve.  ``predicted_r_var``
 recomputes the predicted spread alone; finite differences of it are the
 reference the closed form is tested against.
+
+Every op takes a batch of independent ensembles: ``thetas`` of shape
+(S, N, m) with one output per batch entry, ``y`` of shape (S,), and
+reduces over the estimator axis only, so an entry's numbers do not
+depend on what else shares the batch.  A single ensemble is the
+unbatched (N, m) case with a one-element ``y``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +42,10 @@ __all__ = [
 class Ensemble:
     """N parameter estimates with per-estimator learning rates.
 
-    ``thetas`` has shape (N, m), ``rates`` shape (N,).  Instances are
-    treated as immutable; updates return a new Ensemble.
+    ``thetas`` has shape (N, m), or (S, N, m) for a batch of S ensembles
+    that share their rates; ``rates`` has shape (N,).  Instances are
+    treated as immutable (the mean is computed once per instance);
+    updates return a new Ensemble.
     """
 
     thetas: np.ndarray
@@ -45,34 +54,61 @@ class Ensemble:
     def __post_init__(self):
         self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
         self.rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        if self.thetas.shape[0] < 1:
+        if self.thetas.shape[-2] < 1:
             raise ValueError("ensemble must hold at least one estimator")
-        if self.rates.shape != (self.thetas.shape[0],):
+        if self.rates.shape != (self.thetas.shape[-2],):
             raise ValueError("need one learning rate per estimator")
         if np.any(self.rates <= 0):
             raise ValueError("learning rates must be strictly positive")
 
     @property
     def size(self) -> int:
-        return self.thetas.shape[0]
+        return self.thetas.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.thetas.shape[1]
+        return self.thetas.shape[-1]
+
+    @cached_property
+    def centre(self) -> np.ndarray:
+        """Mean estimate over the estimators, (..., 1, m)."""
+        return _mean(self.thetas, -2, keepdims=True)
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        """Each estimate minus the mean estimate, (..., N, m)."""
+        return self.thetas - self.centre
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard deviation of the estimates, each (..., m).
+
+        The same arithmetic as ``thetas.mean`` and ``thetas.std`` over the
+        estimator axis.
+        """
+        dev = self.deviations
+        return self.centre[..., 0, :], np.sqrt(_mean(dev * dev, -2))
+
+    def with_thetas(self, thetas: np.ndarray) -> "Ensemble":
+        """The same estimators at new estimates; nothing is re-checked."""
+        out = object.__new__(Ensemble)
+        out.thetas, out.rates = thetas, self.rates
+        return out
 
 
 @dataclass
 class BeliefStats:
     """Sample statistics of an estimator set.
 
-    r_mean     : (q,) average predicted optimum
-    r_var      : scalar spread of the predicted optima (exploration term)
-    r_var_grad : (1,) closed-form d r_var / d y_cand, set by ``predict``;
-                 None from ``stats``
+    r_mean     : (..., 1) average predicted optimum
+    r_var      : (...) spread of the predicted optima (exploration term)
+    r_var_grad : (..., 1) closed-form d r_var / d y_cand, set by
+                 ``predict``; None from ``stats``
+
+    The leading axes are the batch axes of the ensemble (none for one).
     """
 
     r_mean: np.ndarray
-    r_var: float
+    r_var: np.ndarray
     r_var_grad: np.ndarray | None = None
 
 
@@ -99,21 +135,35 @@ def init_ensemble(n: int, prior_low, prior_high, rates,
     return Ensemble(thetas=thetas, rates=rates_arr)
 
 
-def adapt(ens: Ensemble, y_prev, j_obs: float, model: RewardModel) -> Ensemble:
-    """Gradient-descent regression step on one reward observation.
+def _outputs(ens: Ensemble, y) -> np.ndarray:
+    """One scalar output per batch entry, shape thetas.shape[:-2]."""
+    return np.asarray(y, dtype=float).reshape(ens.thetas.shape[:-2])
+
+
+def _mean(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``a.mean(axis)``, the same sum and division, without its call overhead."""
+    return np.add.reduce(a, axis=axis, keepdims=keepdims) / a.shape[axis]
+
+
+# Products of estimates with a regressor phi (..., m) are stacked matmuls
+# against its column phi[..., :, None]; they give the same bits with or
+# without batch axes, where an elementwise product and sum would not.
+
+def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
+    """Gradient-descent regression step on one reward observation per entry.
 
     The known offset is subtracted from the observation so the residual
     compares the unknown part of the reward only:
 
         theta_i' = theta_i - eta_i * phi * (phi . theta_i - (j_obs - known))
     """
-    if not np.isfinite(j_obs):
+    if not np.isfinite(j_obs).all():
         raise ValueError("reward observation must be finite")
-    phi = model.unknown_basis(y_prev)
-    target = j_obs - model.known_basis(y_prev)
-    resid = ens.thetas @ phi - target
-    thetas = ens.thetas - (ens.rates * resid)[:, None] * phi[None, :]
-    return Ensemble(thetas=thetas, rates=ens.rates)
+    y = _outputs(ens, y_prev)
+    phi = model.unknown_basis(y)
+    target = np.asarray(j_obs - model.known_basis(y))[..., None, None]
+    resid = ens.thetas @ phi[..., :, None] - target
+    return ens.with_thetas(ens.thetas - (ens.rates[:, None] * resid) * phi[..., None, :])
 
 
 def _clamped(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
@@ -122,78 +172,82 @@ def _clamped(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
     return np.maximum(thetas, model.theta_floor)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Every estimator of every batch entry as one row, (S*N, last)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _solve(thetas: np.ndarray, model: RewardModel) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped estimates (S*N, m) and their optima (S*N, 1), in one solve."""
+    clamped = _rows(_clamped(thetas, model))
+    return clamped, model.optimum_map_batch(clamped)
+
+
 def _optima(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
-    """Map every estimator to its predicted optimum, (N, q)."""
-    r = model.optimum_map_batch(_clamped(thetas, model))
-    return np.atleast_2d(np.asarray(r, dtype=float))
+    """Map every estimator to its predicted optimum, (..., N, 1)."""
+    return _solve(thetas, model)[1].reshape(thetas.shape[:-1] + (1,))
 
 
-def _stats_of(r: np.ndarray) -> BeliefStats:
-    r_mean = r.mean(axis=0)
-    r_var = float(np.mean(np.sum((r - r_mean) ** 2, axis=1)))
-    return BeliefStats(r_mean=r_mean, r_var=r_var)
+def _stats_of(r: np.ndarray) -> tuple[BeliefStats, np.ndarray]:
+    """Statistics of the optima r (..., N), and their deviations from the mean."""
+    r_mean = _mean(r, -1, keepdims=True)
+    centred = r - r_mean
+    return BeliefStats(r_mean=r_mean, r_var=_mean(centred ** 2, -1)), centred
 
 
 def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     """Current belief statistics of the ensemble."""
-    return _stats_of(_optima(ens.thetas, model))
+    return _stats_of(_optima(ens.thetas, model)[..., 0])[0]
 
 
-def _predicted_thetas(ens: Ensemble, y_cand, model: RewardModel) -> np.ndarray:
-    """One-step-ahead estimates if the next observation happened at y_cand.
+def _predicted_thetas(ens: Ensemble, phi_row: np.ndarray, phi_col: np.ndarray) -> np.ndarray:
+    """One-step-ahead estimates if the next observation had regressor phi.
 
     The predicted reward is noise-free and evaluated with the ensemble
     mean, so the known offset cancels from the residual and each
-    deviation from the mean contracts along the candidate regressor.
+    deviation from the mean contracts along phi.
     """
-    phi = model.unknown_basis(y_cand)
-    target = phi @ ens.thetas.mean(axis=0)
-    resid = ens.thetas @ phi - target
-    return ens.thetas - (ens.rates * resid)[:, None] * phi[None, :]
-
-
-def _r_var_grad(ens: Ensemble, y_cand, model: RewardModel,
-                pred: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """d r_var / d y_cand (scalar) from the predicted estimates and optima.
-
-    Chain rule through theta_i - eta_i*phi*(phi.d_i), d_i = theta_i - mean,
-    and the optimum jacobian; r_mean drops out since the r_i - r_mean sum
-    to zero.  Estimators pinned at the parameter floor contribute zero.
-    """
-    phi = model.unknown_basis(y_cand)
-    dphi = model.basis_jacobian(y_cand)
-    dev = ens.thetas - ens.thetas.mean(axis=0)
-    dpred = -(ens.rates[:, None]
-              * (dphi[None, :] * (dev @ phi)[:, None]
-                 + phi[None, :] * (dev @ dphi)[:, None]))
-    if model.theta_floor is not None:
-        dpred = np.where(pred > model.theta_floor, dpred, 0.0)
-    jac = model.optimum_jacobian(_clamped(pred, model), r)
-    dr = np.einsum("nqm,nm->nq", jac, dpred)
-    return np.array([2.0 * np.mean(np.sum((r - r.mean(axis=0)) * dr, axis=1))])
+    resid = ens.thetas @ phi_col - ens.centre @ phi_col
+    return ens.thetas - (ens.rates[:, None] * resid) * phi_row
 
 
 def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
     """Belief statistics after a hypothetical observation at y_cand.
 
     One optimum-map solve serves the statistics and the exploration
-    gradient ``r_var_grad``.
+    gradient ``r_var_grad`` = d r_var / d y_cand.  The gradient follows
+    the chain rule through theta_i - eta_i*phi*(phi.d_i), d_i = theta_i -
+    mean, and the optimum jacobian; r_mean drops out since the r_i -
+    r_mean sum to zero.  Estimators pinned at the parameter floor
+    contribute zero.
     """
-    pred = _predicted_thetas(ens, y_cand, model)
-    r = _optima(pred, model)
-    out = _stats_of(r)
-    out.r_var_grad = _r_var_grad(ens, y_cand, model, pred, r)
+    y = _outputs(ens, y_cand)
+    phi, dphi = model.unknown_basis(y), model.basis_jacobian(y)
+    phi_row, phi_col = phi[..., None, :], phi[..., :, None]
+    pred = _predicted_thetas(ens, phi_row, phi_col)
+    clamped, optima = _solve(pred, model)
+    r = optima.reshape(pred.shape[:-1])
+    out, centred = _stats_of(r)
+
+    dev = ens.deviations
+    dpred = -(ens.rates[:, None] * (dphi[..., None, :] * (dev @ phi_col)
+                                    + phi_row * (dev @ dphi[..., :, None])))
+    if model.theta_floor is not None:
+        dpred = np.where(pred > model.theta_floor, dpred, 0.0)
+    dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(clamped, optima), _rows(dpred))
+    out.r_var_grad = 2.0 * _mean(centred * dr.reshape(r.shape), -1, keepdims=True)
     return out
 
 
-def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel) -> float:
+def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel):
     """Predicted spread alone, the function ``dual.explore_grad`` differences.
 
     Only the finite-difference reference uses it; the control loops take
     the closed-form gradient from ``predict``.
     """
-    pred = _predicted_thetas(ens, y_cand, model)
-    return _stats_of(_optima(pred, model)).r_var
+    phi = model.unknown_basis(_outputs(ens, y_cand))
+    pred = _predicted_thetas(ens, phi[..., None, :], phi[..., :, None])
+    return _stats_of(_optima(pred, model)[..., 0])[0].r_var
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

@@ -15,7 +15,13 @@ for the PV kind).  Unknown keys are rejected.  Two kinds exist:
 
 Each run owns a seeded random generator; independent sub-streams are
 derived for ensemble initialisation and measurement noise, so changing
-the ensemble size never perturbs the noise sequence.  Trace rows record
+the ensemble size never perturbs the noise sequence.  Both loops run the
+same tick: ``adapt`` to the observation, ``predict`` the belief at the
+current reference, then step down ``exploit_grad`` plus the closed-form
+exploration gradient.  The quadratic loop runs a batch of seeds at once
+(``run_seeds``; ``run_scenario`` is a batch of one) on the ensemble ops'
+seed axis; a seed's trace is the same whatever else shares its batch.
+Trace rows record
 quantities at time k: the state, the observation taken there, the
 estimates after consuming that observation, and the control applied at
 that tick (zero on the terminal row, where no control is applied).
@@ -35,7 +41,7 @@ import numpy as np
 # gradient); it stays a harness attribute because the benchmark's tracer
 # patches the loop's names on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
-from .ensemble import adapt, init_ensemble, predict
+from .ensemble import Ensemble, adapt, init_ensemble, predict
 from .errors import ConfigError, NumericalError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
@@ -371,120 +377,119 @@ def _build_trace(rows: dict) -> Trace:
     return Trace(columns=cols, values=values)
 
 
-def _partial_failure(cfg: ScenarioConfig, rows: dict, k: int,
+def _partial_failure(cfg: ScenarioConfig, trace: Trace, k: int,
                      what: str) -> NumericalError:
     """Write the rows so far (when the run has an output path) and describe
     the failure at step k."""
     if cfg.out:
-        emit_csv(_build_trace(rows), cfg.out)
+        emit_csv(trace, cfg.out)
     return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Simulate one scenario deterministically for its configured seed."""
     if config.kind == "quadratic-linear":
-        return _run_quadratic(config)
+        return _run_quadratic(config, [config.seed])[0]
     return _run_mppt(config)
 
 
-def _run_quadratic(cfg: ScenarioConfig) -> Trace:
-    A, B, C, x = cfg.plant.A, cfg.plant.B, cfg.plant.C, cfg.plant.x
-    model, gains, noise = cfg.model, cfg.gains, cfg.noise
-    rw = cfg.section("reward")
-    gain = float(rw["known_gain"])
-    theta_true = float(rw["theta_true"][0])
+def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
+    """Run every seed in one loop over a batch of ensembles and plants.
 
+    If seeds fail, the error is the one of the first failing seed in list
+    order; the seeds after it are dropped from the batch when it fails.
+    """
+    A, B, C = cfg.plant.A, cfg.plant.B, cfg.plant.C
+    model, gains = cfg.model, cfg.gains
+    theta_true = np.asarray(cfg.section("reward")["theta_true"], dtype=float)
     ctl = cfg.section("controller")
     delta = float(ctl["delta"])
     feed = gains.G + gains.K @ gains.Psi
-    xi = float(ctl["xi0"][0])
     xi_lo, xi_hi = model.y_range
+    ticks = cfg.horizon + 1
 
     ens_cfg = cfg.section("ensemble")
-    rng_init, rng_noise = _spawn_rngs(cfg.seed)
-    ens = init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
-                        ens_cfg["prior_high"], ens_cfg["rate"], rng_init)
-    flag = int(contraction_check(delta, 2.0))
+    inits, noise = [], []
+    for seed in seeds:
+        rng_init, rng_noise = _spawn_rngs(seed)
+        inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
+                                   ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
+        noise.append(sample_noise(cfg.noise, rng_noise, ticks))
+    ens = Ensemble(thetas=np.stack([e.thetas for e in inits]), rates=inits[0].rates)
+    noise = np.stack(noise)
+    # per seed: the state as a column (S, n, 1) and the reference (S, 1)
+    x = np.tile(cfg.plant.x[:, None], (len(seeds), 1, 1))
+    xi = np.tile(np.asarray(ctl["xi0"], dtype=float), (len(seeds), 1))
 
-    # flat-array fast path, numerically identical to adapt/predict/
-    # exploit_grad for this single-parameter model
-    th = ens.thetas[:, 0].copy()
-    rates = ens.rates
-    half_gain = gain / 2.0
-    floor = model.theta_floor
-
-    def belief_at(y_cand, th_mean):
-        """Predicted optimum mean, spread and closed-form spread gradient."""
-        phi = -(y_cand * y_cand)
-        dphi = -2.0 * y_cand
-        resid = th * phi - phi * th_mean
-        pred = th - (rates * resid) * phi
-        dev = th - th_mean
-        dpred = -(rates * (dphi * (dev * phi) + phi * (dev * dphi)))
-        clamped = pred
-        if floor is not None:
-            clamped = np.maximum(pred, floor)
-            dpred = np.where(pred > floor, dpred, 0.0)
-        r = half_gain / clamped
-        dr = (-r / clamped) * dpred
-        r_mean = r.mean()
-        return (r_mean, ((r - r_mean) ** 2).mean(),
-                2.0 * ((r - r_mean) * dr).mean())
-
-    names = (["k", "t"] + [f"x{i}" for i in range(x.size)]
+    names = (["k", "t"] + [f"x{i}" for i in range(cfg.plant.n)]
              + ["y", "xi", "u", "j_obs", "theta_mean_0", "theta_std_0",
                 "r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm",
                 "err_track", "contraction_ok"])
-    rows = {name: [] for name in names}
+    k_col = np.arange(ticks)
+    shared = {"k": k_col, "t": k_col * cfg.dt,
+              "contraction_ok": np.full(ticks, int(contraction_check(delta, 2.0)))}
+    # one (seed, tick) plane per per-seed column, written one tick at a time
+    per_seed = [name for name in names if name not in shared]
+    data = np.empty((len(per_seed), len(seeds), ticks))
 
-    for k in range(cfg.horizon + 1):
-        y = float((C @ x)[0])
-        j_obs = (gain * y - theta_true * (y * y)
-                 + sample_noise(noise, rng_noise))
-        phi = -(y * y)
-        resid = th * phi - (j_obs - gain * y)
-        th = th - (rates * resid) * phi
-        th_mean = th.mean()
-        th_std = th.std()
-        if not (np.isfinite(th_mean) and np.isfinite(th_std)):
-            raise _partial_failure(cfg, rows, k, "estimator ensemble diverged")
-        r_mean, p_explore, g_explore = belief_at(xi, th_mean)
-        g_exploit = 2.0 * (xi - r_mean)
+    def trace_of(i: int, n_rows: int) -> Trace:
+        values = {name: data[c, i, :n_rows] for c, name in enumerate(per_seed)}
+        values.update((name, col[:n_rows]) for name, col in shared.items())
+        return Trace(columns=tuple(names), values=values)
 
-        x_rec, xi_rec = x, xi
+    live, failure = len(seeds), None
+
+    def cut(finite: np.ndarray, k: int, n_rows: int, what: str, *arrays) -> list:
+        """Stop the first seed that is not finite and every seed after it;
+        returns the arrays cut to the seeds that still run."""
+        nonlocal live, failure, x, xi, ens
+        live = int(np.argmin(finite))
+        failure = (live, k, n_rows, what)
+        x, xi, ens = x[:live], xi[:live], ens.with_thetas(ens.thetas[:live])
+        return [a[:live] for a in arrays]
+
+    for k in range(ticks):
+        y = (C @ x)[:, 0, 0]
+        j_obs = model.known_basis(y) + model.unknown_basis(y) @ theta_true + noise[:live, k]
+        finite = np.isfinite(j_obs)
+        if not finite.all():  # no estimate can follow a non-finite observation
+            y, j_obs = cut(finite, k, k, "estimator ensemble diverged", y, j_obs)
+        ens = adapt(ens, y, j_obs, model)
+        th_mean, th_std = ens.moments()
+        # a finite spread needs finite estimates and a finite mean
+        if not np.isfinite(th_std).all():
+            y, j_obs, th_mean, th_std = cut(np.isfinite(th_std[:, 0]), k, k,
+                                            "estimator ensemble diverged",
+                                            y, j_obs, th_mean, th_std)
+        ps = predict(ens, xi, model)
+        g_exploit = exploit_grad(xi, ps.r_mean)
+        g_explore = ps.r_var_grad
+
+        x_rec, xi_rec = x[:, :, 0], xi[:, 0]
         if k < cfg.horizon:
-            xi = float(np.clip(xi - delta * (g_exploit + g_explore),
-                               xi_lo, xi_hi))
-            u = -(gains.K @ x) + feed[:, 0] * xi
+            xi = np.minimum(np.maximum(xi - delta * (g_exploit + g_explore), xi_lo), xi_hi)
+            u = -(gains.K @ x) + feed * xi[:, None]
             x = A @ x + B @ u
         else:
-            u = np.zeros(B.shape[1])
+            u = np.zeros((live, B.shape[1], 1))
+        data[:, :live, k] = (*x_rec.T, y, xi_rec, u[:, 0, 0], j_obs, th_mean[:, 0],
+                             th_std[:, 0], ps.r_mean[:, 0], ps.r_var,
+                             np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]), y - xi_rec)
 
-        rows["k"].append(k)
-        rows["t"].append(k * cfg.dt)
-        for i, xv in enumerate(x_rec):
-            rows[f"x{i}"].append(xv)
-        rows["y"].append(y)
-        rows["xi"].append(xi_rec)
-        rows["u"].append(float(u[0]))
-        rows["j_obs"].append(j_obs)
-        rows["theta_mean_0"].append(th_mean)
-        rows["theta_std_0"].append(th_std)
-        rows["r_mean"].append(r_mean)
-        rows["p_explore"].append(p_explore)
-        rows["grad_exploit_norm"].append(abs(g_exploit))
-        rows["grad_explore_norm"].append(abs(g_explore))
-        rows["err_track"].append(y - xi_rec)
-        rows["contraction_ok"].append(flag)
+        # a non-finite reference makes the input and so the state non-finite
+        if not np.isfinite(x).all():
+            cut(np.isfinite(x).all(axis=(1, 2)), k, k + 1, "state became non-finite")
+        if not live:  # the rest of a tick cut to no seeds ran on empty arrays
+            break
 
-        if not (np.all(np.isfinite(x)) and np.isfinite(xi)):
-            raise _partial_failure(cfg, rows, k, "state became non-finite")
-
-    return _build_trace(rows)
+    if failure is not None:
+        i, k, n_rows, what = failure
+        raise _partial_failure(cfg, trace_of(i, n_rows), k, what)
+    return [trace_of(i, ticks) for i in range(len(seeds))]
 
 
 def _run_mppt(cfg: ScenarioConfig) -> Trace:
-    params, profile, model, noise = cfg.plant, cfg.profile, cfg.model, cfg.noise
+    params, profile, model = cfg.plant, cfg.profile, cfg.model
     hc, ic = cfg.hc, cfg.ic
     ctl = cfg.section("controller")
     algo = ctl["algo"]
@@ -497,6 +502,8 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
     ens_cfg = cfg.section("ensemble")
     ens = init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
                         ens_cfg["prior_high"], ens_cfg["rate"], rng_init)
+    ens = ens.with_thetas(ens.thetas[None])  # a batch of one
+    noise = sample_noise(cfg.noise, rng_noise, cfg.horizon + 1)
     flag = int(contraction_check(delta, 2.0))
 
     m = model.dim
@@ -519,17 +526,18 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
         v_mpp, p_max = oracle_cache[key]
         i_now = pv_current(params, v, irr, temp)
         p_now = v * i_now
-        j_obs = p_now + sample_noise(noise, rng_noise)
+        j_obs = p_now + noise[k]
 
         if algo == "dcee":
-            ens = adapt(ens, [v], j_obs, model)
-            theta_mean = ens.thetas.mean(axis=0)
-            theta_std = ens.thetas.std(axis=0)
-            if not (np.all(np.isfinite(theta_mean)) and np.all(np.isfinite(theta_std))):
-                raise _partial_failure(cfg, rows, k, "estimator ensemble diverged")
-            ps = predict(ens, [v], model)
-            g_exploit = exploit_grad([v], ps.r_mean)
-            g_explore = ps.r_var_grad
+            y = np.array([[v]])
+            ens = adapt(ens, y, j_obs, model)
+            theta_mean, theta_std = (a[0] for a in ens.moments())
+            if not np.isfinite(theta_std).all():
+                raise _partial_failure(cfg, _build_trace(rows), k,
+                                       "estimator ensemble diverged")
+            ps = predict(ens, y, model)
+            g_exploit = exploit_grad(y, ps.r_mean)[0]
+            g_explore = ps.r_var_grad[0]
             u = float(np.clip(-delta * (g_exploit[0] + g_explore[0]),
                               -u_max, u_max))
         elif algo == "hc":
@@ -554,8 +562,8 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
             for i in range(m):
                 rows[f"theta_mean_{i}"].append(theta_mean[i])
                 rows[f"theta_std_{i}"].append(theta_std[i])
-            rows["r_mean"].append(float(ps.r_mean[0]))
-            rows["p_explore"].append(ps.r_var)
+            rows["r_mean"].append(float(ps.r_mean[0, 0]))
+            rows["p_explore"].append(ps.r_var[0])
             rows["grad_exploit_norm"].append(float(np.linalg.norm(g_exploit)))
             rows["grad_explore_norm"].append(float(np.linalg.norm(g_explore)))
             rows["contraction_ok"].append(flag)
@@ -563,14 +571,23 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
         if k < cfg.horizon:
             v = float(np.clip(v + u, v_lo, v_hi))
         if not np.isfinite(v):
-            raise _partial_failure(cfg, rows, k, "voltage became non-finite")
+            raise _partial_failure(cfg, _build_trace(rows), k, "voltage became non-finite")
 
     return _build_trace(rows)
 
 
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
-    """Run the same scenario under each seed in turn; traces in seed order."""
-    return [run_scenario(config.with_updates(seed=s)) for s in seeds]
+    """Run the same scenario under each seed; traces in seed order.
+
+    Quadratic seeds run as one batch.  The mppt plant step is a scalar
+    diode solve, so mppt seeds run in turn.
+    """
+    if config.kind != "quadratic-linear":
+        return [run_scenario(config.with_updates(seed=s)) for s in seeds]
+    seeds = [int(s) for s in seeds]
+    if any(s < 0 for s in seeds):
+        raise ConfigError("run.seed must be nonnegative")
+    return _run_quadratic(config, seeds) if seeds else []
 
 
 def compute_metrics(trace: Trace, oracle) -> Metrics:

@@ -115,8 +115,9 @@ class PolyBasis:
             raise ValueError("voltage scale must be finite and positive, shift finite")
 
     def __call__(self, v) -> np.ndarray:
-        s = (float(np.atleast_1d(v)[0]) - self.shift) / self.scale
-        return s ** np.arange(self.degree + 1)
+        """Regressors of the voltages v, shape v.shape + (degree + 1,)."""
+        s = (np.asarray(v, dtype=float) - self.shift) / self.scale
+        return s[..., None] ** np.arange(self.degree + 1)
 
 
 def _thermal(params: PvParams, temperature: float):
@@ -314,7 +315,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     s_hi = (hi - v_shift) / v_scale
 
     def known(y):
-        return 0.0
+        return np.zeros(np.shape(y))
 
     # the exact voltages the argmax returns for an endpoint maximum (a
     # stationary point clipped into the interval lands there as well)
@@ -328,8 +329,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
 
     def dbasis(y):
-        s = (float(np.atleast_1d(y)[0]) - v_shift) / v_scale
-        return j * s ** np.maximum(j - 1, 0) / v_scale
+        s = (np.asarray(y, dtype=float) - v_shift) / v_scale
+        return j * s[..., None] ** np.maximum(j - 1, 0) / v_scale
 
     def dopt(thetas, optima):
         # implicit function theorem on p'(s) = 0 at an interior maximum:

@@ -1,13 +1,14 @@
-"""Parameterised reward models and the noisy observation channel.
+"""Parameterised reward models and the measurement noise.
 
 A reward model splits the measured payoff into a known offset and an
 unknown part that is linear in an environment parameter vector:
 
     J(theta, y) = known(y) + phi(y) . theta
 
-``optimum_map_batch`` sends a stack of parameter vectors to the
-operating points that maximise the reward; the optimum is the quantity
-the dual controller tracks.  Every model also supplies the jacobians of
+The bases take an array of scalar outputs (one per batch entry) and add
+a trailing axis for the regressor.  ``optimum_map_batch`` sends a stack
+of parameter vectors to the operating points that maximise the reward;
+the optimum is the quantity the dual controller tracks.  Every model also supplies the jacobians of
 the regressor and of the optimum map, which give the exploration
 gradient in closed form (see ``ensemble.predict``).
 Models carry the admissible operating interval; ``scan_regressor_bound``
@@ -27,10 +28,7 @@ from .errors import DomainError
 __all__ = [
     "RewardModel",
     "NoiseSpec",
-    "Observation",
     "quadratic_reward",
-    "reward_true",
-    "observe",
     "optimum_of",
     "sample_noise",
 ]
@@ -43,21 +41,21 @@ class RewardModel:
     Attributes
     ----------
     known_basis : callable
-        y -> scalar offset with known coefficient.
+        outputs y (any shape) -> offsets with known coefficient, same shape.
     unknown_basis : callable
-        y -> regressor vector of length ``dim``.
+        outputs y -> regressors, shape y.shape + (dim,).
     dim : int
         Number of unknown parameters.
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     optimum_map_batch : callable
-        (N, dim) parameter vectors -> (N, q) maximising operating points;
-        the only optimum map (``optimum_of`` passes a single row).
+        (N, dim) parameter vectors -> (N, 1) maximising outputs; the only
+        optimum map (``optimum_of`` passes a single row).
     basis_jacobian : callable
-        y -> d(unknown_basis)/dy, shape (dim,); y is scalar.
+        outputs y -> d(unknown_basis)/dy, shape y.shape + (dim,).
     optimum_jacobian : callable
-        (thetas (N, dim), optima (N, q)) -> d(optimum)/dtheta per row,
-        shape (N, q, dim).  ``optima`` must be what ``optimum_map_batch``
+        (thetas (N, dim), optima (N, 1)) -> d(optimum)/dtheta per row,
+        shape (N, 1, dim).  ``optima`` must be what ``optimum_map_batch``
         returned for ``thetas``; the jacobian reuses it instead of solving
         again.
     theta_floor : float or None
@@ -66,7 +64,7 @@ class RewardModel:
         code.  Guards maps with singularities (e.g. 1/theta near zero).
     """
 
-    known_basis: Callable[[np.ndarray], float]
+    known_basis: Callable[[np.ndarray], np.ndarray]
     unknown_basis: Callable[[np.ndarray], np.ndarray]
     dim: int
     y_range: tuple[float, float]
@@ -87,19 +85,10 @@ class NoiseSpec:
             raise ValueError("noise variance must be finite and nonnegative")
 
 
-@dataclass
-class Observation:
-    """One reward measurement taken at output ``y`` and time index ``step``."""
-
-    y: np.ndarray
-    j_obs: float
-    step: int = 0
-
-
 def scan_regressor_bound(unknown_basis, y_range) -> float:
     """max ||phi(y)|| over the admissible interval, by a 2001-point grid scan."""
     grid = np.linspace(y_range[0], y_range[1], 2001)
-    return max(float(np.linalg.norm(unknown_basis(np.array([v])))) for v in grid)
+    return float(np.max(np.linalg.norm(unknown_basis(grid), axis=-1)))
 
 
 def quadratic_reward(known_gain: float = 2.0,
@@ -120,20 +109,19 @@ def quadratic_reward(known_gain: float = 2.0,
     half_gain = known_gain / 2.0
 
     def known(y):
-        return known_gain * float(np.atleast_1d(y)[0])
+        return known_gain * np.asarray(y, dtype=float)
 
     def phi(y):
-        v = float(np.atleast_1d(y)[0])
-        return np.array([-(v * v)])
+        y = np.asarray(y, dtype=float)
+        return -(y * y)[..., None]
 
     def opt_batch(thetas):
-        if np.any(thetas == 0.0):
+        if (thetas == 0.0).any():
             raise DomainError("optimum map 1/theta is singular at theta = 0")
         return half_gain / thetas
 
     def dphi(y):
-        v = float(np.atleast_1d(y)[0])
-        return np.array([-2.0 * v])
+        return (-2.0 * np.asarray(y, dtype=float))[..., None]
 
     def dopt(thetas, optima):
         return (-optima / thetas)[:, :, None]
@@ -150,27 +138,12 @@ def quadratic_reward(known_gain: float = 2.0,
     )
 
 
-def reward_true(model: RewardModel, theta: np.ndarray, y: np.ndarray) -> float:
-    """Noise-free reward at output y for environment parameters theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (model.dim,):
-        raise ValueError(
-            f"theta has dimension {theta.shape}, model expects ({model.dim},)")
-    return float(model.known_basis(y) + model.unknown_basis(y) @ theta)
+def sample_noise(noise: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw a run's n measurement-noise samples (exactly 0.0 at zero variance).
 
-
-def sample_noise(noise: NoiseSpec, rng: np.random.Generator) -> float:
-    """Draw one measurement-noise sample (exactly 0.0 at zero variance)."""
-    return float(rng.normal(0.0, math.sqrt(noise.variance)))
-
-
-def observe(model: RewardModel, theta_true: np.ndarray, y: np.ndarray,
-            noise: NoiseSpec, rng: np.random.Generator,
-            step: int = 0) -> Observation:
-    """Measure the reward at y through the noisy channel."""
-    j = reward_true(model, theta_true, y) + sample_noise(noise, rng)
-    return Observation(y=np.atleast_1d(np.asarray(y, dtype=float)),
-                       j_obs=j, step=step)
+    The values equal n successive single draws from the same generator.
+    """
+    return rng.normal(0.0, math.sqrt(noise.variance), n)
 
 
 def optimum_of(model: RewardModel, theta: np.ndarray) -> np.ndarray:

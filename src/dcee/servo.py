@@ -1,8 +1,12 @@
-"""Output regulation layer that wraps the dual controller around a linear plant.
+"""Output regulation design for wrapping the dual controller around a linear plant.
 
 The reference generator integrates the dual gradient increment; the plant
-input combines stabilising state feedback with feedforward gains obtained
-from the regulation equations
+input (applied by the quadratic-linear loop in ``harness``)
+
+    u = -K x + (G + K Psi) xi'
+
+combines stabilising state feedback with feedforward gains obtained from
+the regulation equations
 
     (A - I) Psi + B G = 0,      C Psi = I,
 
@@ -12,25 +16,19 @@ x = Psi xi, y = xi.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualDiagnostics, DualState, dcee_step
-from .ensemble import Ensemble
 from .errors import RegulationError
-from .reward import RewardModel
 
 __all__ = [
     "LinearPlant",
     "ServoGains",
-    "ServoState",
     "check_rank",
     "solve_regulation",
     "stabilizing_gain",
     "design_gains",
-    "servo_step",
 ]
 
 RANK_RTOL = 1e-10
@@ -79,9 +77,6 @@ class LinearPlant:
     def q(self) -> int:
         return self.C.shape[0]
 
-    def output(self) -> np.ndarray:
-        return self.C @ self.x
-
 
 @dataclass
 class ServoGains:
@@ -90,18 +85,6 @@ class ServoGains:
     Psi: np.ndarray
     G: np.ndarray
     K: np.ndarray
-
-
-@dataclass
-class ServoState:
-    """Internal reference xi driven by the dual gradient increment."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        if not np.all(np.isfinite(self.xi)):
-            raise ValueError("reference state must be finite")
 
 
 def _stacked(A, B, C):
@@ -203,28 +186,3 @@ def design_gains(A, B, C, poles=None, K=None) -> ServoGains:
         raise RegulationError(
             f"A - B K is not Schur stable (spectral radius {radius:.6f})")
     return ServoGains(Psi=Psi, G=G, K=K)
-
-
-def servo_step(plant: LinearPlant, servo: ServoState, gains: ServoGains,
-               ens: Ensemble, model: RewardModel, delta: float, xi_limits=None
-               ) -> tuple[LinearPlant, ServoState, np.ndarray, DualDiagnostics]:
-    """Advance reference, control and plant by one tick.
-
-    The reference moves first by the dual gradient increment (optionally
-    projected onto ``xi_limits`` to keep it inside the model's admissible
-    interval), then the plant input uses the fresh reference:
-
-        u = -K x + (G + K Psi) xi'
-    """
-    dual_state = DualState(y=servo.xi, step_size=delta)
-    moved, diag = dcee_step(dual_state, ens, model)
-    xi_new = moved.y
-    if xi_limits is not None:
-        xi_new = np.clip(xi_new, xi_limits[0], xi_limits[1])
-    u = -(gains.K @ plant.x) + (gains.G + gains.K @ gains.Psi) @ xi_new
-    x_new = plant.A @ plant.x + plant.B @ u
-    # the matrices were validated when the plant was built; a shallow copy
-    # with the new state skips re-running that check every tick
-    new_plant = copy.copy(plant)
-    new_plant.x = x_new
-    return new_plant, ServoState(xi=xi_new), u, diag

@@ -126,11 +126,9 @@ def test_criterion_6_exploration_gradient_cross_check():
 def test_criterion_7_estimator_mse_bound():
     window = 1000
     t0 = time.perf_counter()
-    for seed in range(1, 6):
-        d = builtin_config("quadratic-linear")
-        d["run"]["seed"] = seed
-        cfg = config_from_dict(d)
-        tr = run_scenario(cfg)
+    seeds = range(1, 6)
+    traces = run_seeds(config_from_dict(builtin_config("quadratic-linear")), seeds)
+    for seed, tr in zip(seeds, traces):
         model = quadratic_reward(known_gain=2.0, y_range=(-4.0, 4.0))
         rng_init, _ = _spawn_rngs(seed)
         ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)

@@ -1,12 +1,20 @@
-import numpy as np
-import pytest
+"""The dual gradients, and the dual step the scenario loop takes with them.
+
+The step  xi' = clip(xi - delta * (exploit_grad + r_var_grad))  has no
+function of its own: the quadratic-linear loop in ``dcee.harness`` takes
+it every tick, so the step tests run short scenarios and read the trace.
+"""
 
 import dataclasses
 
-from dcee import (DualState, Ensemble, contraction_check, dcee_step,
-                  exploit_grad, explore_grad, init_ensemble, predict,
-                  quadratic_reward)
+import numpy as np
+import pytest
+
+from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
+                  exploit_grad, explore_grad, harness, init_ensemble, predict,
+                  quadratic_reward, run_scenario, run_seeds)
 from dcee.ensemble import predicted_r_var
+from dcee.harness import _spawn_rngs
 
 
 def collapsed(value, n=5, rate=0.005):
@@ -92,80 +100,89 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
     assert any("one-sided" in rec.message for rec in caplog.records)
 
 
+def collapsed_run(xi0, y0, delta=0.5, horizon=1):
+    """Noise-free quadratic scenario whose estimators all start at the true
+    curvature 1; the first observation, at y0, leaves them there exactly."""
+    d = builtin_config("quadratic-linear")
+    d["plant"]["x0"] = [0.0, y0]
+    d["ensemble"].update(prior_low=[1.0], prior_high=[1.0])
+    d["controller"].update(xi0=[xi0], delta=delta)
+    d["noise"]["variance"] = 0.0
+    d["run"]["horizon"] = horizon
+    return run_scenario(config_from_dict(d))
+
+
 def test_dcee_step_equilibrium():
-    model = quadratic_reward()
-    state = DualState(y=[1.0], step_size=0.5)
-    new, diag = dcee_step(state, collapsed(1.0), model)
-    assert diag.u[0] == 0.0
-    assert new.y[0] == 1.0
+    tr = collapsed_run(xi0=1.0, y0=1.0, horizon=1)
+    assert tr.column("grad_exploit_norm")[0] == 0.0
+    assert tr.column("grad_explore_norm")[0] == 0.0
+    assert tr.column("xi")[1] == 1.0
 
 
 def test_dcee_step_pure_exploitation_hand_computed():
-    model = quadratic_reward()
-    state = DualState(y=[2.0], step_size=0.25)
-    new, diag = dcee_step(state, collapsed(1.0), model)
-    assert new.y[0] == pytest.approx(1.5)
+    tr = collapsed_run(xi0=2.0, y0=2.0, delta=0.25)
+    assert tr.column("theta_mean_0")[0] == 1.0
+    assert tr.column("xi")[1] == 1.5
 
 
 def test_dcee_step_increment_identity():
-    model = quadratic_reward()
-    rng = np.random.default_rng(5)
-    ens = init_ensemble(30, [0.5], [20.0], 0.005, rng)
-    state = DualState(y=[1.7], step_size=0.5)
-    _, diag = dcee_step(state, ens, model)
-    expect = -0.5 * (diag.exploit_grad + diag.explore_grad)
-    assert np.array_equal(diag.u, expect)
-    assert np.array_equal(diag.explore_grad, predict(ens, [1.7], model).r_var_grad)
+    # the loop's first step is exactly the unbatched public ops' step
+    d = builtin_config("quadratic-linear")
+    d["run"].update(horizon=1, seed=5)
+    cfg = config_from_dict(d)
+    tr = run_scenario(cfg)
+    model = cfg.model
+    ens = init_ensemble(100, [0.0], [20.0], 0.005, _spawn_rngs(5)[0])
+    ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
+    xi = tr.column("xi")[:1]
+    ps = predict(ens, xi, model)
+    moved = xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad)
+    assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad[0])
+    assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)[0]
 
 
-def test_dcee_step_solves_the_optimum_map_once():
-    base = quadratic_reward()
+def test_dcee_step_solves_the_optimum_map_once(monkeypatch):
+    # one solve per tick serves the belief and the exploration gradient of
+    # every seed in the batch
     rows = []
+    build = harness.quadratic_reward
 
-    def counted(thetas):
-        rows.append(len(thetas))
-        return base.optimum_map_batch(thetas)
+    def counting_model(*args, **kwargs):
+        model = build(*args, **kwargs)
+        solve = model.optimum_map_batch
 
-    model = dataclasses.replace(base, optimum_map_batch=counted)
-    ens = init_ensemble(30, [0.5], [20.0], 0.005, np.random.default_rng(5))
-    dcee_step(DualState(y=[1.7], step_size=0.5), ens, model)
-    assert rows == [30]
+        def counted(thetas):
+            rows.append(len(thetas))
+            return solve(thetas)
+
+        return dataclasses.replace(model, optimum_map_batch=counted)
+
+    monkeypatch.setattr(harness, "quadratic_reward", counting_model)
+    d = builtin_config("quadratic-linear")
+    d["run"]["horizon"] = 30
+    run_seeds(config_from_dict(d), [1, 2, 3])
+    assert rows == [300] * 31
 
 
 def test_collapsed_dcee_contracts_linearly():
     # with no uncertainty the dual law is plain gradient descent on the
-    # squared tracking error: |y' - r*| = |1 - 2 delta| |y - r*| exactly
-    model = quadratic_reward()
+    # squared tracking error: |xi' - r*| = |1 - 2 delta| |xi - r*| exactly
     for delta in (0.1, 0.3, 0.5, 0.8):
-        state = DualState(y=[3.0], step_size=delta)
-        new, _ = dcee_step(state, collapsed(1.0), model)
-        assert abs(abs(new.y[0] - 1.0) - abs(1 - 2 * delta) * 2.0) < 1e-12
+        tr = collapsed_run(xi0=3.0, y0=3.0, delta=delta)
+        assert abs(abs(tr.column("xi")[1] - 1.0) - abs(1 - 2 * delta) * 2.0) < 1e-12
 
 
 def test_dcee_step_monotone_convergence_after_collapse():
-    # integrator run from the broad prior; once the spread has collapsed
-    # the distance to the true optimum must shrink monotonically
-    from dcee import adapt, stats
-
-    model = quadratic_reward()
-    rng = np.random.default_rng(1)
-    ens = init_ensemble(100, [0.0], [20.0], 0.005, rng)
-    state = DualState(y=[3.6], step_size=0.5)
-    distances = []
-    collapsed_at = None
-    for k in range(7000):
-        y = state.y
-        ens = adapt(ens, y, 2.0 * y[0] - y[0] ** 2, model)
-        state, _ = dcee_step(state, ens, model)
-        state = DualState(y=np.clip(state.y, -3.9, 3.9), step_size=0.5)
-        if collapsed_at is None and k % 50 == 0 \
-                and stats(ens, model).r_var < 1e-12:
-            collapsed_at = k
-        if collapsed_at is not None:
-            distances.append(abs(state.y[0] - 1.0))
-    assert collapsed_at is not None
-    diffs = np.diff(np.array(distances))
-    assert np.all(diffs <= 1e-13)
+    # noise-free run from the broad prior; once the spread has collapsed
+    # the reference's distance to the true optimum shrinks monotonically
+    d = builtin_config("quadratic-linear")
+    d["noise"]["variance"] = 0.0
+    d["run"]["horizon"] = 7000
+    tr = run_scenario(config_from_dict(d))
+    collapsed = np.flatnonzero(tr.column("p_explore") < 1e-12)
+    assert collapsed.size
+    distances = np.abs(tr.column("xi")[collapsed[0]:] - 1.0)
+    assert np.all(np.diff(distances) <= 1e-13)
     assert distances[-1] < 1e-6
 
 

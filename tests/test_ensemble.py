@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcee import (Ensemble, adapt, init_ensemble, mse_bound, predict,
+from dcee import (Ensemble, adapt, init_ensemble, mse_bound, predict, pv_poly_reward,
                   quadratic_reward, stats)
 from dcee.ensemble import _optima, _predicted_thetas
 from dcee.reward import RewardModel
@@ -10,12 +10,12 @@ from dcee.reward import RewardModel
 def identity_model(dim=1):
     """Reward with unit regressor and identity optimum map (test double)."""
     return RewardModel(
-        known_basis=lambda y: 0.0,
-        unknown_basis=lambda y: np.ones(dim),
+        known_basis=lambda y: np.zeros(np.shape(y)),
+        unknown_basis=lambda y: np.ones(np.shape(y) + (dim,)),
         dim=dim,
         y_range=(-1.0, 1.0),
         optimum_map_batch=lambda ths: np.asarray(ths, dtype=float),
-        basis_jacobian=lambda y: np.zeros(dim),
+        basis_jacobian=lambda y: np.zeros(np.shape(y) + (dim,)),
         optimum_jacobian=lambda ths, r: np.broadcast_to(np.eye(dim),
                                                          (len(ths), dim, dim)),
     )
@@ -155,7 +155,8 @@ def test_predict_zero_regressor_changes_nothing():
     pred = predict(ens, [0.0], model)
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
     assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
-    assert np.array_equal(_predicted_thetas(ens, [0.0], model), ens.thetas)
+    phi = model.unknown_basis(0.0)
+    assert np.array_equal(_predicted_thetas(ens, phi[None, :], phi[:, None]), ens.thetas)
 
 
 def test_predict_informative_point_shrinks_spread():
@@ -218,3 +219,28 @@ def test_mse_bound_values_and_rejection():
         mse_bound(0.1, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         mse_bound(0.1, 1.0, 2.0, -0.2)
+
+
+@pytest.mark.parametrize("model, low, high", [
+    (quadratic_reward(), [0.0], [20.0]),
+    (pv_poly_reward(degree=5, v_range=(2.0, 43.0), v_scale=22.0, v_shift=22.0),
+     [88.9, 83.8, 12.1, 35.2, -151.1, -218.4], [143.8, 137.0, 39.8, 71.2, -94.3, -144.0]),
+], ids=["quadratic", "pv-poly"])
+def test_batched_ops_match_each_ensemble_alone(model, low, high):
+    # a batch entry's numbers are the bits its ensemble gives on its own
+    rng = np.random.default_rng(9)
+    alone = [init_ensemble(30, low, high, 0.01, rng) for _ in range(4)]
+    batch = Ensemble(thetas=np.stack([e.thetas for e in alone]), rates=alone[0].rates)
+    lo, hi = model.y_range
+    y = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 4)
+    j = rng.normal(size=4)
+    moved = adapt(batch, y, j, model)
+    belief = predict(moved, y, model)
+    for i, ens in enumerate(alone):
+        ens = adapt(ens, [y[i]], j[i], model)
+        assert np.array_equal(moved.thetas[i], ens.thetas)
+        one = predict(ens, [y[i]], model)
+        assert np.array_equal(belief.r_mean[i], one.r_mean)
+        assert belief.r_var[i] == one.r_var
+        assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)
+        assert all(np.array_equal(a[i], b) for a, b in zip(moved.moments(), ens.moments()))

@@ -2,7 +2,8 @@
 
 The digest covers every column's name, dtype and raw bytes in trace
 order (the same digest the benchmark records), so a change in any bit of
-a trace fails here.  A change that alters traces on purpose re-captures
+a trace fails here.  The sweep digest chains the digests of the ten
+criterion-4 traces (``run_seeds`` over seeds 1-10) in seed order.  A change that alters traces on purpose re-captures
 the affected digest and states the largest deviation in CHANGES.md.
 """
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcee import builtin_config, config_from_dict, load_config, run_scenario
+from dcee import builtin_config, config_from_dict, load_config, run_scenario, run_seeds
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -23,6 +24,7 @@ GOLDEN = {
     "mppt-ic": "9f55c72b2e9856100dc8d12de4a8cbaea54fd0f1f1db1f7c2aa00017e3a76d78",
     "mppt-dcee": "a2b5a8a2a50e8cd6f3e958c3a0623aa4fe6d1c5f14f9054070b355fa86f633a4",
 }
+SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
 
 
 def trace_digest(trace) -> str:
@@ -46,3 +48,11 @@ def _scenario(case):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_trace_digest_is_pinned(case):
     assert trace_digest(run_scenario(_scenario(case))) == GOLDEN[case]
+
+
+def test_seed_sweep_digest_is_pinned():
+    cfg = config_from_dict(builtin_config("quadratic-linear"))
+    h = hashlib.sha256()
+    for trace in run_seeds(cfg, range(1, 11)):
+        h.update(trace_digest(trace).encode())
+    assert h.hexdigest() == SWEEP

@@ -137,7 +137,9 @@ def test_profile_validation():
 
 def test_poly_basis_regressor_values():
     basis = PolyBasis(degree=3)
-    np.testing.assert_allclose(basis([2.0]), [1.0, 2.0, 4.0, 8.0])
+    np.testing.assert_allclose(basis(2.0), [1.0, 2.0, 4.0, 8.0])
+    np.testing.assert_allclose(basis([2.0, -1.0]), [[1.0, 2.0, 4.0, 8.0],
+                                                    [1.0, -1.0, 1.0, -1.0]])
     with pytest.raises(ValueError):
         PolyBasis(degree=1)
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcee import (DomainError, NoiseSpec, observe, optimum_of, quadratic_reward,
-                  reward_true, sample_noise)
+from dcee import DomainError, NoiseSpec, optimum_of, quadratic_reward, sample_noise
 from dcee.reward import scan_regressor_bound
 
 
@@ -13,35 +12,35 @@ def model():
     return quadratic_reward()
 
 
+def reward(model, theta, y):
+    """Noise-free reward J = known(y) + phi(y) . theta at the outputs y."""
+    return model.known_basis(y) + model.unknown_basis(y) @ np.asarray(theta, dtype=float)
+
+
 def test_reward_true_quadratic_values(model):
-    assert reward_true(model, [1.0], [1.0]) == pytest.approx(1.0)
-    assert reward_true(model, [1.0], [0.0]) == pytest.approx(0.0)
-    assert reward_true(model, [2.0], [0.5]) == pytest.approx(0.5)
-
-
-def test_reward_true_rejects_dimension_mismatch(model):
-    with pytest.raises(ValueError):
-        reward_true(model, [1.0, 2.0], [1.0])
+    assert reward(model, [1.0], 1.0) == pytest.approx(1.0)
+    assert reward(model, [1.0], 0.0) == pytest.approx(0.0)
+    assert reward(model, [2.0], 0.5) == pytest.approx(0.5)
+    np.testing.assert_allclose(reward(model, [1.0], [1.0, 0.0, 2.0]), [1.0, 0.0, 0.0])
 
 
 def test_observe_noise_free_equals_reward(model):
-    rng = np.random.default_rng(0)
-    obs = observe(model, [1.0], [1.0], NoiseSpec(0.0), rng)
-    assert obs.j_obs == reward_true(model, [1.0], [1.0])
+    # zero-variance noise is exactly 0.0, so an observation is the reward
+    noise = sample_noise(NoiseSpec(0.0), np.random.default_rng(0), 5)
+    assert np.all(noise == 0.0)
+    assert np.array_equal(reward(model, [1.0], 1.0) + noise, np.full(5, 1.0))
 
 
-def test_observe_deterministic_given_seed(model):
-    a = observe(model, [1.0], [1.0], NoiseSpec(2.0), np.random.default_rng(7))
-    b = observe(model, [1.0], [1.0], NoiseSpec(2.0), np.random.default_rng(7))
-    assert a.j_obs == b.j_obs
+def test_observe_deterministic_given_seed():
+    a = sample_noise(NoiseSpec(2.0), np.random.default_rng(7), 10)
+    b = sample_noise(NoiseSpec(2.0), np.random.default_rng(7), 10)
+    assert np.array_equal(a, b)
 
 
 def test_observe_monte_carlo_mean(model):
-    rng = np.random.default_rng(3)
-    noise = NoiseSpec(2.0)
     n = 100_000
-    vals = [observe(model, [1.0], [1.0], noise, rng).j_obs for _ in range(n)]
-    assert abs(np.mean(vals) - 1.0) < 0.06
+    obs = reward(model, [1.0], 1.0) + sample_noise(NoiseSpec(2.0), np.random.default_rng(3), n)
+    assert abs(obs.mean() - 1.0) < 0.06
 
 
 def test_noise_spec_rejects_negative_variance():
@@ -50,11 +49,17 @@ def test_noise_spec_rejects_negative_variance():
 
 
 def test_noise_samples_zero_mean():
-    rng = np.random.default_rng(11)
-    noise = NoiseSpec(2.0)
     n = 100_000
-    draws = np.array([sample_noise(noise, rng) for _ in range(n)])
+    draws = sample_noise(NoiseSpec(2.0), np.random.default_rng(11), n)
     assert abs(draws.mean()) < 4.0 * math.sqrt(2.0) / math.sqrt(n)
+
+
+def test_noise_drawn_at_once_equals_single_draws():
+    # the loops draw a run's noise up front; it is the per-tick sequence
+    rng = np.random.default_rng(5)
+    single = [rng.normal(0.0, math.sqrt(2.0)) for _ in range(1000)]
+    assert np.array_equal(sample_noise(NoiseSpec(2.0), np.random.default_rng(5), 1000),
+                          single)
 
 
 def test_optimum_of_values(model):
@@ -70,9 +75,8 @@ def test_optimum_of_singularity_rejected(model):
 def test_optimum_is_global_maximum_on_grid(model):
     grid = np.linspace(-4.0, 4.0, 801)
     for theta in (0.25, 1.0, 3.0, 17.5):
-        best = reward_true(model, [theta], optimum_of(model, [theta]))
-        for y in grid:
-            assert best >= reward_true(model, [theta], [y]) - 1e-12
+        best = reward(model, [theta], optimum_of(model, [theta])[0])
+        assert np.all(best >= reward(model, [theta], grid) - 1e-12)
 
 
 def test_reward_concave_in_output(model):
@@ -80,7 +84,7 @@ def test_reward_concave_in_output(model):
     grid = np.linspace(-4.0, 4.0, 401)
     h = grid[1] - grid[0]
     for theta in (0.1, 1.0, 5.0):
-        vals = np.array([reward_true(model, [theta], [y]) for y in grid])
+        vals = reward(model, [theta], grid)
         second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h ** 2
         assert np.all(second < 0)
 

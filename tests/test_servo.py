@@ -1,11 +1,18 @@
+"""Regulation design, and the servo step the quadratic-linear loop takes.
+
+The step (reference first, then  u = -K x + (G + K Psi) xi',  then the
+plant) has no function of its own: ``dcee.harness`` runs it every tick,
+so the step tests run short scenarios and read the trace.
+"""
+
 import numpy as np
 import pytest
 
 import dcee.servo as servo_mod
-from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains,
-                  ServoState, adapt, builtin_config, check_rank, config_from_dict,
-                  design_gains, init_ensemble, quadratic_reward, run_scenario,
-                  sample_noise, servo_step, solve_regulation, stabilizing_gain)
+from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains, adapt,
+                  builtin_config, check_rank, config_from_dict, design_gains, exploit_grad,
+                  harness, init_ensemble, predict, quadratic_reward, run_scenario, run_seeds,
+                  sample_noise, solve_regulation, stabilizing_gain)
 from dcee.harness import _spawn_rngs
 
 A = np.array([[0.0, 1.0], [2.0, 1.0]])
@@ -72,31 +79,34 @@ def test_plant_validation():
         LinearPlant(A=A, B=B, C=C, x=np.zeros(3))
 
 
+def _collapsed_at_truth(x0, xi0):
+    """Noise-free quadratic config whose estimators start (and stay) at the
+    true curvature 1."""
+    d = builtin_config("quadratic-linear")
+    d["plant"]["x0"] = list(x0)
+    d["ensemble"].update(prior_low=[1.0], prior_high=[1.0])
+    d["controller"]["xi0"] = [xi0]
+    d["noise"]["variance"] = 0.0
+    d["run"]["horizon"] = 1
+    return d
+
+
 def test_servo_step_equilibrium():
-    model = quadratic_reward()
     gains = design_gains(A, B, C, poles=[0.4, 0.7])
-    ens = Ensemble(thetas=np.full((5, 1), 1.0), rates=np.full(5, 0.005))
-    plant = LinearPlant(A=A, B=B, C=C, x=gains.Psi[:, 0].copy())
-    servo = ServoState(xi=[1.0])
-    new_plant, new_servo, u, diag = servo_step(plant, servo, gains, ens, model,
-                                               delta=0.5)
-    assert diag.u[0] == 0.0
-    assert u[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
-    np.testing.assert_allclose(new_plant.x, plant.x, atol=1e-12)
-    assert new_servo.xi[0] == 1.0
+    tr = run_scenario(config_from_dict(_collapsed_at_truth(gains.Psi[:, 0], 1.0)))
+    assert tr.column("xi")[1] == 1.0
+    assert tr.column("u")[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    for name in ("x0", "x1"):
+        assert tr.column(name)[1] == pytest.approx(tr.column(name)[0], abs=1e-12)
 
 
-def test_servo_step_zero_gains_run_open_loop():
-    model = quadratic_reward()
-    gains = ServoGains(Psi=np.zeros((2, 1)), G=np.zeros((1, 1)),
-                       K=np.zeros((1, 2)))
-    ens = Ensemble(thetas=np.full((3, 1), 1.0), rates=np.full(3, 0.005))
-    x0 = np.array([0.3, -0.2])
-    plant = LinearPlant(A=A, B=B, C=C, x=x0.copy())
-    new_plant, _, u, _ = servo_step(plant, ServoState(xi=[1.0]), gains, ens,
-                                    model, delta=0.5)
-    assert u[0] == 0.0
-    np.testing.assert_allclose(new_plant.x, A @ x0)
+def test_servo_step_zero_gains_run_open_loop(monkeypatch):
+    zero = ServoGains(Psi=np.zeros((2, 1)), G=np.zeros((1, 1)), K=np.zeros((1, 2)))
+    monkeypatch.setattr(harness, "design_gains", lambda *args, **kwargs: zero)
+    x0 = np.array([0.3, 1.0])
+    tr = run_scenario(config_from_dict(_collapsed_at_truth(x0, 1.0)))
+    assert tr.column("u")[0] == 0.0
+    np.testing.assert_allclose([tr.column("x0")[1], tr.column("x1")[1]], A @ x0)
 
 
 def test_equilibrium_tracking_constant_reference():
@@ -149,40 +159,44 @@ def test_regulation_residual_invariants():
 
 
 def _servo_loop_columns(d: dict, horizon: int) -> dict:
-    """Run adapt + servo_step on the harness's random streams for config d."""
+    """Replay the scenario loop's ticks for config d with the unbatched ops."""
     rng_init, rng_noise = _spawn_rngs(d["run"]["seed"])
     ens_cfg = d["ensemble"]
     ens = init_ensemble(ens_cfg["n"], ens_cfg["prior_low"], ens_cfg["prior_high"],
                         ens_cfg["rate"], rng_init)
     model = quadratic_reward(known_gain=2.0, y_range=(-4.0, 4.0))
-    noise = NoiseSpec(d["noise"]["variance"])
+    noise = sample_noise(NoiseSpec(d["noise"]["variance"]), rng_noise, horizon)
     gains = design_gains(A, B, C, poles=[0.4, 0.7])
-    plant = LinearPlant(A=A, B=B, C=C, x=d["plant"]["x0"])
-    servo = ServoState(xi=d["controller"]["xi0"])
-    xi_limits = (-4.0, 4.0)
-    cols = {name: [] for name in ("y", "xi", "u", "theta_mean_0", "grad_explore_norm")}
-    for _ in range(horizon):
-        y = float(plant.output()[0])
-        j = 2.0 * y - 1.0 * (y * y) + sample_noise(noise, rng_noise)
+    feed = gains.G + gains.K @ gains.Psi
+    x = np.array(d["plant"]["x0"])
+    xi = np.array(d["controller"]["xi0"])
+    cols = {name: [] for name in ("y", "xi", "u", "theta_mean_0", "grad_explore_norm",
+                                  "x0", "x1")}
+    for k in range(horizon):
+        y = (C @ x)[0]
+        j = 2.0 * y - 1.0 * (y * y) + noise[k]
         ens = adapt(ens, [y], j, model)
-        cols["y"].append(y)
-        cols["xi"].append(servo.xi[0])
-        cols["theta_mean_0"].append(ens.thetas.mean(axis=0)[0])
-        plant, servo, u, diag = servo_step(plant, servo, gains, ens, model,
-                                           delta=0.5, xi_limits=xi_limits)
+        ps = predict(ens, xi, model)
+        for name, value in (("y", y), ("xi", xi[0]), ("x0", x[0]), ("x1", x[1]),
+                            ("theta_mean_0", ens.thetas.mean(axis=0)[0]),
+                            ("grad_explore_norm", abs(ps.r_var_grad[0]))):
+            cols[name].append(value)
+        xi = np.clip(xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad), -4.0, 4.0)
+        u = -(gains.K @ x) + feed @ xi
         cols["u"].append(u[0])
-        cols["grad_explore_norm"].append(abs(diag.explore_grad[0]))
+        x = A @ x + B @ u
     return {name: np.array(vals) for name, vals in cols.items()}
 
 
 def test_servo_step_matches_scenario_loop():
-    # the public adapt + servo_step ops reproduce the scenario loop's
-    # inlined arithmetic bit for bit over the whole horizon
+    # the unbatched public ops, with the plant stepped one state vector at
+    # a time, reproduce the seed-batched scenario loop bit for bit
     horizon = 400
-    for seed in (1, 7):
-        d = builtin_config("quadratic-linear")
-        d["run"].update(horizon=horizon, seed=seed)
-        tr = run_scenario(config_from_dict(d))
+    d = builtin_config("quadratic-linear")
+    d["run"]["horizon"] = horizon
+    seeds = (1, 7)
+    for seed, tr in zip(seeds, run_seeds(config_from_dict(d), seeds)):
+        d["run"]["seed"] = seed
         for name, got in _servo_loop_columns(d, horizon).items():
             assert np.array_equal(got, tr.column(name)[:horizon]), (seed, name)
 
@@ -200,16 +214,20 @@ def test_servo_step_matches_scenario_loop_with_floored_estimators():
 
 
 def test_servo_step_does_not_revalidate_plant(monkeypatch):
-    model = quadratic_reward()
-    gains = design_gains(A, B, C, poles=[0.4, 0.7])
-    plant = LinearPlant(A=A, B=B, C=C, x=[1.2, 3.6])
-    servo = ServoState(xi=[3.6])
-    ens = Ensemble(thetas=np.linspace(0.5, 2.0, 10)[:, None], rates=np.full(10, 0.005))
-    calls = []
-    real = servo_mod._controllable
+    # no tick re-checks the plant or an ensemble: the plant is checked when
+    # the config is built, each seed's ensemble when it is drawn, and the
+    # stacked batch once
+    d = builtin_config("quadratic-linear")
+    d["run"]["horizon"] = 50
+    cfg = config_from_dict(d)
+    plant_checks, ensemble_checks = [], []
+    controllable = servo_mod._controllable
     monkeypatch.setattr(servo_mod, "_controllable",
-                        lambda *a: calls.append(a) or real(*a))
-    for _ in range(50):
-        plant, servo, _, _ = servo_step(plant, servo, gains, ens, model, delta=0.5)
-    assert calls == []
-    assert np.array_equal(plant.A, A) and plant.x.shape == (2,)
+                        lambda *a: plant_checks.append(1) or controllable(*a))
+    post_init = Ensemble.__post_init__
+    monkeypatch.setattr(Ensemble, "__post_init__",
+                        lambda self: ensemble_checks.append(1) or post_init(self))
+    traces = run_seeds(cfg, [1, 2, 3])
+    assert plant_checks == []
+    assert len(ensemble_checks) == 3 + 1
+    assert [tr.n_rows for tr in traces] == [51] * 3
