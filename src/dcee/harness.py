@@ -515,16 +515,17 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
                   + ["r_mean", "p_explore", "grad_exploit_norm",
                      "grad_explore_norm", "contraction_ok"])
     rows = {name: [] for name in names}
-    oracle_cache: dict[tuple[float, float], tuple[float, float]] = {}
+    # one oracle solve over the run's distinct (irradiance, temperature)
+    env = [profile_eval(profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
+    distinct, tick_of = np.unique(env, axis=0, return_inverse=True)
+    v_mpp, p_max = (x[tick_of.reshape(-1)] for x in mpp_oracle(params, *distinct.T))
 
     for k in range(cfg.horizon + 1):
         t = k * cfg.dt
-        irr, temp = profile_eval(profile, t)
-        key = (irr, temp)
-        if key not in oracle_cache:
-            oracle_cache[key] = mpp_oracle(params, irr, temp)
-        v_mpp, p_max = oracle_cache[key]
+        irr, temp = env[k]
         i_now = pv_current(params, v, irr, temp)
+        if not np.isfinite(i_now):
+            raise _partial_failure(cfg, _build_trace(rows), k, "panel current became non-finite")
         p_now = v * i_now
         j_obs = p_now + noise[k]
 
@@ -556,8 +557,8 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
         rows["j_obs"].append(j_obs)
         rows["irradiance"].append(irr)
         rows["temperature"].append(temp)
-        rows["v_mpp_oracle"].append(v_mpp)
-        rows["p_max_oracle"].append(p_max)
+        rows["v_mpp_oracle"].append(v_mpp[k])
+        rows["p_max_oracle"].append(p_max[k])
         if algo == "dcee":
             for i in range(m):
                 rows[f"theta_mean_{i}"].append(theta_mean[i])
@@ -579,8 +580,8 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
     """Run the same scenario under each seed; traces in seed order.
 
-    Quadratic seeds run as one batch.  The mppt plant step is a scalar
-    diode solve, so mppt seeds run in turn.
+    Quadratic seeds run as one batch.  The mppt loop steps one scalar
+    plant, so mppt seeds run in turn.
     """
     if config.kind != "quadratic-linear":
         return [run_scenario(config.with_updates(seed=s)) for s in seeds]

@@ -1,6 +1,6 @@
 """Single-diode photovoltaic plant and the polynomial power-curve basis.
 
-The panel model solves the implicit diode equation
+The panel model is the implicit diode equation
 
     I = I_ph - I_0 * (exp((V + I R_s) / a) - 1) - (V + I R_s) / R_sh
 
@@ -9,17 +9,20 @@ temperature through the short-circuit coefficient; the saturation
 current is re-anchored at each temperature so the open-circuit voltage
 follows its own temperature coefficient.  Panel parameters are plain
 config inputs approximating a ~175 W, 72-cell module.
+
+The current and the open-circuit voltage are the Lambert-W closed forms
+of that equation, and the maximum power point is a bracketed Newton
+solve on dP/dV; all three take arrays of voltages and conditions.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import lambertw
+from scipy.special import wrightomega
 
 from .errors import DomainError
 from .reward import RewardModel
@@ -34,8 +37,6 @@ __all__ = [
     "profile_eval",
     "pv_poly_reward",
 ]
-
-logger = logging.getLogger(__name__)
 
 BOLTZMANN = 1.380649e-23
 ELECTRON_CHARGE = 1.602176634e-19
@@ -62,6 +63,8 @@ class PvParams:
             raise ValueError("i_sc_ref, v_oc_ref, ideality and g_ref must be positive")
         if not (self.r_s >= 0 and self.r_sh > 0):
             raise ValueError("need r_s >= 0 and r_sh > 0 (np.inf allowed)")
+        if not self.i_sc_ref > self.v_oc_ref / self.r_sh:
+            raise ValueError("need i_sc_ref > v_oc_ref / r_sh (a positive saturation current)")
         if not self.n_cells >= 1:
             raise ValueError("need at least one cell")
         if not all(math.isfinite(v) for k, v in vars(self).items() if k != "r_sh"):
@@ -93,6 +96,8 @@ class EnvProfile:
                 raise ValueError("profile breakpoints must be time-sorted")
         if any(v < 0 for _, v in self.irradiance):
             raise ValueError("irradiance must be nonnegative")
+        # (times, values) of each channel, the lists profile_eval searches
+        self._knots = [tuple(map(list, zip(*pts))) for pts in (self.irradiance, self.temperature)]
 
 
 @dataclass
@@ -120,137 +125,127 @@ class PolyBasis:
         return s[..., None] ** np.arange(self.degree + 1)
 
 
-def _thermal(params: PvParams, temperature: float):
-    """Photo/saturation currents and the diode slope at given temperature."""
+def _thermal(params: PvParams, irradiance, temperature):
+    """Diode slope a, photocurrent i_ph and saturation current i_0."""
     t_kelvin = temperature + 273.15
     a = params.ideality * params.n_cells * BOLTZMANN * t_kelvin / ELECTRON_CHARGE
     i_ph_ref_t = params.i_sc_ref + params.temp_coeff_i * (temperature - params.t_ref)
     v_oc_t = params.v_oc_ref + params.temp_coeff_v * (temperature - params.t_ref)
-    i_0 = (i_ph_ref_t - v_oc_t / params.r_sh) / math.expm1(v_oc_t / a)
-    return a, i_ph_ref_t, i_0
+    i_0 = (i_ph_ref_t - v_oc_t / params.r_sh) / np.expm1(v_oc_t / a)
+    return a, (irradiance / params.g_ref) * i_ph_ref_t, i_0
 
 
-def pv_current(params: PvParams, v: float, irradiance: float,
-               temperature: float) -> float:
-    """Panel current at voltage v, by bracketed root finding (tol 1e-9).
+def _diode(params: PvParams, v, i_ph, a, i_0):
+    """Terminal current at v, unclamped, and the conductance g there.
 
-    Voltages beyond the open-circuit point return 0.0 (logged); a dark
-    panel also yields zero current.
+    For r_s > 0 the Lambert-W solution (Jain & Kapoor, Sol. Energy Mater.
+    Sol. Cells 81, 2004), with W(e^x) taken as the Wright omega function
+    omega(x), whose argument cannot overflow.  g = dI_d/dV_d + 1/r_sh at
+    the junction voltage V + I r_s; r_sh = inf gives frac = 1, 1/r_sh = 0.
     """
-    if v < 0:
-        raise ValueError("voltage must be nonnegative")
-    a, i_ph_ref_t, i_0 = _thermal(params, temperature)
-    i_ph = (irradiance / params.g_ref) * i_ph_ref_t
-    if i_ph <= 0:
-        return 0.0
-
-    def f(i):
-        vd = v + i * params.r_s
-        return i_ph - i_0 * math.expm1(vd / a) - vd / params.r_sh - i
-
-    if f(0.0) <= 0.0:
-        logger.debug("voltage %.3f V beyond open circuit; current clamped to 0", v)
-        return 0.0
-    return float(brentq(f, 0.0, i_ph, xtol=1e-9))
-
-
-def _current_grid(params: PvParams, v: np.ndarray, irradiance: float,
-                  temperature: float) -> np.ndarray:
-    """Vectorised current via the Lambert-W closed form (grid evaluation)."""
-    a, i_ph_ref_t, i_0 = _thermal(params, temperature)
-    i_ph = (irradiance / params.g_ref) * i_ph_ref_t
-    if i_ph <= 0:
-        return np.zeros_like(v)
     rs, rsh = params.r_s, params.r_sh
     if rs == 0.0:
-        cur = i_ph - i_0 * np.expm1(v / a) - v / rsh
-        return np.maximum(cur, 0.0)
-    frac = 1.0 if math.isinf(rsh) else rsh / (rs + rsh)
-    arg = (i_0 * rs / a) * frac * np.exp(frac * (rs * (i_ph + i_0) + v) / a)
-    w = lambertw(arg).real
-    cur = frac * (i_ph + i_0 - (0.0 if math.isinf(rsh) else v / rsh)) - (a / rs) * w
-    return np.maximum(cur, 0.0)
+        return i_ph - i_0 * np.expm1(v / a) - v / rsh, i_0 * np.exp(v / a) / a + 1.0 / rsh
+    frac = 1.0 / (1.0 + rs / rsh)
+    w = wrightomega(np.log(i_0 * rs * frac / a) + frac * (rs * (i_ph + i_0) + v) / a)
+    return frac * (i_ph + i_0 - v / rsh) - (a / rs) * w, w / (rs * frac) + 1.0 / rsh
 
 
-def pv_power(params: PvParams, v: float, irradiance: float,
-             temperature: float) -> float:
+def pv_current(params: PvParams, v, irradiance, temperature):
+    """Panel current at voltage v in closed form; arguments broadcast.
+
+    Voltages beyond the open-circuit point give 0.0, and so does a dark
+    panel.  Scalar arguments give a float.
+    """
+    v = np.asarray(v, dtype=float)
+    if np.count_nonzero(v < 0):
+        raise ValueError("voltage must be nonnegative")
+    a, i_ph, i_0 = _thermal(params, irradiance, temperature)
+    cur = np.where(i_ph > 0, np.maximum(_diode(params, v, i_ph, a, i_0)[0], 0.0), 0.0)
+    return float(cur) if cur.ndim == 0 else cur
+
+
+def pv_power(params: PvParams, v, irradiance, temperature):
     """Electrical power V * I(V) at the given operating conditions."""
     return v * pv_current(params, v, irradiance, temperature)
 
 
-def open_circuit_voltage(params: PvParams, irradiance: float,
-                         temperature: float) -> float:
-    """Voltage at which the panel current reaches zero."""
-    a, i_ph_ref_t, i_0 = _thermal(params, temperature)
-    i_ph = (irradiance / params.g_ref) * i_ph_ref_t
-    if i_ph <= 0:
-        return 0.0
-
-    def h(v):
-        return i_ph - i_0 * math.expm1(v / a) - v / params.r_sh
-
-    hi = params.v_oc_ref + abs(params.temp_coeff_v) * 100.0 + 10.0
-    while h(hi) > 0:
-        hi *= 2.0
-    return float(brentq(h, 0.0, hi, xtol=1e-9))
+def _open_circuit(params: PvParams, i_ph, a, i_0):
+    if math.isinf(params.r_sh):
+        return a * np.log1p(i_ph / i_0)
+    # (i_ph + i_0) r_sh - a omega(x), x = ln(s) + (i_ph + i_0) r_sh / a, s = i_0 r_sh / a,
+    # is a ln(omega(x) / s) since omega + ln(omega) = x: no cancellation of
+    # two large terms, but rounding can still dip below 0 when i_ph is tiny
+    scale = i_0 * params.r_sh / a
+    w = wrightomega(np.log(scale) + (i_ph + i_0) * params.r_sh / a)
+    return np.maximum(a * np.log(w / scale), 0.0)
 
 
-def mpp_oracle(params: PvParams, irradiance: float,
-               temperature: float) -> tuple[float, float]:
-    """Maximum power point (v_star, p_star) by grid scan + golden refinement.
+def open_circuit_voltage(params: PvParams, irradiance, temperature):
+    """Voltage at which the panel current reaches zero, in closed form.
 
-    The scan evaluates the closed-form current on 1000 voltages between 0
-    and open circuit; a golden-section search then refines the best grid
-    cell against the bracketed diode solve.  A dark panel gives (0, 0).
+    The root of i_ph - i_0 (exp(V / a) - 1) - V / r_sh through the Wright
+    omega function (a log1p when r_sh = inf).  A dark panel gives 0.0;
+    scalar arguments give a float.
     """
-    v_oc = open_circuit_voltage(params, irradiance, temperature)
-    if v_oc <= 0:
-        return 0.0, 0.0
-    grid = np.linspace(0.0, v_oc, 1000)
-    power = grid * _current_grid(params, grid, irradiance, temperature)
-    i = int(np.argmax(power))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    a, i_ph, i_0 = _thermal(params, irradiance, temperature)
+    v_oc = np.where(i_ph > 0, _open_circuit(params, i_ph, a, i_0), 0.0)
+    return float(v_oc) if v_oc.ndim == 0 else v_oc
 
-    def neg_power(v):
-        return -pv_power(params, float(v), irradiance, temperature)
 
-    try:
-        res = minimize_scalar(neg_power, bracket=(lo, grid[i], hi),
-                              method="golden", options={"xtol": 1e-6})
-        v_star = float(np.clip(res.x, 0.0, v_oc))
-    except ValueError:
-        v_star = float(grid[i])
-    return v_star, pv_power(params, v_star, irradiance, temperature)
+def mpp_oracle(params: PvParams, irradiance, temperature) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum power points (v_star, p_star) of arrays of conditions.
+
+    P(V) = V I(V) is strictly concave on [0, V_oc]: implicit
+    differentiation of the diode equation gives I' = -g / (1 + r_s g) < 0
+    and I'' < 0.  So dP/dV = I + V I' has one root there, found for all
+    conditions at once by Newton steps from V_oc inside a shrinking
+    bracket, bisecting whenever Newton would leave it.  A dark panel
+    gives (0, 0).
+    """
+    a, i_ph, i_0 = np.broadcast_arrays(*_thermal(params, irradiance, temperature))
+    lit = i_ph > 0
+    a, i_ph, i_0 = a[lit], i_ph[lit], i_0[lit]
+    lo = np.zeros_like(i_ph)
+    hi = v = _open_circuit(params, i_ph, a, i_0)
+    for _ in range(100):  # bisection alone would take about 50 steps
+        cur, g = _diode(params, v, i_ph, a, i_0)
+        q = 1.0 + params.r_s * g
+        slope = -g / q
+        curv = -(g - 1.0 / params.r_sh) / (a * q ** 3)
+        dp = cur + v * slope
+        lo = np.where(dp > 0, v, lo)
+        hi = np.where(dp < 0, v, hi)
+        newton = v - dp / (2.0 * slope + v * curv)
+        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        step, v = nxt - v, nxt
+        if not np.any(np.abs(step) > 1e-13 * hi):
+            break
+    v_star, p_star = np.zeros(lit.shape), np.zeros(lit.shape)
+    v_star[lit] = v
+    p_star[lit] = v * np.maximum(_diode(params, v, i_ph, a, i_0)[0], 0.0)
+    return v_star, p_star
 
 
 def profile_eval(profile: EnvProfile, t: float) -> tuple[float, float]:
     """(irradiance, temperature) at time t, right-continuous at breakpoints."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return _interp_linear(profile.irradiance, t), _interp_hold(profile.temperature, t)
+    (ts, vs), (temp_ts, temp_vs) = profile._knots
+    return _interp_linear(ts, vs, t), temp_vs[max(bisect_right(temp_ts, t) - 1, 0)]
 
 
-def _interp_linear(points, t):
-    ts = np.array([p[0] for p in points])
-    vs = np.array([p[1] for p in points])
-    i = int(np.searchsorted(ts, t, side="right")) - 1
+def _interp_linear(ts, vs, t):
+    i = bisect_right(ts, t) - 1
     if i < 0:
-        return float(vs[0])
-    if i >= ts.size - 1:
-        return float(vs[-1])
+        return vs[0]
+    if i >= len(ts) - 1:
+        return vs[-1]
     t0, t1 = ts[i], ts[i + 1]
     if t1 == t0:
-        return float(vs[i + 1])
+        return vs[i + 1]
     w = (t - t0) / (t1 - t0)
-    return float((1.0 - w) * vs[i] + w * vs[i + 1])
-
-
-def _interp_hold(points, t):
-    ts = np.array([p[0] for p in points])
-    vs = np.array([p[1] for p in points])
-    i = int(np.searchsorted(ts, t, side="right")) - 1
-    return float(vs[max(i, 0)])
+    return (1.0 - w) * vs[i] + w * vs[i + 1]
 
 
 def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float,

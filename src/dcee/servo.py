@@ -62,6 +62,8 @@ class LinearPlant:
             raise ValueError("A must be square")
         if self.B.shape[0] != n or self.C.shape[1] != n or self.x.shape != (n,):
             raise ValueError("inconsistent state-space dimensions")
+        if not all(np.isfinite(m).all() for m in (self.A, self.B, self.C, self.x)):
+            raise ValueError("A, B, C and the state must be finite")
         if not _controllable(self.A, self.B):
             raise ValueError("(A, B) must be controllable")
 

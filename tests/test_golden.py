@@ -20,9 +20,9 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = {
     "quadratic-seed1": "63b4578ef79a613ce0568b4828babfdca7c7febc361a19fd4f29644818f1fefa",
     "quadratic-seed7": "630f3de68175857ddea0d60f14995f20773ed4193a458f47bb1d3732bc2852b7",
-    "mppt-hc": "15fbe138d37ab022fa37e731c973ffd542667d535329d83c9e35659d29b894a7",
-    "mppt-ic": "9f55c72b2e9856100dc8d12de4a8cbaea54fd0f1f1db1f7c2aa00017e3a76d78",
-    "mppt-dcee": "a2b5a8a2a50e8cd6f3e958c3a0623aa4fe6d1c5f14f9054070b355fa86f633a4",
+    "mppt-hc": "bbf8e2bc04937570c5b4071a1ef55c6670fad69bb32213ac518018d236b2805e",
+    "mppt-ic": "7045813befc9d51de5229ec6f5850dc943188b17ad05ab8eed0655ac05d4e580",
+    "mppt-dcee": "415abd4b7e0ba90e88298bf39718250bb86223b715059d5663827c2b7914b2c7",
 }
 SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
 

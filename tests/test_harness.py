@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,13 +255,17 @@ def _two_entry_prior(d):
     ("quadratic-linear", lambda d: d["ensemble"].update(prior_high=[float("inf")])),
     ("quadratic-linear", lambda d: d["run"].update(seed=-1)),
     ("quadratic-linear", lambda d: d["run"].update(horizon=float("inf"))),
+    ("quadratic-linear", lambda d: d["plant"].update(x0=[float("nan"), 3.6])),
+    ("quadratic-linear", lambda d: d["plant"].update(A=[[float("inf"), 1.0], [2.0, 1.0]])),
+    ("mppt", lambda d: d["plant"].update(r_sh=5.0)),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
         "ic_deadband-negative", "x0-wrong-length", "dt-not-a-number",
         "theta_true-two-entries", "u_max-negative", "delta-nan", "g_ref-0",
         "hc_step-nan", "ic_deadband-nan", "v_shift-nan", "noise-nan",
-        "prior-infinite", "seed-negative", "horizon-infinite"])
+        "prior-infinite", "seed-negative", "horizon-infinite", "x0-nan", "A-inf",
+        "r_sh-below-v_oc-over-i_sc"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -291,6 +297,25 @@ def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, r
     assert "estimator ensemble diverged" in capsys.readouterr().err
     tr = read_trace_csv(out)
     assert 0 < tr.n_rows < 2001
+    for col in tr.columns:
+        assert np.all(np.isfinite(tr.values[col])), col
+
+
+def test_mppt_non_finite_panel_current_exits_3_with_partial_trace(tmp_path, capsys):
+    # at the profile's 35 degC step the open-circuit voltage turns negative,
+    # so the saturation current does too and the diode current is NaN
+    d = builtin_config("mppt")
+    d["plant"]["temp_coeff_v"] = -5.0
+    d["controller"]["algo"] = "hc"
+    cfg_path = tmp_path / "hot.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "hot.csv"
+    with np.errstate(all="ignore"):
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    assert "panel current became non-finite at step 1000" in capsys.readouterr().err
+    tr = read_trace_csv(out)
+    assert tr.n_rows == 1000
     for col in tr.columns:
         assert np.all(np.isfinite(tr.values[col])), col
 
@@ -483,3 +508,13 @@ def test_cli_mppt_algo_override(tmp_path):
     assert rc == 0
     tr = read_trace_csv(out_path)
     assert "theta_mean_0" not in tr.columns  # baseline trace has no ensemble
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize once made up most of `import dcee`; the package uses none of it
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, dcee, dcee.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,81 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from dcee import (EnvProfile, PolyBasis, PvParams, mpp_oracle, optimum_of,
                   profile_eval, pv_current, pv_poly_reward, pv_power)
-from dcee.pv import _current_grid, _poly_argmax_batch, open_circuit_voltage
+from dcee.pv import _poly_argmax_batch, _thermal, open_circuit_voltage
 
 REF = dict(irradiance=1000.0, temperature=25.0)
+
+
+# --- reference diode solve and MPP oracle ---------------------------------
+# The package solves the diode equation in closed form and the MPP by
+# Newton on dP/dV.  The reference solves the implicit equation with a
+# bracketed root finder at every voltage, and the MPP by a dense grid scan
+# refined with a bounded scalar search.
+
+def _reference_conditions(params, irradiance, temperature):
+    return tuple(float(x) for x in _thermal(params, irradiance, temperature))
+
+
+def _reference_current(params, v, irradiance, temperature):
+    a, i_ph, i_0 = _reference_conditions(params, irradiance, temperature)
+    if i_ph <= 0:
+        return 0.0
+
+    def f(i):
+        vd = v + i * params.r_s
+        return i_ph - i_0 * math.expm1(vd / a) - vd / params.r_sh - i
+
+    if f(0.0) <= 0.0:
+        return 0.0
+    return brentq(f, 0.0, i_ph, xtol=1e-300, maxiter=1000)
+
+
+def _reference_dpdv(params, v, irradiance, temperature):
+    """dP/dV = I + V dI/dV, dI/dV by implicit differentiation at the reference I."""
+    a, _, i_0 = _reference_conditions(params, irradiance, temperature)
+    cur = _reference_current(params, v, irradiance, temperature)
+    g = i_0 * math.exp((v + cur * params.r_s) / a) / a + 1.0 / params.r_sh
+    return cur - v * g / (1.0 + params.r_s * g)
+
+
+def _reference_voc(params, irradiance, temperature):
+    a, i_ph, i_0 = _reference_conditions(params, irradiance, temperature)
+    if i_ph <= 0:
+        return 0.0
+
+    def h(v):
+        return i_ph - i_0 * math.expm1(v / a) - v / params.r_sh
+
+    hi = params.v_oc_ref + abs(params.temp_coeff_v) * 100.0 + 10.0
+    while h(hi) > 0:
+        hi *= 2.0
+    return brentq(h, 0.0, hi, xtol=1e-300, maxiter=1000)
+
+
+def _reference_mpp(params, irradiance, temperature, points=200):
+    """(v_ref, p_ref): the best of a grid on [0, V_oc] and of a bounded
+    search over the grid cells around it."""
+    voc = _reference_voc(params, irradiance, temperature)
+    if voc <= 0:
+        return 0.0, 0.0
+
+    def power(v):
+        return v * _reference_current(params, v, irradiance, temperature)
+
+    grid = np.linspace(0.0, voc, points)
+    i = int(np.argmax([power(v) for v in grid]))
+    res = minimize_scalar(lambda v: -power(v), method="bounded",
+                          bounds=(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]),
+                          options={"xatol": 1e-12})
+    best = max((grid[i], res.x), key=power)
+    return float(best), power(best)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +112,7 @@ def test_power_zero_at_interval_ends(params):
 def test_power_peak_is_interior_and_unique(params):
     voc = open_circuit_voltage(params, **REF)
     grid = np.linspace(0.0, voc, 2000)
-    power = grid * _current_grid(params, grid, **REF)
+    power = grid * pv_current(params, grid, **REF)
     i = int(np.argmax(power))
     assert 0 < i < grid.size - 1
     sign_changes = np.sum(np.diff(np.sign(np.diff(power))) != 0)
@@ -52,15 +122,15 @@ def test_power_peak_is_interior_and_unique(params):
 def test_current_strictly_decreasing(params):
     voc = open_circuit_voltage(params, **REF)
     grid = np.linspace(0.0, voc * 0.999, 500)
-    cur = _current_grid(params, grid, **REF)
+    cur = pv_current(params, grid, **REF)
     assert np.all(np.diff(cur) < 0)
 
 
 def test_lambertw_grid_matches_bracketed_solver(params):
     voc = open_circuit_voltage(params, **REF)
     grid = np.linspace(0.0, voc, 40)
-    fast = _current_grid(params, grid, **REF)
-    slow = np.array([pv_current(params, v, **REF) for v in grid])
+    fast = pv_current(params, grid, **REF)
+    slow = np.array([_reference_current(params, v, **REF) for v in grid])
     assert np.abs(fast - slow).max() < 1e-8
 
 
@@ -84,12 +154,37 @@ def test_mpp_voltage_drops_with_temperature(params):
 
 
 def test_mpp_oracle_grid_refinement_accuracy(params):
-    # golden refinement is as good as a 10x finer grid scan
+    # the Newton solve lands within one cell of a 10,000-point grid scan
     v_star, _ = mpp_oracle(params, **REF)
     voc = open_circuit_voltage(params, **REF)
     fine = np.linspace(0.0, voc, 10_000)
-    v_fine = fine[np.argmax(fine * _current_grid(params, fine, **REF))]
+    v_fine = fine[np.argmax(fine * pv_current(params, fine, **REF))]
     assert abs(v_star - v_fine) < 1e-2  # within one fine-grid cell
+
+
+PANELS = st.builds(
+    PvParams,
+    i_sc_ref=st.floats(1.0, 10.0), v_oc_ref=st.floats(20.0, 60.0),
+    n_cells=st.integers(36, 96), ideality=st.floats(1.0, 2.0),
+    r_s=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    r_sh=st.one_of(st.just(math.inf), st.floats(100.0, 5000.0)),
+    temp_coeff_i=st.floats(0.0, 0.005), temp_coeff_v=st.floats(-0.2, -0.05))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(params=PANELS, irradiance=st.floats(0.0, 1200.0), temperature=st.floats(-10.0, 60.0))
+def test_mpp_oracle_matches_reference(params, irradiance, temperature):
+    v_star, p_star = (float(x) for x in mpp_oracle(params, irradiance, temperature))
+    v_ref, p_ref = _reference_mpp(params, irradiance, temperature)
+    assert p_star >= p_ref - 1e-9 * (1.0 + p_ref)
+    assert abs(v_star - v_ref) <= 1e-4
+    assert p_star == pytest.approx(pv_power(params, v_star, irradiance, temperature),
+                                   rel=1e-12, abs=1e-300)
+    if p_ref > 1e-9:  # below the power tolerance every voltage is an optimum
+        assert _reference_dpdv(params, v_star * (1.0 - 1e-6), irradiance, temperature) > 0.0
+        assert _reference_dpdv(params, v_star * (1.0 + 1e-6), irradiance, temperature) < 0.0
+    else:
+        assert p_star <= 1e-9
 
 
 def test_params_validation():
@@ -128,6 +223,39 @@ def test_profile_linear_ramp():
     assert profile_eval(profile, 0.15)[0] == pytest.approx(800.0)
 
 
+def _array_eval(points, t, linear):
+    """The breakpoint search as it was written with numpy arrays."""
+    ts = np.array([p[0] for p in points])
+    vs = np.array([p[1] for p in points])
+    i = int(np.searchsorted(ts, t, side="right")) - 1
+    if not linear:
+        return float(vs[max(i, 0)])
+    if i < 0:
+        return float(vs[0])
+    if i >= ts.size - 1:
+        return float(vs[-1])
+    t0, t1 = ts[i], ts[i + 1]
+    if t1 == t0:
+        return float(vs[i + 1])
+    w = (t - t0) / (t1 - t0)
+    return float((1.0 - w) * vs[i] + w * vs[i + 1])
+
+
+def test_profile_eval_matches_array_search():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        times = np.sort(rng.uniform(0.0, 2.0, 8)).round(3)
+        times[3] = times[2]  # a step
+        irradiance = [[t, v] for t, v in zip(times, rng.uniform(0.0, 1200.0, 8))]
+        temperature = [[t, v] for t, v in zip(times[::2], rng.uniform(-10.0, 60.0, 4))]
+        profile = EnvProfile(irradiance=irradiance, temperature=temperature)
+        for t in np.concatenate([times, rng.uniform(0.0, 2.5, 50), [0.0, 2.5]]):
+            got = profile_eval(profile, float(t))
+            want = (_array_eval(profile.irradiance, t, True),
+                    _array_eval(profile.temperature, t, False))
+            assert got == want  # bit-identical, not approximately equal
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         EnvProfile(irradiance=[[0.0, -5.0]], temperature=[[0.0, 25.0]])
@@ -148,7 +276,7 @@ def test_poly_fit_represents_power_curve(params):
     # the claimed model class must actually fit the plant it abstracts
     voc = open_circuit_voltage(params, **REF)
     grid = np.linspace(0.1 * voc, 0.95 * voc, 400)
-    power = grid * _current_grid(params, grid, **REF)
+    power = grid * pv_current(params, grid, **REF)
     s = (grid - 22.0) / 22.0
     fit = np.polyval(np.polyfit(s, power, 5), s)
     rel_rms = np.sqrt(np.mean((fit - power) ** 2) / np.mean(power ** 2))
@@ -174,7 +302,7 @@ def test_pv_poly_reward_optimum_matches_fit(params):
                            v_shift=22.0)
     voc = open_circuit_voltage(params, **REF)
     grid = np.linspace(0.1 * voc, 0.95 * voc, 400)
-    power = grid * _current_grid(params, grid, **REF)
+    power = grid * pv_current(params, grid, **REF)
     coef = np.polyfit((grid - 22.0) / 22.0, power, 5)[::-1]
     v_star, _ = mpp_oracle(params, **REF)
     assert abs(optimum_of(model, coef)[0] - v_star) < 0.5
