@@ -303,7 +303,9 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         v_init = float(ctl["v_init"])
         if not vlo <= v_init <= vhi:
             raise ConfigError("controller.v_init must lie inside controller.v_limits")
-        built = dict(plant=PvParams(**d["plant"]), profile=EnvProfile(**d["profile"]),
+        params, profile = PvParams(**d["plant"]), EnvProfile(**d["profile"])
+        params.check_temperatures(v for _, v in profile.temperature)
+        built = dict(plant=params, profile=profile,
                      hc=HcState(v_prev=v_init, step=float(ctl["hc_step"])),
                      ic=IcState(step=float(ctl["ic_step"]),
                                 deadband=float(ctl["ic_deadband"])))
@@ -515,17 +517,13 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
                   + ["r_mean", "p_explore", "grad_exploit_norm",
                      "grad_explore_norm", "contraction_ok"])
     rows = {name: [] for name in names}
-    # one oracle solve over the run's distinct (irradiance, temperature)
+    # one oracle solve per distinct (irradiance, temperature) of the run
     env = [profile_eval(profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
-    distinct, tick_of = np.unique(env, axis=0, return_inverse=True)
-    v_mpp, p_max = (x[tick_of.reshape(-1)] for x in mpp_oracle(params, *distinct.T))
+    oracle = {cond: mpp_oracle(params, *cond) for cond in dict.fromkeys(env)}
 
-    for k in range(cfg.horizon + 1):
+    for k, (irr, temp) in enumerate(env):
         t = k * cfg.dt
-        irr, temp = env[k]
         i_now = pv_current(params, v, irr, temp)
-        if not np.isfinite(i_now):
-            raise _partial_failure(cfg, _build_trace(rows), k, "panel current became non-finite")
         p_now = v * i_now
         j_obs = p_now + noise[k]
 
@@ -548,17 +546,10 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
             dv, ic = ic_step(ic, v, i_now)
             u = float(np.clip(dv, -u_max, u_max))
 
-        rows["k"].append(k)
-        rows["t"].append(t)
-        rows["v"].append(v)
-        rows["u"].append(u if k < cfg.horizon else 0.0)
-        rows["i"].append(i_now)
-        rows["p"].append(p_now)
-        rows["j_obs"].append(j_obs)
-        rows["irradiance"].append(irr)
-        rows["temperature"].append(temp)
-        rows["v_mpp_oracle"].append(v_mpp[k])
-        rows["p_max_oracle"].append(p_max[k])
+        # the first eleven columns, in the order of names
+        for name, value in zip(names, (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now,
+                                       j_obs, irr, temp, *oracle[irr, temp])):
+            rows[name].append(value)
         if algo == "dcee":
             for i in range(m):
                 rows[f"theta_mean_{i}"].append(theta_mean[i])

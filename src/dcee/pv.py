@@ -11,8 +11,8 @@ follows its own temperature coefficient.  Panel parameters are plain
 config inputs approximating a ~175 W, 72-cell module.
 
 The current and the open-circuit voltage are the Lambert-W closed forms
-of that equation, and the maximum power point is a bracketed Newton
-solve on dP/dV; all three take arrays of voltages and conditions.
+of that equation and take arrays of voltages and conditions; the maximum
+power point of one condition is a bracketed Newton solve on dP/dV.
 """
 
 from __future__ import annotations
@@ -63,12 +63,24 @@ class PvParams:
             raise ValueError("i_sc_ref, v_oc_ref, ideality and g_ref must be positive")
         if not (self.r_s >= 0 and self.r_sh > 0):
             raise ValueError("need r_s >= 0 and r_sh > 0 (np.inf allowed)")
-        if not self.i_sc_ref > self.v_oc_ref / self.r_sh:
-            raise ValueError("need i_sc_ref > v_oc_ref / r_sh (a positive saturation current)")
         if not self.n_cells >= 1:
             raise ValueError("need at least one cell")
         if not all(math.isfinite(v) for k, v in vars(self).items() if k != "r_sh"):
             raise ValueError("panel parameters other than r_sh must be finite")
+        self.check_temperatures([self.t_ref])
+
+    def check_temperatures(self, temperatures) -> None:
+        """Raise ValueError unless the diode model holds at each temperature.
+
+        It needs a positive photocurrent and a positive, finite saturation
+        current (hence a positive open-circuit voltage); without them the
+        current or the maximum power point is not a number.
+        """
+        for temp in temperatures:
+            _, i_ph, i_0 = _thermal(self, self.g_ref, temp)
+            if not (i_ph > 0 and 0 < i_0 < math.inf):
+                raise ValueError(f"at {temp} degC the panel has no positive photocurrent "
+                                 "and saturation current")
 
 
 @dataclass
@@ -193,38 +205,36 @@ def open_circuit_voltage(params: PvParams, irradiance, temperature):
     return float(v_oc) if v_oc.ndim == 0 else v_oc
 
 
-def mpp_oracle(params: PvParams, irradiance, temperature) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum power points (v_star, p_star) of arrays of conditions.
+def mpp_oracle(params: PvParams, irradiance: float, temperature: float) -> tuple[float, float]:
+    """Maximum power point (v_star, p_star) at one operating condition.
 
     P(V) = V I(V) is strictly concave on [0, V_oc]: implicit
     differentiation of the diode equation gives I' = -g / (1 + r_s g) < 0
-    and I'' < 0.  So dP/dV = I + V I' has one root there, found for all
-    conditions at once by Newton steps from V_oc inside a shrinking
-    bracket, bisecting whenever Newton would leave it.  A dark panel
-    gives (0, 0).
+    and I'' < 0.  So dP/dV = I + V I' has one root there, found by Newton
+    steps from V_oc inside a shrinking bracket, bisecting whenever Newton
+    would leave it.  A dark panel gives (0.0, 0.0).
     """
-    a, i_ph, i_0 = np.broadcast_arrays(*_thermal(params, irradiance, temperature))
-    lit = i_ph > 0
-    a, i_ph, i_0 = a[lit], i_ph[lit], i_0[lit]
-    lo = np.zeros_like(i_ph)
-    hi = v = _open_circuit(params, i_ph, a, i_0)
+    a, i_ph, i_0 = _thermal(params, float(irradiance), float(temperature))
+    if not i_ph > 0:
+        return 0.0, 0.0
+    lo, hi = 0.0, float(_open_circuit(params, i_ph, a, i_0))
+    v = hi
     for _ in range(100):  # bisection alone would take about 50 steps
         cur, g = _diode(params, v, i_ph, a, i_0)
         q = 1.0 + params.r_s * g
         slope = -g / q
         curv = -(g - 1.0 / params.r_sh) / (a * q ** 3)
         dp = cur + v * slope
-        lo = np.where(dp > 0, v, lo)
-        hi = np.where(dp < 0, v, hi)
+        if dp > 0:
+            lo = v
+        elif dp < 0:
+            hi = v
         newton = v - dp / (2.0 * slope + v * curv)
-        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
         step, v = nxt - v, nxt
-        if not np.any(np.abs(step) > 1e-13 * hi):
+        if not abs(step) > 1e-13 * hi:
             break
-    v_star, p_star = np.zeros(lit.shape), np.zeros(lit.shape)
-    v_star[lit] = v
-    p_star[lit] = v * np.maximum(_diode(params, v, i_ph, a, i_0)[0], 0.0)
-    return v_star, p_star
+    return float(v), float(v * max(_diode(params, v, i_ph, a, i_0)[0], 0.0))
 
 
 def profile_eval(profile: EnvProfile, t: float) -> tuple[float, float]:

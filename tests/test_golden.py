@@ -20,9 +20,9 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = {
     "quadratic-seed1": "63b4578ef79a613ce0568b4828babfdca7c7febc361a19fd4f29644818f1fefa",
     "quadratic-seed7": "630f3de68175857ddea0d60f14995f20773ed4193a458f47bb1d3732bc2852b7",
-    "mppt-hc": "bbf8e2bc04937570c5b4071a1ef55c6670fad69bb32213ac518018d236b2805e",
-    "mppt-ic": "7045813befc9d51de5229ec6f5850dc943188b17ad05ab8eed0655ac05d4e580",
-    "mppt-dcee": "415abd4b7e0ba90e88298bf39718250bb86223b715059d5663827c2b7914b2c7",
+    "mppt-hc": "0d8f8dca9c147afba2aa6bba4886715481adcdb5c2a6aeec99ce508208995471",
+    "mppt-ic": "a70d26be21b02f749e34e80445281e75dc16617d932776caf18594ec47a671b3",
+    "mppt-dcee": "33c230962730bd7e75d29da5b08885b07b5f779861a1f9fd4938d0cbc16bf204",
 }
 SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
 

@@ -258,6 +258,7 @@ def _two_entry_prior(d):
     ("quadratic-linear", lambda d: d["plant"].update(x0=[float("nan"), 3.6])),
     ("quadratic-linear", lambda d: d["plant"].update(A=[[float("inf"), 1.0], [2.0, 1.0]])),
     ("mppt", lambda d: d["plant"].update(r_sh=5.0)),
+    ("mppt", lambda d: d["plant"].update(temp_coeff_i=-0.6, r_s=0.0)),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -265,7 +266,7 @@ def _two_entry_prior(d):
         "theta_true-two-entries", "u_max-negative", "delta-nan", "g_ref-0",
         "hc_step-nan", "ic_deadband-nan", "v_shift-nan", "noise-nan",
         "prior-infinite", "seed-negative", "horizon-infinite", "x0-nan", "A-inf",
-        "r_sh-below-v_oc-over-i_sc"])
+        "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -301,23 +302,19 @@ def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, r
         assert np.all(np.isfinite(tr.values[col])), col
 
 
-def test_mppt_non_finite_panel_current_exits_3_with_partial_trace(tmp_path, capsys):
-    # at the profile's 35 degC step the open-circuit voltage turns negative,
-    # so the saturation current does too and the diode current is NaN
+@pytest.mark.parametrize("r_s", [0.5, 0.0])
+def test_mppt_profile_temperature_outside_diode_model_exits_2(tmp_path, capsys, r_s):
+    # at the profile's 35 degC step the open-circuit voltage turns negative
+    # and the saturation current with it; r_s = 0 would give a finite but
+    # meaningless current and r_s > 0 a NaN, so the config is refused first
     d = builtin_config("mppt")
-    d["plant"]["temp_coeff_v"] = -5.0
-    d["controller"]["algo"] = "hc"
+    d["plant"].update(temp_coeff_v=-5.0, r_s=r_s)
     cfg_path = tmp_path / "hot.json"
     cfg_path.write_text(json.dumps(d))
     out = tmp_path / "hot.csv"
-    with np.errstate(all="ignore"):
-        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    assert "panel current became non-finite at step 1000" in capsys.readouterr().err
-    tr = read_trace_csv(out)
-    assert tr.n_rows == 1000
-    for col in tr.columns:
-        assert np.all(np.isfinite(tr.values[col])), col
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "at 35.0 degC" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quadratic_estimator_divergence_stops_before_non_finite_rows(tmp_path):

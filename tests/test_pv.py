@@ -136,6 +136,8 @@ def test_lambertw_grid_matches_bracketed_solver(params):
 
 def test_mpp_oracle_definition(params):
     v_star, p_star = mpp_oracle(params, **REF)
+    assert type(v_star) is float and type(p_star) is float
+    assert mpp_oracle(params, 0.0, 25.0) == (0.0, 0.0)
     voc = open_circuit_voltage(params, **REF)
     for v in np.linspace(0.0, voc, 200):
         assert p_star >= pv_power(params, v, **REF) - 1e-9
@@ -174,7 +176,7 @@ PANELS = st.builds(
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(params=PANELS, irradiance=st.floats(0.0, 1200.0), temperature=st.floats(-10.0, 60.0))
 def test_mpp_oracle_matches_reference(params, irradiance, temperature):
-    v_star, p_star = (float(x) for x in mpp_oracle(params, irradiance, temperature))
+    v_star, p_star = mpp_oracle(params, irradiance, temperature)
     v_ref, p_ref = _reference_mpp(params, irradiance, temperature)
     assert p_star >= p_ref - 1e-9 * (1.0 + p_ref)
     assert abs(v_star - v_ref) <= 1e-4
@@ -192,6 +194,15 @@ def test_params_validation():
         PvParams(i_sc_ref=-1.0)
     with pytest.raises(ValueError):
         PvParams(r_sh=0.0)
+    with pytest.raises(ValueError, match="at 25.0 degC"):
+        PvParams(r_sh=5.0)  # i_sc_ref below v_oc_ref / r_sh
+    hot = PvParams(temp_coeff_v=-5.0)
+    hot.check_temperatures([25.0, 30.0])
+    with pytest.raises(ValueError, match="at 35.0 degC"):
+        hot.check_temperatures([25.0, 35.0])
+    with pytest.raises(ValueError, match="at 35.0 degC"):
+        # negative open-circuit voltage and photocurrent: i_0 > 0, a panel dark at any irradiance
+        PvParams(temp_coeff_v=-5.0, temp_coeff_i=-1.0).check_temperatures([35.0])
 
 
 def test_profile_temperature_step():
