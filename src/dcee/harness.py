@@ -13,18 +13,23 @@ for the PV kind).  Unknown keys are rejected.  Two kinds exist:
     by the dual controller over a polynomial power-curve model or by the
     hill-climbing / incremental-conductance baselines.
 
-Each run owns a seeded random generator; independent sub-streams are
-derived for ensemble initialisation and measurement noise, so changing
-the ensemble size never perturbs the noise sequence.  Both loops run the
-same tick: ``adapt`` to the observation, ``predict`` the belief at the
-current reference, then step down ``exploit_grad`` plus the closed-form
-exploration gradient.  The quadratic loop runs a batch of seeds at once
-(``run_seeds``; ``run_scenario`` is a batch of one) on the ensemble ops'
-seed axis; a seed's trace is the same whatever else shares its batch.
-Trace rows record
-quantities at time k: the state, the observation taken there, the
-estimates after consuming that observation, and the control applied at
-that tick (zero on the terminal row, where no control is applied).
+Each run owns a seeded random generator; ``_start`` derives independent
+sub-streams for ensemble initialisation and measurement noise, so
+changing the ensemble size never perturbs the noise sequence.  Both
+loops run the same tick: ``adapt`` to the observation, ``predict`` the
+belief at the current reference, then step down ``exploit_grad`` plus
+the closed-form exploration gradient.  The quadratic loop runs a batch
+of seeds at once (``run_seeds``; ``run_scenario`` is a batch of one) on
+the ensemble ops' seed axis; a seed's trace is the same whatever else
+shares its batch.  The mppt loop is a batch of one.
+
+Both loops store a run in one ``(column, seed, tick)`` block and write
+one row per tick; ``_build_trace`` turns a seed's slice of it into a
+``Trace``, as it does for the partial trace of a failed run and for a
+CSV read back.  Trace rows record quantities at time k: the state, the
+observation taken there, the estimates after consuming that observation,
+and the control applied at that tick (zero on the terminal row, where no
+control is applied).
 """
 
 from __future__ import annotations
@@ -69,26 +74,11 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _INT_COLUMNS = {"k", "contraction_ok"}
 
-_ALLOWED = {
-    "quadratic-linear": {
-        "plant": {"A", "B", "C", "x0"},
-        "reward": {"known_gain", "theta_true", "y_range", "theta_floor"},
-        "ensemble": {"n", "prior_low", "prior_high", "rate"},
-        "controller": {"delta", "poles", "K", "xi0"},
-        "noise": {"variance"},
-        "run": {"horizon", "dt", "seed", "out"},
-    },
-    "mppt": {
-        "plant": {"i_sc_ref", "v_oc_ref", "n_cells", "ideality", "r_s", "r_sh",
-                  "temp_coeff_i", "temp_coeff_v", "g_ref", "t_ref"},
-        "profile": {"irradiance", "temperature"},
-        "reward": {"degree", "v_range", "v_scale", "v_shift"},
-        "ensemble": {"n", "prior_low", "prior_high", "rate"},
-        "controller": {"algo", "delta", "u_max", "v_init", "v_limits",
-                       "hc_step", "ic_step", "ic_deadband"},
-        "noise": {"variance"},
-        "run": {"horizon", "duration", "dt", "seed", "out"},
-    },
+# the only keys a scenario may set that have no built-in default; every
+# other allowed key is a key of builtin_config
+_OPTIONAL = {
+    "quadratic-linear": {"controller": {"K"}},
+    "mppt": {"plant": {"g_ref", "t_ref"}, "run": {"horizon"}},
 }
 
 
@@ -226,19 +216,21 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ConfigError("scenario config must be a JSON object")
     kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in _ALLOWED:
-        raise ConfigError(f"scenario kind must be one of {sorted(_ALLOWED)}, "
+    if not isinstance(kind, str) or kind not in _OPTIONAL:
+        raise ConfigError(f"scenario kind must be one of {sorted(_OPTIONAL)}, "
                           f"got {kind!r}")
-    allowed_sections = set(_ALLOWED[kind]) | {"kind"}
-    _check_keys(kind, "<top level>", d.keys(), allowed_sections)
-
     merged = builtin_config(kind)
-    for section, allowed in _ALLOWED[kind].items():
+    _check_keys(kind, "<top level>", d.keys(), set(merged))
+
+    for section, defaults in merged.items():
+        if section == "kind":
+            continue
         user = d.get(section, {})
         if not isinstance(user, dict):
             raise ConfigError(f"section '{section}' must be an object")
-        _check_keys(kind, section, user.keys(), allowed)
-        merged[section].update(copy.deepcopy(user))
+        _check_keys(kind, section, user.keys(),
+                    set(defaults) | _OPTIONAL[kind].get(section, set()))
+        defaults.update(copy.deepcopy(user))
 
     user_run = d.get("run", {})
     if "horizon" in user_run and "duration" in user_run:
@@ -364,19 +356,25 @@ class Metrics:
     steady_state_band: float
 
 
-def _spawn_rngs(seed: int):
-    streams = np.random.SeedSequence(seed).spawn(2)
-    return (np.random.default_rng(streams[0]),  # ensemble initialisation
-            np.random.default_rng(streams[1]))  # measurement noise
+def _build_trace(names, columns) -> Trace:
+    """Trace of the given columns, one sequence per name, in name order."""
+    return Trace(columns=tuple(names),
+                 values={name: np.asarray(col, dtype=int if name in _INT_COLUMNS else float)
+                         for name, col in zip(names, columns, strict=True)})
 
 
-def _build_trace(rows: dict) -> Trace:
-    cols = tuple(rows.keys())
-    values = {}
-    for name, data in rows.items():
-        dtype = int if name in _INT_COLUMNS else float
-        values[name] = np.asarray(data, dtype=dtype)
-    return Trace(columns=cols, values=values)
+def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
+    """The batched ensemble and the (S, ticks) measurement noise of the seeds."""
+    ens_cfg = cfg.section("ensemble")
+    inits, noise = [], []
+    for seed in seeds:
+        # one stream for the ensemble draw, one for the noise
+        rng_init, rng_noise = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
+                                   ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
+        noise.append(sample_noise(cfg.noise, rng_noise, cfg.horizon + 1))
+    ens = Ensemble(thetas=np.stack([e.thetas for e in inits]), rates=inits[0].rates)
+    return ens, np.stack(noise)
 
 
 def _partial_failure(cfg: ScenarioConfig, trace: Trace, k: int,
@@ -409,16 +407,7 @@ def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     feed = gains.G + gains.K @ gains.Psi
     xi_lo, xi_hi = model.y_range
     ticks = cfg.horizon + 1
-
-    ens_cfg = cfg.section("ensemble")
-    inits, noise = [], []
-    for seed in seeds:
-        rng_init, rng_noise = _spawn_rngs(seed)
-        inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
-                                   ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
-        noise.append(sample_noise(cfg.noise, rng_noise, ticks))
-    ens = Ensemble(thetas=np.stack([e.thetas for e in inits]), rates=inits[0].rates)
-    noise = np.stack(noise)
+    ens, noise = _start(cfg, seeds)
     # per seed: the state as a column (S, n, 1) and the reference (S, 1)
     x = np.tile(cfg.plant.x[:, None], (len(seeds), 1, 1))
     xi = np.tile(np.asarray(ctl["xi0"], dtype=float), (len(seeds), 1))
@@ -427,18 +416,11 @@ def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
              + ["y", "xi", "u", "j_obs", "theta_mean_0", "theta_std_0",
                 "r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm",
                 "err_track", "contraction_ok"])
+    data = np.empty((len(names), len(seeds), ticks))
+    # k, t and contraction_ok, the first two and the last column, are the
+    # same for every seed; the rows between are written one tick at a time
     k_col = np.arange(ticks)
-    shared = {"k": k_col, "t": k_col * cfg.dt,
-              "contraction_ok": np.full(ticks, int(contraction_check(delta, 2.0)))}
-    # one (seed, tick) plane per per-seed column, written one tick at a time
-    per_seed = [name for name in names if name not in shared]
-    data = np.empty((len(per_seed), len(seeds), ticks))
-
-    def trace_of(i: int, n_rows: int) -> Trace:
-        values = {name: data[c, i, :n_rows] for c, name in enumerate(per_seed)}
-        values.update((name, col[:n_rows]) for name, col in shared.items())
-        return Trace(columns=tuple(names), values=values)
-
+    data[0], data[1], data[-1] = k_col, k_col * cfg.dt, contraction_check(delta, 2.0)
     live, failure = len(seeds), None
 
     def cut(finite: np.ndarray, k: int, n_rows: int, what: str, *arrays) -> list:
@@ -474,9 +456,9 @@ def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             x = A @ x + B @ u
         else:
             u = np.zeros((live, B.shape[1], 1))
-        data[:, :live, k] = (*x_rec.T, y, xi_rec, u[:, 0, 0], j_obs, th_mean[:, 0],
-                             th_std[:, 0], ps.r_mean[:, 0], ps.r_var,
-                             np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]), y - xi_rec)
+        data[2:-1, :live, k] = (*x_rec.T, y, xi_rec, u[:, 0, 0], j_obs, th_mean[:, 0],
+                                th_std[:, 0], ps.r_mean[:, 0], ps.r_var,
+                                np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]), y - xi_rec)
 
         # a non-finite reference makes the input and so the state non-finite
         if not np.isfinite(x).all():
@@ -486,8 +468,8 @@ def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
 
     if failure is not None:
         i, k, n_rows, what = failure
-        raise _partial_failure(cfg, trace_of(i, n_rows), k, what)
-    return [trace_of(i, ticks) for i in range(len(seeds))]
+        raise _partial_failure(cfg, _build_trace(names, data[:, i, :n_rows]), k, what)
+    return [_build_trace(names, data[:, i]) for i in range(len(seeds))]
 
 
 def _run_mppt(cfg: ScenarioConfig) -> Trace:
@@ -500,13 +482,9 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
     v_lo, v_hi = (float(ctl["v_limits"][0]), float(ctl["v_limits"][1]))
     v = float(ctl["v_init"])
 
-    rng_init, rng_noise = _spawn_rngs(cfg.seed)
-    ens_cfg = cfg.section("ensemble")
-    ens = init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
-                        ens_cfg["prior_high"], ens_cfg["rate"], rng_init)
-    ens = ens.with_thetas(ens.thetas[None])  # a batch of one
-    noise = sample_noise(cfg.noise, rng_noise, cfg.horizon + 1)
-    flag = int(contraction_check(delta, 2.0))
+    ens, noise = _start(cfg, [cfg.seed])
+    noise = noise[0]
+    flag = contraction_check(delta, 2.0)
 
     m = model.dim
     names = ["k", "t", "v", "u", "i", "p", "j_obs", "irradiance", "temperature",
@@ -516,10 +494,11 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
                   + [f"theta_std_{i}" for i in range(m)]
                   + ["r_mean", "p_explore", "grad_exploit_norm",
                      "grad_explore_norm", "contraction_ok"])
-    rows = {name: [] for name in names}
+    data = np.empty((len(names), 1, cfg.horizon + 1))
     # one oracle solve per distinct (irradiance, temperature) of the run
     env = [profile_eval(profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
     oracle = {cond: mpp_oracle(params, *cond) for cond in dict.fromkeys(env)}
+    dcee_row = ()  # the columns after p_max_oracle, only for dcee
 
     for k, (irr, temp) in enumerate(env):
         t = k * cfg.dt
@@ -532,13 +511,14 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
             ens = adapt(ens, y, j_obs, model)
             theta_mean, theta_std = (a[0] for a in ens.moments())
             if not np.isfinite(theta_std).all():
-                raise _partial_failure(cfg, _build_trace(rows), k,
+                raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k]), k,
                                        "estimator ensemble diverged")
             ps = predict(ens, y, model)
-            g_exploit = exploit_grad(y, ps.r_mean)[0]
-            g_explore = ps.r_var_grad[0]
-            u = float(np.clip(-delta * (g_exploit[0] + g_explore[0]),
-                              -u_max, u_max))
+            g_exploit = exploit_grad(y, ps.r_mean)[0, 0]
+            g_explore = ps.r_var_grad[0, 0]
+            u = float(np.clip(-delta * (g_exploit + g_explore), -u_max, u_max))
+            dcee_row = (*theta_mean, *theta_std, ps.r_mean[0, 0], ps.r_var[0],
+                        abs(g_exploit), abs(g_explore), flag)
         elif algo == "hc":
             dv, hc = hc_step(hc, j_obs, v)
             u = float(np.clip(dv, -u_max, u_max))
@@ -546,26 +526,15 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
             dv, ic = ic_step(ic, v, i_now)
             u = float(np.clip(dv, -u_max, u_max))
 
-        # the first eleven columns, in the order of names
-        for name, value in zip(names, (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now,
-                                       j_obs, irr, temp, *oracle[irr, temp])):
-            rows[name].append(value)
-        if algo == "dcee":
-            for i in range(m):
-                rows[f"theta_mean_{i}"].append(theta_mean[i])
-                rows[f"theta_std_{i}"].append(theta_std[i])
-            rows["r_mean"].append(float(ps.r_mean[0, 0]))
-            rows["p_explore"].append(ps.r_var[0])
-            rows["grad_exploit_norm"].append(float(np.linalg.norm(g_exploit)))
-            rows["grad_explore_norm"].append(float(np.linalg.norm(g_explore)))
-            rows["contraction_ok"].append(flag)
-
+        data[:, 0, k] = (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now, j_obs,
+                         irr, temp, *oracle[irr, temp], *dcee_row)
         if k < cfg.horizon:
             v = float(np.clip(v + u, v_lo, v_hi))
         if not np.isfinite(v):
-            raise _partial_failure(cfg, _build_trace(rows), k, "voltage became non-finite")
+            raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k + 1]), k,
+                                   "voltage became non-finite")
 
-    return _build_trace(rows)
+    return _build_trace(names, data[:, 0])
 
 
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
@@ -642,54 +611,53 @@ def render_comparison(rows) -> str:
     return "\n".join(lines)
 
 
-def _format_cell(name: str, value) -> str:
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def emit_csv(trace: Trace, path) -> None:
     """Write the trace with lossless float formatting (17 significant digits)."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(trace.columns)
-            for idx in range(trace.n_rows):
-                writer.writerow(_format_cell(c, trace.values[c][idx])
-                                for c in trace.columns)
+            # each column formatted at once: integers as such, floats to 17 digits
+            text = [map(str, np.asarray(trace.values[c], dtype=int).tolist())
+                    if c in _INT_COLUMNS else
+                    [format(v, ".17g") for v in np.asarray(trace.values[c], dtype=float).tolist()]
+                    for c in trace.columns]
+            writer.writerows(zip(*text))
     except OSError as exc:
         raise OSError(f"could not write trace to {path}: {exc}") from exc
 
 
 def read_trace_csv(path) -> Trace:
-    """Read back a trace written by ``emit_csv``."""
+    """Read back a trace written by ``emit_csv``; a row with a cell too
+    many or too few is a ``ValueError``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        data = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                data[name].append(cell)
-    return _build_trace(data)
+        columns = list(zip(*reader, strict=True)) or [()] * len(header)
+    return _build_trace(header, columns)
 
 
 def write_plot_script(csv_path, kind: str) -> str:
-    """Emit a small gnuplot script next to the CSV; returns its path."""
+    """Emit a small gnuplot script next to the CSV; returns its path.
+
+    The curves are plotted against ``t`` by their column numbers in the
+    CSV's header.
+    """
     base, _ = os.path.splitext(str(csv_path))
     script = base + ".gp"
+    with open(csv_path, "r", newline="", encoding="utf-8") as fh:
+        number = {name: i + 1 for i, name in enumerate(next(csv.reader(fh)))}
     if kind == "quadratic-linear":
-        plots = ('plot "{f}" using 2:5 with lines title "y", '
-                 '"{f}" using 2:6 with lines title "xi", '
-                 '"{f}" using 2:9 with lines title "theta mean"')
+        curves = (("y", "y"), ("xi", "xi"), ("theta_mean_0", "theta mean"))
     else:
-        plots = ('plot "{f}" using 2:3 with lines title "v", '
-                 '"{f}" using 2:6 with lines title "p", '
-                 '"{f}" using 2:11 with lines title "p max"')
+        curves = (("v", "v"), ("p", "p"), ("p_max_oracle", "p max"))
+    f = os.path.basename(str(csv_path))
     body = "\n".join([
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set xlabel 't'",
-        plots.format(f=os.path.basename(str(csv_path))),
+        "plot " + ", ".join(f'"{f}" using {number["t"]}:{number[name]} with lines '
+                            f'title "{title}"' for name, title in curves),
         "pause -1",
         "",
     ])

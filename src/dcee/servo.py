@@ -35,12 +35,17 @@ RANK_RTOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
+def _matrices(*Ms) -> list[np.ndarray]:
+    return [np.atleast_2d(np.asarray(M, dtype=float)) for M in Ms]
+
+
+def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Controllability matrix [B, A B, ..., A^(n-1) B]."""
+    return np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(A.shape[0])])
+
+
 def _controllable(A: np.ndarray, B: np.ndarray) -> bool:
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks)) == n
+    return np.linalg.matrix_rank(_ctrb(A, B)) == A.shape[0]
 
 
 @dataclass
@@ -53,9 +58,7 @@ class LinearPlant:
     x: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        self.A, self.B, self.C = _matrices(self.A, self.B, self.C)
         self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
@@ -89,40 +92,37 @@ class ServoGains:
     K: np.ndarray
 
 
-def _stacked(A, B, C):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    q = C.shape[0]
-    top = np.hstack([A - np.eye(n), B])
-    bot = np.hstack([C, np.zeros((q, B.shape[1]))])
-    return np.vstack([top, bot]), n, q
+def _stacked(A, B, C) -> np.ndarray:
+    """The regulation matrix [[A - I, B], [C, 0]]."""
+    return np.block([[A - np.eye(A.shape[0]), B],
+                     [C, np.zeros((C.shape[0], B.shape[1]))]])
+
+
+def _full_rank(M: np.ndarray) -> bool:
+    """True iff M has full row rank, to RANK_RTOL of its largest singular value."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return False
+    return int(np.sum(s > RANK_RTOL * s[0])) == M.shape[0]
 
 
 def check_rank(A, B, C) -> bool:
     """True iff the stacked regulation matrix has full rank n + q."""
-    M, n, q = _stacked(A, B, C)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return rank == n + q
+    return _full_rank(_stacked(*_matrices(A, B, C)))
 
 
 def solve_regulation(A, B, C) -> tuple[np.ndarray, np.ndarray]:
     """Solve the regulation equations for the feedforward gains (Psi, G)."""
-    M, n, q = _stacked(A, B, C)
-    if not check_rank(A, B, C):
+    A, B, C = _matrices(A, B, C)
+    n, q = A.shape[0], C.shape[0]
+    M = _stacked(A, B, C)
+    if not _full_rank(M):
         raise RegulationError(
             "regulation equations unsolvable: stacked matrix [[A-I, B], [C, 0]] "
             "does not have full rank n + q")
     rhs = np.vstack([np.zeros((n, q)), np.eye(q)])
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     Psi, G = sol[:n, :], sol[n:, :]
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     res_state = np.linalg.norm((A - np.eye(n)) @ Psi + B @ G)
     res_out = np.linalg.norm(C @ Psi - np.eye(q))
     if res_state > RESIDUAL_TOL or res_out > RESIDUAL_TOL:
@@ -138,13 +138,13 @@ def stabilizing_gain(A, B, poles) -> np.ndarray:
     must be closed under conjugation).  Multi-input plants are rejected;
     supply K directly for those.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B = _matrices(A, B)
     n = A.shape[0]
     if B.shape[1] != 1:
         raise ValueError("pole placement implemented for single-input plants "
                          "only; supply K directly")
-    if not _controllable(A, B):
+    ctrb = _ctrb(A, B)
+    if np.linalg.matrix_rank(ctrb) != n:
         raise ValueError("(A, B) must be controllable for pole placement")
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     if poles.shape != (n,):
@@ -157,7 +157,6 @@ def stabilizing_gain(A, B, poles) -> np.ndarray:
     chi = np.zeros_like(A)
     for c in coeffs:
         chi = chi @ A + c * np.eye(n)
-    ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
     last_row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])
     K = (last_row @ chi)[None, :]
     placed = np.sort_complex(np.linalg.eigvals(A - B @ K))
@@ -174,6 +173,7 @@ def design_gains(A, B, C, poles=None, K=None) -> ServoGains:
     given.  The returned gains satisfy the regulation residual bounds and
     A - B K is verified Schur stable.
     """
+    A, B, C = _matrices(A, B, C)
     Psi, G = solve_regulation(A, B, C)
     if K is None:
         if poles is None:
@@ -181,8 +181,6 @@ def design_gains(A, B, C, poles=None, K=None) -> ServoGains:
         K = stabilizing_gain(A, B, poles)
     else:
         K = np.atleast_2d(np.asarray(K, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
     radius = np.max(np.abs(np.linalg.eigvals(A - B @ K)))
     if radius >= 1.0:
         raise RegulationError(

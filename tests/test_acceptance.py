@@ -14,7 +14,6 @@ from dcee import (Ensemble, adapt, builtin_config, compare, config_from_dict,
                   quadratic_reward, run_scenario, run_seeds,
                   solve_regulation, stabilizing_gain, stats)
 from dcee.ensemble import _optima
-from dcee.harness import _spawn_rngs
 from dcee.reward import scan_regressor_bound
 
 A = [[0.0, 1.0], [2.0, 1.0]]
@@ -130,7 +129,8 @@ def test_criterion_7_estimator_mse_bound():
     traces = run_seeds(config_from_dict(builtin_config("quadratic-linear")), seeds)
     for seed, tr in zip(seeds, traces):
         model = quadratic_reward(known_gain=2.0, y_range=(-4.0, 4.0))
-        rng_init, _ = _spawn_rngs(seed)
+        # the run's first seed stream draws the ensemble
+        rng_init = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
         ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
         ys = tr.column("y")
         js = tr.column("j_obs")

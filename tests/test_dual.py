@@ -14,7 +14,6 @@ from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction
                   exploit_grad, explore_grad, harness, init_ensemble, predict,
                   quadratic_reward, run_scenario, run_seeds)
 from dcee.ensemble import predicted_r_var
-from dcee.harness import _spawn_rngs
 
 
 def collapsed(value, n=5, rate=0.005):
@@ -132,7 +131,8 @@ def test_dcee_step_increment_identity():
     cfg = config_from_dict(d)
     tr = run_scenario(cfg)
     model = cfg.model
-    ens = init_ensemble(100, [0.0], [20.0], 0.005, _spawn_rngs(5)[0])
+    rng_init = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
+    ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
     ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
     xi = tr.column("xi")[:1]
     ps = predict(ens, xi, model)

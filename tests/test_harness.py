@@ -215,9 +215,15 @@ def test_numerical_failure_persists_partial_trace(tmp_path):
     cfg = config_from_dict(d)
     with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
         run_scenario(cfg)
-    assert err.value.step is not None
+    assert err.value.step == 0
     assert err.value.partial_path == str(tmp_path / "partial.csv")
-    assert (tmp_path / "partial.csv").exists()
+    # no row is complete at step 0: the partial trace is the header alone
+    back = read_trace_csv(tmp_path / "partial.csv")
+    assert back.n_rows == 0
+    assert back.columns == run_scenario(quad_config(horizon=0)).columns
+    for name in back.columns:
+        kind = "i" if name in ("k", "contraction_ok") else "f"
+        assert back.column(name).dtype.kind == kind and back.column(name).shape == (0,)
 
 
 def _prior_low_above_high(d):
@@ -380,6 +386,14 @@ def test_emit_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.values[col], tr.values[col])
 
 
+@pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3"])
+def test_read_trace_csv_rejects_ragged_rows(tmp_path, bad_row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"k,t,v\n0,0.0,1.5\n{bad_row}\n")
+    with pytest.raises(ValueError):
+        read_trace_csv(path)
+
+
 def test_trace_schema_quadratic():
     tr = run_scenario(quad_config(horizon=1))
     assert tr.columns == ("k", "t", "x0", "x1", "y", "xi", "u", "j_obs",
@@ -454,13 +468,34 @@ def test_load_config_reads_shipped_files():
     assert cfg.kind == "mppt" and cfg.horizon == 2000
 
 
-def test_write_plot_script(tmp_path):
-    cfg = quad_config(horizon=5)
+def _plot_script_text(tmp_path, plant=None, poles=(0.4, 0.7)) -> str:
+    d = builtin_config("quadratic-linear")
+    d["plant"].update(plant or {})
+    d["controller"]["poles"] = list(poles)
+    d["run"]["horizon"] = 5
     path = tmp_path / "t.csv"
-    emit_csv(run_scenario(cfg), path)
+    emit_csv(run_scenario(config_from_dict(d)), path)
     script = write_plot_script(path, "quadratic-linear")
     assert Path(script).exists()
-    assert "set datafile separator" in Path(script).read_text()
+    return Path(script).read_text()
+
+
+def test_write_plot_script(tmp_path):
+    text = _plot_script_text(tmp_path)
+    assert "set datafile separator" in text
+    assert ('"t.csv" using 2:5 with lines title "y", "t.csv" using 2:6 with lines '
+            'title "xi", "t.csv" using 2:9 with lines title "theta mean"') in text
+
+
+def test_write_plot_script_reads_column_numbers_from_the_header(tmp_path):
+    # a third state moves y, xi and theta_mean_0 one column to the right
+    text = _plot_script_text(
+        tmp_path, plant=dict(A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.1, 0.2, 0.3]],
+                             B=[[0.0], [0.0], [1.0]], C=[[1.0, 1.0, 0.0]],
+                             x0=[1.8, 1.8, 0.0]),
+        poles=(0.4, 0.5, 0.7))
+    assert ('"t.csv" using 2:6 with lines title "y", "t.csv" using 2:7 with lines '
+            'title "xi", "t.csv" using 2:10 with lines title "theta mean"') in text
 
 
 def test_cli_gains_and_exit_codes(tmp_path, capsys):

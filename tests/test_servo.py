@@ -13,7 +13,6 @@ from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains,
                   builtin_config, check_rank, config_from_dict, design_gains, exploit_grad,
                   harness, init_ensemble, predict, quadratic_reward, run_scenario, run_seeds,
                   sample_noise, solve_regulation, stabilizing_gain)
-from dcee.harness import _spawn_rngs
 
 A = np.array([[0.0, 1.0], [2.0, 1.0]])
 B = np.array([[1.0], [1.0]])
@@ -160,7 +159,9 @@ def test_regulation_residual_invariants():
 
 def _servo_loop_columns(d: dict, horizon: int) -> dict:
     """Replay the scenario loop's ticks for config d with the unbatched ops."""
-    rng_init, rng_noise = _spawn_rngs(d["run"]["seed"])
+    # a seed splits into one stream for the ensemble draw and one for the noise
+    rng_init, rng_noise = map(np.random.default_rng,
+                              np.random.SeedSequence(d["run"]["seed"]).spawn(2))
     ens_cfg = d["ensemble"]
     ens = init_ensemble(ens_cfg["n"], ens_cfg["prior_low"], ens_cfg["prior_high"],
                         ens_cfg["rate"], rng_init)
