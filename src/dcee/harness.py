@@ -500,39 +500,41 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
     oracle = {cond: mpp_oracle(params, *cond) for cond in dict.fromkeys(env)}
     dcee_row = ()  # the columns after p_max_oracle, only for dcee
 
-    for k, (irr, temp) in enumerate(env):
-        t = k * cfg.dt
-        i_now = pv_current(params, v, irr, temp)
-        p_now = v * i_now
-        j_obs = p_now + noise[k]
+    # the optimum map may reuse its previous solve from one tick to the next
+    with model.warm_start():
+        for k, (irr, temp) in enumerate(env):
+            t = k * cfg.dt
+            i_now = pv_current(params, v, irr, temp)
+            p_now = v * i_now
+            j_obs = p_now + noise[k]
 
-        if algo == "dcee":
-            y = np.array([[v]])
-            ens = adapt(ens, y, j_obs, model)
-            theta_mean, theta_std = (a[0] for a in ens.moments())
-            if not np.isfinite(theta_std).all():
-                raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k]), k,
-                                       "estimator ensemble diverged")
-            ps = predict(ens, y, model)
-            g_exploit = exploit_grad(y, ps.r_mean)[0, 0]
-            g_explore = ps.r_var_grad[0, 0]
-            u = float(np.clip(-delta * (g_exploit + g_explore), -u_max, u_max))
-            dcee_row = (*theta_mean, *theta_std, ps.r_mean[0, 0], ps.r_var[0],
-                        abs(g_exploit), abs(g_explore), flag)
-        elif algo == "hc":
-            dv, hc = hc_step(hc, j_obs, v)
-            u = float(np.clip(dv, -u_max, u_max))
-        else:
-            dv, ic = ic_step(ic, v, i_now)
-            u = float(np.clip(dv, -u_max, u_max))
+            if algo == "dcee":
+                y = np.array([[v]])
+                ens = adapt(ens, y, j_obs, model)
+                theta_mean, theta_std = (a[0] for a in ens.moments())
+                if not np.isfinite(theta_std).all():
+                    raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k]), k,
+                                           "estimator ensemble diverged")
+                ps = predict(ens, y, model)
+                g_exploit = exploit_grad(y, ps.r_mean)[0, 0]
+                g_explore = ps.r_var_grad[0, 0]
+                u = float(np.clip(-delta * (g_exploit + g_explore), -u_max, u_max))
+                dcee_row = (*theta_mean, *theta_std, ps.r_mean[0, 0], ps.r_var[0],
+                            abs(g_exploit), abs(g_explore), flag)
+            elif algo == "hc":
+                dv, hc = hc_step(hc, j_obs, v)
+                u = float(np.clip(dv, -u_max, u_max))
+            else:
+                dv, ic = ic_step(ic, v, i_now)
+                u = float(np.clip(dv, -u_max, u_max))
 
-        data[:, 0, k] = (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now, j_obs,
-                         irr, temp, *oracle[irr, temp], *dcee_row)
-        if k < cfg.horizon:
-            v = float(np.clip(v + u, v_lo, v_hi))
-        if not np.isfinite(v):
-            raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k + 1]), k,
-                                   "voltage became non-finite")
+            data[:, 0, k] = (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now, j_obs,
+                             irr, temp, *oracle[irr, temp], *dcee_row)
+            if k < cfg.horizon:
+                v = float(np.clip(v + u, v_lo, v_hi))
+            if not np.isfinite(v):
+                raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k + 1]), k,
+                                       "voltage became non-finite")
 
     return _build_trace(names, data[:, 0])
 
@@ -628,11 +630,13 @@ def emit_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    """Read back a trace written by ``emit_csv``; a row with a cell too
-    many or too few is a ``ValueError``."""
+    """Read back a trace written by ``emit_csv``; a file without a header
+    line, or a row with a cell too many or too few, is a ``ValueError``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"trace file {path} is empty: no header line")
         columns = list(zip(*reader, strict=True)) or [()] * len(header)
     return _build_trace(header, columns)
 

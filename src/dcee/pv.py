@@ -13,10 +13,22 @@ config inputs approximating a ~175 W, 72-cell module.
 The current and the open-circuit voltage are the Lambert-W closed forms
 of that equation and take arrays of voltages and conditions; the maximum
 power point of one condition is a bracketed Newton solve on dP/dV.
+
+The controller's power-curve model is a polynomial in the voltage
+(``pv_poly_reward``); its optimum map is the argmax of each estimator's
+polynomial over the operating band, through the roots of the derivative.
+A call finds those roots cold by companion-matrix eigenvalues.  Inside
+the model's ``warm_start`` scope, which the mppt loop holds open for one
+run, each call instead refines the roots of the previous call by a few
+Aberth-Ehrlich sweeps, since the estimates barely move from one tick to
+the next; a row the sweeps do not settle goes back to the eigenvalues.
+The scope's memory is dropped when it closes, so every call outside a
+run, and the first call of every run, is cold.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -258,48 +270,107 @@ def _interp_linear(ts, vs, t):
     return (1.0 - w) * vs[i] + w * vs[i + 1]
 
 
-def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float,
-                       scale: float, shift: float = 0.0) -> np.ndarray:
+ABERTH_SWEEPS = 3  # warm starts from the previous tick converge in 2 or 3
+
+
+def _aberth(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine starting roots z (d, k) of k monic polynomials by Aberth-Ehrlich.
+
+    ``monic`` (d + 1, k) holds ascending coefficients, the last row 1.
+    Each sweep moves every root at once by w / (1 - w sum_j 1 / (z_i - z_j)),
+    w = p(z_i) / p'(z_i) (O. Aberth, Math. Comp. 27, 1973), and converges
+    cubically near simple roots.  A polynomial is accepted when every
+    root's last correction is at most 1e-8 (1 + |z|) and its roots sum to
+    minus the next-to-leading coefficient (Vieta), so two iterates that
+    collapse onto one root and miss another are refused.  Returns the
+    roots and the accepted polynomials.
+    """
+    d = z.shape[0]
+    others = np.array([[j for j in range(d) if j != i] for i in range(d)], dtype=int)
+    with np.errstate(all="ignore"):  # a stalled polynomial turns inf or NaN, then is refused
+        for _ in range(ABERTH_SWEEPS):
+            p, dp = z + monic[-2], np.ones_like(z)
+            for c in monic[-3::-1]:
+                dp = dp * z + p
+                p = p * z + c
+            w = p / dp
+            step = w / (1.0 - w * np.reciprocal(z[:, None] - z[others]).sum(axis=1))
+            z = z - step
+            small = np.abs(step) <= 1e-8 * (1.0 + np.abs(z))
+            if small.all():
+                break
+        vieta = np.abs(z.sum(axis=0) + monic[-2]) <= 1e-8 * (1.0 + np.abs(z).sum(axis=0))
+    return z, small.all(axis=0) & vieta
+
+
+def _companion_roots(monic: np.ndarray) -> np.ndarray:
+    """All d roots (d, k) of k monic polynomials, ascending coefficients
+    (d + 1, k), by batched companion-matrix eigenvalues."""
+    d, k = monic.shape[0] - 1, monic.shape[1]
+    comp = np.zeros((k, d, d))
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, -1] = -monic[:-1].T
+    return np.linalg.eigvals(comp).T
+
+
+def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: float,
+                       shift: float = 0.0, start: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Maximiser of each polynomial sum_j theta_j s^j over [s_lo, s_hi].
 
-    Stationary points come from batched companion-matrix eigenvalues of
-    the derivative; estimators whose leading derivative coefficient is
-    (numerically) zero fall back to np.roots.  Endpoints are always in
-    the candidate set, so clipping stray roots into the interval is safe.
+    The candidates are the endpoints and the real stationary points
+    clipped into the interval (safe, since the endpoints are candidates
+    too); the one with the largest Horner value wins.  Stationary points
+    are the roots of the derivative.  Cold, they are batched companion
+    eigenvalues.  Given ``start``, the (N, degree - 1) complex roots a
+    previous call returned for nearby polynomials, they are refined from
+    there by Aberth-Ehrlich sweeps (``_aberth``), and only the rows it
+    refuses go to the eigenvalues.  Rows whose leading derivative
+    coefficient is (numerically) zero use np.roots.  A ``start`` of
+    another shape is ignored, and without ``start`` the result does not
+    depend on any earlier call.  Returns the maximisers mapped to
+    s * scale + shift, (N, 1), and the derivative roots, (N, degree - 1),
+    NaN in the np.roots rows.  The polynomial degree must be at least 2.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n, m = thetas.shape
-    deriv = thetas[:, 1:] * np.arange(1, m)[None, :]
+    # one column per polynomial, so each operation runs along the batch
+    coef = np.atleast_2d(np.asarray(thetas, dtype=float)).T
+    m, n = coef.shape
     deg = m - 2  # degree of the derivative polynomial
-    cands = [np.full(n, s_lo), np.full(n, s_hi)]
-    if deg >= 1:
-        lead = deriv[:, -1]
-        tiny = 1e-12 * np.maximum(np.max(np.abs(deriv), axis=1), 1.0)
-        ok = np.abs(lead) > tiny
-        roots = np.full((n, deg), s_lo)
-        if np.any(ok):
-            monic = deriv[ok] / lead[ok, None]
-            comp = np.zeros((int(ok.sum()), deg, deg))
-            comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            comp[:, :, -1] = -monic[:, :-1]
-            eig = np.linalg.eigvals(comp)
-            real = np.abs(eig.imag) <= 1e-8 * (1.0 + np.abs(eig.real))
-            roots[ok] = np.where(real, np.clip(eig.real, s_lo, s_hi), s_lo)
+    deriv = coef[1:] * np.arange(1, m)[:, None]
+    lead = deriv[-1]
+    tiny = 1e-12 * np.maximum(np.abs(deriv).max(axis=0), 1.0)
+    ok = np.abs(lead) > tiny
+    every = ok.all()
+    cols = slice(None) if every else ok
+    monic = deriv[:, cols] / lead[cols]
+    roots = np.empty((deg, n), dtype=complex)
+    if not every:
+        roots[:, ~ok] = np.nan
+    if start is not None and start.shape == (n, deg):
+        warm, fine = _aberth(monic, start.T[:, cols])
+        if not fine.all():
+            warm[:, ~fine] = _companion_roots(monic[:, ~fine])
+        roots[:, cols] = warm
+    elif monic.size:
+        roots[:, cols] = _companion_roots(monic)
+    cand = np.empty((m, n))  # the two endpoints, then the deg roots
+    cand[0], cand[1] = s_lo, s_hi
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
+    cand[2:] = np.where(real, np.minimum(np.maximum(roots.real, s_lo), s_hi), s_lo)
+    if not every:
         for idx in np.flatnonzero(~ok):
             # drop the negligible leading coefficients: a subnormal one
             # would overflow np.roots' companion matrix
-            keep = np.flatnonzero(np.abs(deriv[idx]) > tiny[idx])
-            rr = np.roots(deriv[idx, :keep[-1] + 1][::-1]) if keep.size else []
+            keep = np.flatnonzero(np.abs(deriv[:, idx]) > tiny[idx])
+            rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]) if keep.size else []
             rr = [float(np.clip(r.real, s_lo, s_hi)) for r in rr
                   if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real))]
-            roots[idx, :len(rr)] = rr
-        cands.extend(roots.T)
-    cand = np.stack(cands, axis=1)
-    vals = np.zeros_like(cand)
-    for j in range(m - 1, -1, -1):
-        vals = vals * cand + thetas[:, j][:, None]
-    best = np.argmax(vals, axis=1)
-    return (cand[np.arange(n), best] * scale + shift)[:, None]
+            cand[2:2 + len(rr), idx] = rr
+    vals = coef[-1]
+    for j in range(m - 2, -1, -1):
+        vals = vals * cand + coef[j]
+    best = cand[np.argmax(vals, axis=0), np.arange(n)]
+    return best[:, None] * scale + shift, roots.T
 
 
 def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
@@ -311,6 +382,12 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     estimated coefficients are simply reparameterised accordingly.  The
     basis and optimum-map jacobians are closed-form, so the exploration
     gradient needs no extra optimum-map solves.
+
+    While a ``warm_start()`` scope is open, each optimum-map call starts
+    from the derivative roots of the previous call (see
+    ``_poly_argmax_batch``); a call with another row count starts cold.
+    The roots are dropped when the scope closes, also on an exception,
+    and a nested scope starts empty and hands the outer one back its own.
     """
     basis = PolyBasis(degree=degree, scale=v_scale, shift=v_shift)
     lo, hi = (float(v) for v in v_range)
@@ -328,10 +405,25 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     v_hi = s_hi * v_scale + v_shift
     j = np.arange(degree + 1)
 
+    warm = None  # while a warm_start scope is open: [the previous call's roots]
+
     def opt_batch(thetas):
         if not np.all(np.isfinite(thetas)):
             raise DomainError("polynomial coefficients must be finite")
-        return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
+        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift,
+                                           warm[0] if warm else None)
+        if warm:
+            warm[0] = roots
+        return optima
+
+    @contextlib.contextmanager
+    def warm_start():
+        nonlocal warm
+        outer, warm = warm, [None]
+        try:
+            yield
+        finally:
+            warm = outer
 
     def dbasis(y):
         s = (np.asarray(y, dtype=float) - v_shift) / v_scale
@@ -357,4 +449,5 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         optimum_map_batch=opt_batch,
         basis_jacobian=dbasis,
         optimum_jacobian=dopt,
+        warm_start=warm_start,
     )

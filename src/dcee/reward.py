@@ -17,9 +17,10 @@ finds the largest ``||phi(y)||`` on it by grid scan.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class RewardModel:
         If set, parameter vectors are clamped elementwise to this floor
         before being pushed through ``optimum_map_batch`` in ensemble
         code.  Guards maps with singularities (e.g. 1/theta near zero).
+    warm_start : callable
+        () -> context manager.  One simulation run holds it open around
+        its tick loop; inside it ``optimum_map_batch`` may start each solve
+        from the previous call's (pv-poly: the previous derivative roots),
+        so its results can differ from a cold call's in the last bits.
+        Nothing is kept once it closes.  The default, for maps that keep
+        nothing, is ``contextlib.nullcontext``.
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]
@@ -72,6 +80,7 @@ class RewardModel:
     basis_jacobian: Callable[[np.ndarray], np.ndarray]
     optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_floor: float | None = None
+    warm_start: Callable[[], ContextManager] = contextlib.nullcontext
 
 
 @dataclass

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dcee import (ConfigError, NumericalError, Trace, builtin_config, compare,
                   compute_metrics, config_from_dict, emit_csv, load_config,
                   read_trace_csv, render_comparison, run_scenario, run_seeds)
-from dcee import harness
+from dcee import harness, pv
 from dcee.cli import main as cli_main
 from dcee.harness import write_plot_script
 
@@ -111,12 +111,45 @@ def test_trace_length_and_finiteness():
     assert np.all(np.diff(tr.column("k")) == 1)
 
 
-def test_bit_identical_reruns():
-    cfg = quad_config(horizon=200)
+@pytest.mark.parametrize("make", [lambda: quad_config(horizon=200),
+                                  lambda: short_mppt(horizon=200, algo="dcee")],
+                         ids=["quadratic", "mppt-dcee"])
+def test_bit_identical_reruns(make):
+    # the mppt run warm-starts its optimum map tick to tick; nothing of
+    # that may carry over into the next run of the same config
+    cfg = make()
     a = run_scenario(cfg)
     b = run_scenario(cfg)
     for col in a.columns:
         assert np.array_equal(a.values[col], b.values[col]), col
+
+
+@pytest.mark.parametrize("rate", [None, 50.0], ids=["returns", "raises"])
+def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate):
+    d = builtin_config("mppt")
+    d["run"] = {"horizon": 100, "seed": 1}
+    if rate is not None:
+        d["ensemble"]["rate"] = rate  # the estimates diverge: the run raises
+    cfg = config_from_dict(d)
+    argmax, seen, starts = pv._poly_argmax_batch, [], []
+
+    def spy(thetas, s_lo, s_hi, scale, shift=0.0, start=None):
+        seen.append(np.array(thetas))
+        starts.append(start)
+        return argmax(thetas, s_lo, s_hi, scale, shift, start)
+
+    monkeypatch.setattr(pv, "_poly_argmax_batch", spy)
+    if rate is None:
+        run_scenario(cfg)
+    else:
+        with pytest.raises(NumericalError), np.errstate(all="ignore"):
+            run_scenario(cfg)
+    # the run warm-starts every call after its first
+    assert [s is None for s in starts] == [True] + [False] * (len(starts) - 1)
+    thetas, starts[:] = seen[-1], []
+    got = cfg.model.optimum_map_batch(thetas)
+    assert [s is None for s in starts] == [True]
+    assert np.array_equal(got, config_from_dict(d).model.optimum_map_batch(thetas))
 
 
 def test_noise_stream_independent_of_ensemble_size():
@@ -386,11 +419,12 @@ def test_emit_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.values[col], tr.values[col])
 
 
-@pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3"])
+@pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3", pytest.param("", id="empty-file")])
 def test_read_trace_csv_rejects_ragged_rows(tmp_path, bad_row):
+    # the empty bad row stands for a file without even a header line
     path = tmp_path / "ragged.csv"
-    path.write_text(f"k,t,v\n0,0.0,1.5\n{bad_row}\n")
-    with pytest.raises(ValueError):
+    path.write_text(f"k,t,v\n0,0.0,1.5\n{bad_row}\n" if bad_row else "")
+    with pytest.raises(ValueError, match=None if bad_row else "ragged.csv"):
         read_trace_csv(path)
 
 

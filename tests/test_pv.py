@@ -300,11 +300,43 @@ def test_poly_argmax_matches_brute_force():
     grid = np.linspace(s_lo, s_hi, 20_001)
     for _ in range(200):
         th = rng.uniform(-50.0, 50.0, size=6)
-        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0, 0]
+        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0][0, 0]
         vals = np.polyval(th[::-1], grid)
         best = vals.max()
         at_got = np.polyval(th[::-1], (got - 22.0) / 22.0)
         assert at_got >= best - 1e-9 * max(1.0, abs(best))
+
+
+def test_warm_start_refuses_two_roots_collapsed_onto_one():
+    # p'(s) = -(s - 0.1)(s - a)(s - b) with a close pair a, b: the maximum
+    # on [-1, 1] is at 0.1.  Two starting roots on b barely move, so every
+    # Aberth correction is tiny and the root at 0.1 would be missed; the
+    # roots' sum (Vieta) refuses the row and the eigenvalues find it.
+    roots = np.array([0.1, 0.98619106, 0.98647133])
+    deriv = -np.poly(roots)[::-1]
+    thetas = np.concatenate([[0.0], deriv / np.arange(1, 5)])[None, :]
+    start = np.array([[0.98619106, 0.98647133, 0.98647133 + 1e-13j]])
+    cold, cold_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0)
+    warm, warm_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0, 0.0, start)
+    assert warm[0, 0] == cold[0, 0] == pytest.approx(0.1)
+    np.testing.assert_array_equal(warm_roots, cold_roots)
+
+
+def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
+    # every tick after the first refines the previous tick's roots; the
+    # spy counts the rows sent to the companion eigenvalues instead
+    from dcee import builtin_config, config_from_dict, pv, run_scenario
+    eig, rows = pv._companion_roots, []
+
+    def counted(monic):
+        rows.append(monic.shape[1])
+        return eig(monic)
+
+    monkeypatch.setattr(pv, "_companion_roots", counted)
+    d = builtin_config("mppt")
+    d["run"] = {"horizon": 300, "seed": 1}
+    run_scenario(config_from_dict(d))
+    assert rows == [50]  # the first tick, cold
 
 
 def test_pv_poly_reward_optimum_matches_fit(params):
