@@ -31,6 +31,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# curvature of the exploitation term ||y - r_mean||^2 (see exploit_grad)
+EXPLOIT_HESSIAN = 2.0
+
 
 def exploit_grad(y, r_mean) -> np.ndarray:
     """Gradient of ||y - r_mean||^2 with respect to y (per batch entry)."""
@@ -73,11 +76,11 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
     return grad
 
 
-def contraction_check(delta: float, hessian_bound: float) -> bool:
-    """Step-size test  2 * (1 - delta * hessian_bound)^2 < 1.
+def contraction_check(delta: float) -> bool:
+    """Step-size test  2 * (1 - delta * EXPLOIT_HESSIAN)^2 < 1.
 
-    ``hessian_bound`` is the norm of the curvature of the exploitation
-    term; the quadratic tracking term has curvature exactly 2, so callers
-    normally pass 2.0.  Reported as a diagnostic, not enforced.
+    ``EXPLOIT_HESSIAN`` is the curvature of the exploitation term, exactly
+    2 for the quadratic tracking term.  Reported as a diagnostic, not
+    enforced.
     """
-    return bool(2.0 * (1.0 - delta * hessian_bound) ** 2 < 1.0)
+    return bool(2.0 * (1.0 - delta * EXPLOIT_HESSIAN) ** 2 < 1.0)

@@ -7,9 +7,10 @@ current belief is.  ``adapt`` consumes a real observation, ``predict``
 applies the same update with the noise-free reward the current mean
 parameter implies, giving the one-step-ahead belief used by the
 controller.  The prediction also carries the exploration gradient in
-closed form, from the same optimum-map solve.  ``predicted_r_var``
-recomputes the predicted spread alone; finite differences of it are the
-reference the closed form is tested against.
+closed form, from the same optimum-map solve; an optimum the model's map
+pins adds nothing to it through the model's jacobian.
+``predicted_r_var`` recomputes the predicted spread alone; finite
+differences of it are the reference the closed form is tested against.
 
 Every op takes a batch of independent ensembles: ``thetas`` of shape
 (S, N, m) with one output per batch entry, ``y`` of shape (S,), and
@@ -60,14 +61,6 @@ class Ensemble:
             raise ValueError("need one learning rate per estimator")
         if np.any(self.rates <= 0):
             raise ValueError("learning rates must be strictly positive")
-
-    @property
-    def size(self) -> int:
-        return self.thetas.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.thetas.shape[-1]
 
     @cached_property
     def centre(self) -> np.ndarray:
@@ -166,26 +159,14 @@ def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
     return ens.with_thetas(ens.thetas - (ens.rates[:, None] * resid) * phi[..., None, :])
 
 
-def _clamped(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
-    if model.theta_floor is None:
-        return thetas
-    return np.maximum(thetas, model.theta_floor)
-
-
 def _rows(a: np.ndarray) -> np.ndarray:
     """Every estimator of every batch entry as one row, (S*N, last)."""
     return a.reshape(-1, a.shape[-1])
 
 
-def _solve(thetas: np.ndarray, model: RewardModel) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped estimates (S*N, m) and their optima (S*N, 1), in one solve."""
-    clamped = _rows(_clamped(thetas, model))
-    return clamped, model.optimum_map_batch(clamped)
-
-
 def _optima(thetas: np.ndarray, model: RewardModel) -> np.ndarray:
     """Map every estimator to its predicted optimum, (..., N, 1)."""
-    return _solve(thetas, model)[1].reshape(thetas.shape[:-1] + (1,))
+    return model.optimum_map_batch(_rows(thetas)).reshape(thetas.shape[:-1] + (1,))
 
 
 def _stats_of(r: np.ndarray) -> tuple[BeliefStats, np.ndarray]:
@@ -218,23 +199,22 @@ def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
     gradient ``r_var_grad`` = d r_var / d y_cand.  The gradient follows
     the chain rule through theta_i - eta_i*phi*(phi.d_i), d_i = theta_i -
     mean, and the optimum jacobian; r_mean drops out since the r_i -
-    r_mean sum to zero.  Estimators pinned at the parameter floor
-    contribute zero.
+    r_mean sum to zero.  Where the model pins an optimum its jacobian is
+    zero, so a pinned estimator adds nothing to the gradient.
     """
     y = _outputs(ens, y_cand)
     phi, dphi = model.unknown_basis(y), model.basis_jacobian(y)
     phi_row, phi_col = phi[..., None, :], phi[..., :, None]
     pred = _predicted_thetas(ens, phi_row, phi_col)
-    clamped, optima = _solve(pred, model)
+    rows = _rows(pred)
+    optima = model.optimum_map_batch(rows)
     r = optima.reshape(pred.shape[:-1])
     out, centred = _stats_of(r)
 
     dev = ens.deviations
     dpred = -(ens.rates[:, None] * (dphi[..., None, :] * (dev @ phi_col)
                                     + phi_row * (dev @ dphi[..., :, None])))
-    if model.theta_floor is not None:
-        dpred = np.where(pred > model.theta_floor, dpred, 0.0)
-    dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(clamped, optima), _rows(dpred))
+    dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(rows, optima), _rows(dpred))
     out.r_var_grad = 2.0 * _mean(centred * dr.reshape(r.shape), -1, keepdims=True)
     return out
 

@@ -325,7 +325,7 @@ def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"could not parse {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -420,7 +420,7 @@ def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     # k, t and contraction_ok, the first two and the last column, are the
     # same for every seed; the rows between are written one tick at a time
     k_col = np.arange(ticks)
-    data[0], data[1], data[-1] = k_col, k_col * cfg.dt, contraction_check(delta, 2.0)
+    data[0], data[1], data[-1] = k_col, k_col * cfg.dt, contraction_check(delta)
     live, failure = len(seeds), None
 
     def cut(finite: np.ndarray, k: int, n_rows: int, what: str, *arrays) -> list:
@@ -484,7 +484,7 @@ def _run_mppt(cfg: ScenarioConfig) -> Trace:
 
     ens, noise = _start(cfg, [cfg.seed])
     noise = noise[0]
-    flag = contraction_check(delta, 2.0)
+    flag = contraction_check(delta)
 
     m = model.dim
     names = ["k", "t", "v", "u", "i", "p", "j_obs", "irradiance", "temperature",

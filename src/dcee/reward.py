@@ -58,11 +58,9 @@ class RewardModel:
         (thetas (N, dim), optima (N, 1)) -> d(optimum)/dtheta per row,
         shape (N, 1, dim).  ``optima`` must be what ``optimum_map_batch``
         returned for ``thetas``; the jacobian reuses it instead of solving
-        again.
-    theta_floor : float or None
-        If set, parameter vectors are clamped elementwise to this floor
-        before being pushed through ``optimum_map_batch`` in ensemble
-        code.  Guards maps with singularities (e.g. 1/theta near zero).
+        again.  Where the map pins an optimum (the quadratic model's
+        parameter floor) the jacobian is zero, so a pinned estimator adds
+        nothing to the exploration gradient.
     warm_start : callable
         () -> context manager.  One simulation run holds it open around
         its tick loop; inside it ``optimum_map_batch`` may start each solve
@@ -79,7 +77,6 @@ class RewardModel:
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     basis_jacobian: Callable[[np.ndarray], np.ndarray]
     optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    theta_floor: float | None = None
     warm_start: Callable[[], ContextManager] = contextlib.nullcontext
 
 
@@ -107,7 +104,9 @@ def quadratic_reward(known_gain: float = 2.0,
 
     The single unknown parameter is the curvature coefficient; the
     maximiser is (known_gain / 2) / theta, i.e. 1/theta for the default
-    gain of 2.
+    gain of 2.  The map is singular at theta = 0: with a ``theta_floor``
+    every estimate at or below it maps to (known_gain / 2) / theta_floor
+    with a zero jacobian; without one theta = 0 raises ``DomainError``.
     """
 
     lo, hi = (float(v) for v in y_range)
@@ -124,16 +123,22 @@ def quadratic_reward(known_gain: float = 2.0,
         y = np.asarray(y, dtype=float)
         return -(y * y)[..., None]
 
+    def floored(thetas):
+        return thetas if theta_floor is None else np.maximum(thetas, theta_floor)
+
     def opt_batch(thetas):
-        if (thetas == 0.0).any():
+        if theta_floor is None and (thetas == 0.0).any():
             raise DomainError("optimum map 1/theta is singular at theta = 0")
-        return half_gain / thetas
+        return half_gain / floored(thetas)
 
     def dphi(y):
         return (-2.0 * np.asarray(y, dtype=float))[..., None]
 
     def dopt(thetas, optima):
-        return (-optima / thetas)[:, :, None]
+        jac = -optima / floored(thetas)
+        if theta_floor is not None:
+            jac = np.where(thetas > theta_floor, jac, 0.0)
+        return jac[:, :, None]
 
     return RewardModel(
         known_basis=known,
@@ -143,7 +148,6 @@ def quadratic_reward(known_gain: float = 2.0,
         optimum_map_batch=opt_batch,
         basis_jacobian=dphi,
         optimum_jacobian=dopt,
-        theta_floor=theta_floor,
     )
 
 

@@ -45,7 +45,7 @@ def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _controllable(A: np.ndarray, B: np.ndarray) -> bool:
-    return np.linalg.matrix_rank(_ctrb(A, B)) == A.shape[0]
+    return _full_rank(_ctrb(A, B))
 
 
 @dataclass
@@ -73,10 +73,6 @@ class LinearPlant:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
 
     @property
     def q(self) -> int:
@@ -144,7 +140,7 @@ def stabilizing_gain(A, B, poles) -> np.ndarray:
         raise ValueError("pole placement implemented for single-input plants "
                          "only; supply K directly")
     ctrb = _ctrb(A, B)
-    if np.linalg.matrix_rank(ctrb) != n:
+    if not _full_rank(ctrb):
         raise ValueError("(A, B) must be controllable for pole placement")
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     if poles.shape != (n,):

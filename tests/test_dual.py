@@ -187,6 +187,6 @@ def test_dcee_step_monotone_convergence_after_collapse():
 
 
 def test_contraction_check_values():
-    assert contraction_check(0.5, 2.0) is True
-    assert contraction_check(1.0, 2.0) is False
-    assert contraction_check(0.15, 2.0) is True
+    assert contraction_check(0.5) is True
+    assert contraction_check(1.0) is False
+    assert contraction_check(0.15) is True

@@ -542,6 +542,16 @@ def test_cli_gains_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "nope"}')
     assert cli_main(["gains", "--config", str(bad)]) == 2
+    # unreadable JSON: not UTF-8, or nested past the parser's recursion limit
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    capsys.readouterr()
+    for path in (not_utf8, deep):
+        for command in ("run", "mppt", "compare", "gains"):
+            assert cli_main([command, "--config", str(path)]) == 2
+            assert "configuration error" in capsys.readouterr().err
     # i/o error category
     assert cli_main(["gains", "--config", str(tmp_path / "missing.json")]) == 4
     # wrong scenario kind for compare

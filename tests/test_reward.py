@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dcee import DomainError, NoiseSpec, optimum_of, quadratic_reward, sample_noise
+from dcee import (DomainError, Ensemble, NoiseSpec, optimum_of, quadratic_reward, sample_noise,
+                  stats)
 from dcee.reward import scan_regressor_bound
 
 
@@ -67,9 +68,31 @@ def test_optimum_of_values(model):
     assert optimum_of(model, [2.0])[0] == pytest.approx(0.5)
 
 
-def test_optimum_of_singularity_rejected(model):
+def test_optimum_of_singularity_rejected():
     with pytest.raises(DomainError):
-        optimum_of(model, [0.0])
+        optimum_of(quadratic_reward(theta_floor=None), [0.0])
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 1e-6, 1e-3, 2.0])
+def test_floored_optimum_map_and_jacobian(theta):
+    # at or below the floor the optimum is pinned and the jacobian is zero;
+    # above it the map is known_gain / (2 theta) with jacobian -r / theta
+    floor, gain = 1e-6, 3.0
+    model = quadratic_reward(known_gain=gain, theta_floor=floor)
+    thetas = np.array([[theta]])
+    r = model.optimum_map_batch(thetas)
+    jac = model.optimum_jacobian(thetas, r)
+    if theta <= floor:
+        assert r[0, 0] == gain / (2.0 * floor)
+        assert jac[0, 0, 0] == 0.0
+    else:
+        assert r[0, 0] == gain / (2.0 * theta)
+        assert jac[0, 0, 0] == -r[0, 0] / theta
+    # optimum_of and the ensemble statistics see the same floored map
+    ens = Ensemble(thetas=[[theta], [0.5], [2.0]], rates=[0.1] * 3)
+    optima = [optimum_of(model, row)[0] for row in ens.thetas]
+    assert optima[0] == r[0, 0]
+    assert stats(ens, model).r_mean[0] == np.mean(optima)
 
 
 def test_optimum_is_global_maximum_on_grid(model):

@@ -78,6 +78,13 @@ def test_plant_validation():
         LinearPlant(A=A, B=B, C=C, x=np.zeros(3))
 
 
+def test_plant_rejects_nearly_uncontrollable_pair():
+    # B is 1e-11 off an eigenvector of A: the controllability matrix has
+    # singular-value ratio 1.2e-12, under the RANK_RTOL every rank test uses
+    with pytest.raises(ValueError, match="controllable"):
+        LinearPlant(A, [[1.0], [2.0 + 1e-11]], C, [0.0, 0.0])
+
+
 def _collapsed_at_truth(x0, xi0):
     """Noise-free quadratic config whose estimators start (and stay) at the
     true curvature 1."""
