@@ -2,8 +2,8 @@
 
 The controller descends the sum of two terms evaluated one step ahead:
 the squared distance to the mean predicted optimum (exploitation) and
-the spread of the predicted optima (exploration).  The control loops in
-``harness`` take one step per tick,
+the spread of the predicted optima (exploration).  The control loop in
+``harness`` takes one step per tick,
 
     y' = y - delta * (exploit_grad(y, r_mean) + r_var_grad),
 

@@ -222,7 +222,7 @@ def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
 def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel):
     """Predicted spread alone, the function ``dual.explore_grad`` differences.
 
-    Only the finite-difference reference uses it; the control loops take
+    Only the finite-difference reference uses it; the control loop takes
     the closed-form gradient from ``predict``.
     """
     phi = model.unknown_basis(_outputs(ens, y_cand))

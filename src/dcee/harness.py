@@ -15,21 +15,24 @@ for the PV kind).  Unknown keys are rejected.  Two kinds exist:
 
 Each run owns a seeded random generator; ``_start`` derives independent
 sub-streams for ensemble initialisation and measurement noise, so
-changing the ensemble size never perturbs the noise sequence.  Both
-loops run the same tick: ``adapt`` to the observation, ``predict`` the
-belief at the current reference, then step down ``exploit_grad`` plus
-the closed-form exploration gradient.  The quadratic loop runs a batch
-of seeds at once (``run_seeds``; ``run_scenario`` is a batch of one) on
-the ensemble ops' seed axis; a seed's trace is the same whatever else
-shares its batch.  The mppt loop is a batch of one.
+changing the ensemble size never perturbs the noise sequence.  One tick
+loop serves both kinds, for a batch of seeds at once on the ensemble
+ops' seed axis (``run_seeds``; ``run_scenario`` is a batch of one):
+``adapt`` to the observation, ``predict`` the belief at the plant's
+reference, then step it down ``exploit_grad`` plus the closed-form
+exploration gradient (or by the hc / ic increment).  All that differs
+between the kinds sits in the plant, ``_Servo`` or ``_Panel``: ``observe``
+gives the outputs and rewards, ``step`` moves the reference ``ref`` by an
+increment and returns the tick's ``row`` and ``tail`` columns, ``shared``
+holds the columns all seeds share, and ``per_seed`` names what a cut to
+fewer seeds slices.  A seed's trace is the same whatever else shares its batch.
 
-Both loops store a run in one ``(column, seed, tick)`` block and write
-one row per tick; ``_build_trace`` turns a seed's slice of it into a
-``Trace``, as it does for the partial trace of a failed run and for a
-CSV read back.  Trace rows record quantities at time k: the state, the
-observation taken there, the estimates after consuming that observation,
-and the control applied at that tick (zero on the terminal row, where no
-control is applied).
+A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
+turns a seed's slice of it into a ``Trace``, as it does for the partial
+trace of a failed run and for a CSV read back.  Trace rows record
+quantities at time k: the state, the observation taken there, the
+estimates after consuming that observation, and the control applied at
+that tick (zero on the terminal row, where no control is applied).
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# explore_grad is not called here (both loops take the closed-form
-# gradient); it stays a harness attribute because the benchmark's tracer
-# patches the loop's names on this module
+# explore_grad is not called here (the loop takes the closed-form gradient); it
+# stays a harness attribute because the benchmark's tracer patches it on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
 from .ensemble import Ensemble, adapt, init_ensemble, predict
 from .errors import ConfigError, NumericalError
@@ -377,180 +379,168 @@ def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
     return ens, np.stack(noise)
 
 
-def _partial_failure(cfg: ScenarioConfig, trace: Trace, k: int,
-                     what: str) -> NumericalError:
-    """Write the rows so far (when the run has an output path) and describe
-    the failure at step k."""
-    if cfg.out:
-        emit_csv(trace, cfg.out)
-    return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
+class _Servo:
+    """The linear plant under the servo law u = -Kx + (G + K Psi) xi, with
+    one state x (S, n, 1) and one reference xi (S, 1) per seed."""
+
+    per_seed, shared, tail = ("x", "ref", "y"), {}, ("err_track",)
+
+    def __init__(self, cfg: ScenarioConfig, n_seeds: int):
+        self.plant, self.model, self.gains = cfg.plant, cfg.model, cfg.gains
+        self.feed = self.gains.G + self.gains.K @ self.gains.Psi
+        self.theta_true = np.asarray(cfg.section("reward")["theta_true"], dtype=float)
+        self.x = np.tile(cfg.plant.x[:, None], (n_seeds, 1, 1))
+        self.ref = np.tile(cfg.section("controller")["xi0"], (n_seeds, 1)).astype(float)
+        self.row = (*(f"x{i}" for i in range(cfg.plant.n)), "y", "xi", "u")
+
+    def observe(self, k: int, noise: np.ndarray):
+        y = self.y = (self.plant.C @ self.x)[:, 0, 0]
+        return y, self.model.known_basis(y) + self.model.unknown_basis(y) @ self.theta_true + noise
+
+    def step(self, inc: np.ndarray, last: bool) -> tuple:
+        x, xi, (lo, hi) = self.x, self.ref[:, 0], self.model.y_range
+        if last:
+            u = np.zeros((len(x), 1, 1))
+        else:
+            self.ref = np.minimum(np.maximum(self.ref + inc, lo), hi)
+            u = -(self.gains.K @ x) + self.feed * self.ref[:, None]
+            self.x = self.plant.A @ x + self.plant.B @ u
+        return (*x[:, :, 0].T, self.y, xi, u[:, 0, 0], self.y - xi)
+
+
+class _Panel:
+    """The PV panel; its voltage (S, 1) is both its state x and the
+    reference.  hc and ic keep one tracker state per seed."""
+
+    per_seed, tail, row = ("x", "ref", "i", "p", "trackers"), (), ("v", "u", "i", "p")
+
+    def __init__(self, cfg: ScenarioConfig, n_seeds: int):
+        ctl = cfg.section("controller")
+        self.params, self.algo, self.u_max = cfg.plant, ctl["algo"], float(ctl["u_max"])
+        self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
+        self.x = self.ref = np.full((n_seeds, 1), float(ctl["v_init"]))
+        self.trackers = [cfg.hc if self.algo == "hc" else cfg.ic] * n_seeds
+        # one oracle solve per distinct (irradiance, temperature) of the run
+        self.env = [profile_eval(cfg.profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
+        oracle = {cond: mpp_oracle(cfg.plant, *cond) for cond in dict.fromkeys(self.env)}
+        self.shared = dict(zip(("irradiance", "temperature", "v_mpp_oracle", "p_max_oracle"),
+                               np.array([(*cond, *oracle[cond]) for cond in self.env]).T))
+
+    def observe(self, k: int, noise: np.ndarray):
+        v = self.x[:, 0]
+        self.i = pv_current(self.params, v, *self.env[k])
+        self.p = v * self.i
+        return v, self.p + noise
+
+    def track(self, j_obs: np.ndarray) -> np.ndarray:
+        """The hc or ic increment of every seed, (S, 1)."""
+        v = self.x[:, 0].tolist()
+        if self.algo == "hc":
+            steps = [hc_step(s, p, vv) for s, p, vv in zip(self.trackers, j_obs.tolist(), v)]
+        else:
+            steps = [ic_step(s, vv, i) for s, vv, i in zip(self.trackers, v, self.i.tolist())]
+        inc, self.trackers = zip(*steps)
+        return np.array(inc)[:, None]
+
+    def step(self, inc: np.ndarray, last: bool) -> tuple:
+        v = self.x
+        u = np.zeros_like(v) if last else np.minimum(np.maximum(inc, -self.u_max), self.u_max)
+        if not last:
+            self.x = self.ref = np.minimum(np.maximum(v + u, self.v_lo), self.v_hi)
+        return v[:, 0], u[:, 0], self.i, self.p
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` without the method's call overhead."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Simulate one scenario deterministically for its configured seed."""
-    if config.kind == "quadratic-linear":
-        return _run_quadratic(config, [config.seed])[0]
-    return _run_mppt(config)
+    return _run(config, [config.seed])[0]
 
 
-def _run_quadratic(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
-    """Run every seed in one loop over a batch of ensembles and plants.
-
-    If seeds fail, the error is the one of the first failing seed in list
-    order; the seeds after it are dropped from the batch when it fails.
-    """
-    A, B, C = cfg.plant.A, cfg.plant.B, cfg.plant.C
-    model, gains = cfg.model, cfg.gains
-    theta_true = np.asarray(cfg.section("reward")["theta_true"], dtype=float)
-    ctl = cfg.section("controller")
-    delta = float(ctl["delta"])
-    feed = gains.G + gains.K @ gains.Psi
-    xi_lo, xi_hi = model.y_range
-    ticks = cfg.horizon + 1
+def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
+    """Run every seed in one tick loop over a batch of ensembles and plants;
+    a failure is that of the first failing seed in list order."""
+    plant = (_Servo if cfg.kind == "quadratic-linear" else _Panel)(cfg, len(seeds))
+    model, ctl = cfg.model, cfg.section("controller")
+    delta, dual = float(ctl["delta"]), ctl.get("algo", "dcee") == "dcee"
+    learn = ([f"theta_{s}_{i}" for s in ("mean", "std") for i in range(model.dim)]
+             + ["r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm"]) if dual else []
+    k_col = np.arange(cfg.horizon + 1)
+    flag = {"contraction_ok": np.full(len(k_col), contraction_check(delta))} if dual else {}
+    shared = {"k": k_col, "t": k_col * cfg.dt, **plant.shared, **flag}
+    order = ("k", "t", *plant.row, "j_obs", *plant.shared, *learn, *plant.tail, *flag)
+    # the columns written each tick come first, then the shared ones, written once
+    written = ["j_obs", *plant.row, *plant.tail, *learn, *shared]
+    n_tick = len(written) - len(shared)
+    data = np.empty((len(written), len(seeds), len(k_col)))
+    data[n_tick:] = np.array([*shared.values()], dtype=float)[:, None]
     ens, noise = _start(cfg, seeds)
-    # per seed: the state as a column (S, n, 1) and the reference (S, 1)
-    x = np.tile(cfg.plant.x[:, None], (len(seeds), 1, 1))
-    xi = np.tile(np.asarray(ctl["xi0"], dtype=float), (len(seeds), 1))
-
-    names = (["k", "t"] + [f"x{i}" for i in range(cfg.plant.n)]
-             + ["y", "xi", "u", "j_obs", "theta_mean_0", "theta_std_0",
-                "r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm",
-                "err_track", "contraction_ok"])
-    data = np.empty((len(names), len(seeds), ticks))
-    # k, t and contraction_ok, the first two and the last column, are the
-    # same for every seed; the rows between are written one tick at a time
-    k_col = np.arange(ticks)
-    data[0], data[1], data[-1] = k_col, k_col * cfg.dt, contraction_check(delta)
     live, failure = len(seeds), None
 
+    def trace(i: int, n_rows: int) -> Trace:
+        cols = dict(zip(written, data[:, i, :n_rows]))
+        return _build_trace(order, [cols[name] for name in order])
+
+    def fail(i: int, k: int, n_rows: int, what: str) -> NumericalError:
+        """Write seed i's rows so far to the run's output path, if any."""
+        if cfg.out:
+            emit_csv(trace(i, n_rows), cfg.out)
+        return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
+
     def cut(finite: np.ndarray, k: int, n_rows: int, what: str, *arrays) -> list:
-        """Stop the first seed that is not finite and every seed after it;
-        returns the arrays cut to the seeds that still run."""
-        nonlocal live, failure, x, xi, ens
+        """Stop the first non-finite seed and every later one; cut the arrays to the rest."""
+        nonlocal live, failure, ens
         live = int(np.argmin(finite))
         failure = (live, k, n_rows, what)
-        x, xi, ens = x[:live], xi[:live], ens.with_thetas(ens.thetas[:live])
+        if not live:  # no earlier seed is left to fail first
+            raise fail(*failure)
+        for name in plant.per_seed:
+            setattr(plant, name, getattr(plant, name)[:live])
+        ens = ens.with_thetas(ens.thetas[:live])
         return [a[:live] for a in arrays]
-
-    for k in range(ticks):
-        y = (C @ x)[:, 0, 0]
-        j_obs = model.known_basis(y) + model.unknown_basis(y) @ theta_true + noise[:live, k]
-        finite = np.isfinite(j_obs)
-        if not finite.all():  # no estimate can follow a non-finite observation
-            y, j_obs = cut(finite, k, k, "estimator ensemble diverged", y, j_obs)
-        ens = adapt(ens, y, j_obs, model)
-        th_mean, th_std = ens.moments()
-        # a finite spread needs finite estimates and a finite mean
-        if not np.isfinite(th_std).all():
-            y, j_obs, th_mean, th_std = cut(np.isfinite(th_std[:, 0]), k, k,
-                                            "estimator ensemble diverged",
-                                            y, j_obs, th_mean, th_std)
-        ps = predict(ens, xi, model)
-        g_exploit = exploit_grad(xi, ps.r_mean)
-        g_explore = ps.r_var_grad
-
-        x_rec, xi_rec = x[:, :, 0], xi[:, 0]
-        if k < cfg.horizon:
-            xi = np.minimum(np.maximum(xi - delta * (g_exploit + g_explore), xi_lo), xi_hi)
-            u = -(gains.K @ x) + feed * xi[:, None]
-            x = A @ x + B @ u
-        else:
-            u = np.zeros((live, B.shape[1], 1))
-        data[2:-1, :live, k] = (*x_rec.T, y, xi_rec, u[:, 0, 0], j_obs, th_mean[:, 0],
-                                th_std[:, 0], ps.r_mean[:, 0], ps.r_var,
-                                np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]), y - xi_rec)
-
-        # a non-finite reference makes the input and so the state non-finite
-        if not np.isfinite(x).all():
-            cut(np.isfinite(x).all(axis=(1, 2)), k, k + 1, "state became non-finite")
-        if not live:  # the rest of a tick cut to no seeds ran on empty arrays
-            break
-
-    if failure is not None:
-        i, k, n_rows, what = failure
-        raise _partial_failure(cfg, _build_trace(names, data[:, i, :n_rows]), k, what)
-    return [_build_trace(names, data[:, i]) for i in range(len(seeds))]
-
-
-def _run_mppt(cfg: ScenarioConfig) -> Trace:
-    params, profile, model = cfg.plant, cfg.profile, cfg.model
-    hc, ic = cfg.hc, cfg.ic
-    ctl = cfg.section("controller")
-    algo = ctl["algo"]
-    delta = float(ctl["delta"])
-    u_max = float(ctl["u_max"])
-    v_lo, v_hi = (float(ctl["v_limits"][0]), float(ctl["v_limits"][1]))
-    v = float(ctl["v_init"])
-
-    ens, noise = _start(cfg, [cfg.seed])
-    noise = noise[0]
-    flag = contraction_check(delta)
-
-    m = model.dim
-    names = ["k", "t", "v", "u", "i", "p", "j_obs", "irradiance", "temperature",
-             "v_mpp_oracle", "p_max_oracle"]
-    if algo == "dcee":
-        names += ([f"theta_mean_{i}" for i in range(m)]
-                  + [f"theta_std_{i}" for i in range(m)]
-                  + ["r_mean", "p_explore", "grad_exploit_norm",
-                     "grad_explore_norm", "contraction_ok"])
-    data = np.empty((len(names), 1, cfg.horizon + 1))
-    # one oracle solve per distinct (irradiance, temperature) of the run
-    env = [profile_eval(profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
-    oracle = {cond: mpp_oracle(params, *cond) for cond in dict.fromkeys(env)}
-    dcee_row = ()  # the columns after p_max_oracle, only for dcee
 
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():
-        for k, (irr, temp) in enumerate(env):
-            t = k * cfg.dt
-            i_now = pv_current(params, v, irr, temp)
-            p_now = v * i_now
-            j_obs = p_now + noise[k]
-
-            if algo == "dcee":
-                y = np.array([[v]])
+        for k in range(len(k_col)):
+            y, j_obs = plant.observe(k, noise[:live, k])
+            if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
+                y, j_obs = cut(np.isfinite(j_obs), k, k, "estimator ensemble diverged", y, j_obs)
+            if dual:
                 ens = adapt(ens, y, j_obs, model)
-                theta_mean, theta_std = (a[0] for a in ens.moments())
-                if not np.isfinite(theta_std).all():
-                    raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k]), k,
-                                           "estimator ensemble diverged")
-                ps = predict(ens, y, model)
-                g_exploit = exploit_grad(y, ps.r_mean)[0, 0]
-                g_explore = ps.r_var_grad[0, 0]
-                u = float(np.clip(-delta * (g_exploit + g_explore), -u_max, u_max))
-                dcee_row = (*theta_mean, *theta_std, ps.r_mean[0, 0], ps.r_var[0],
-                            abs(g_exploit), abs(g_explore), flag)
-            elif algo == "hc":
-                dv, hc = hc_step(hc, j_obs, v)
-                u = float(np.clip(dv, -u_max, u_max))
+                th_mean, th_std = ens.moments()
+                # a finite spread needs finite estimates and a finite mean
+                if not _all_finite(th_std):
+                    j_obs, th_mean, th_std = cut(np.isfinite(th_std).all(axis=1), k, k,
+                                                 "estimator ensemble diverged",
+                                                 j_obs, th_mean, th_std)
+                ps = predict(ens, plant.ref, model)
+                g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
+                inc = -delta * (g_exploit + g_explore)
+                learn_row = (*th_mean.T, *th_std.T, ps.r_mean[:, 0], ps.r_var,
+                             np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]))
             else:
-                dv, ic = ic_step(ic, v, i_now)
-                u = float(np.clip(dv, -u_max, u_max))
+                inc, learn_row = plant.track(j_obs), ()
+            data[:n_tick, :live, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
+            # a non-finite increment makes the state non-finite
+            if not _all_finite(plant.x):
+                cut(np.isfinite(plant.x).reshape(live, -1).all(axis=1), k, k + 1,
+                    "state became non-finite")
 
-            data[:, 0, k] = (k, t, v, u if k < cfg.horizon else 0.0, i_now, p_now, j_obs,
-                             irr, temp, *oracle[irr, temp], *dcee_row)
-            if k < cfg.horizon:
-                v = float(np.clip(v + u, v_lo, v_hi))
-            if not np.isfinite(v):
-                raise _partial_failure(cfg, _build_trace(names, data[:, 0, :k + 1]), k,
-                                       "voltage became non-finite")
-
-    return _build_trace(names, data[:, 0])
+    if failure is not None:
+        raise fail(*failure)
+    return [trace(i, len(k_col)) for i in range(len(seeds))]
 
 
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
-    """Run the same scenario under each seed; traces in seed order.
-
-    Quadratic seeds run as one batch.  The mppt loop steps one scalar
-    plant, so mppt seeds run in turn.
-    """
-    if config.kind != "quadratic-linear":
-        return [run_scenario(config.with_updates(seed=s)) for s in seeds]
+    """Run the same scenario under each seed, all seeds as one batch;
+    traces in seed order, each the same as the seed's run alone."""
     seeds = [int(s) for s in seeds]
     if any(s < 0 for s in seeds):
         raise ConfigError("run.seed must be nonnegative")
-    return _run_quadratic(config, seeds) if seeds else []
+    return _run(config, seeds) if seeds else []
 
 
 def compute_metrics(trace: Trace, oracle) -> Metrics:

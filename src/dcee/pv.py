@@ -18,7 +18,7 @@ The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
 polynomial over the operating band, through the roots of the derivative.
 A call finds those roots cold by companion-matrix eigenvalues.  Inside
-the model's ``warm_start`` scope, which the mppt loop holds open for one
+the model's ``warm_start`` scope, which the tick loop holds open for one
 run, each call instead refines the roots of the previous call by a few
 Aberth-Ehrlich sweeps, since the estimates barely move from one tick to
 the next; a row the sweeps do not settle goes back to the eigenvalues.
@@ -185,8 +185,10 @@ def pv_current(params: PvParams, v, irradiance, temperature):
     if np.count_nonzero(v < 0):
         raise ValueError("voltage must be nonnegative")
     a, i_ph, i_0 = _thermal(params, irradiance, temperature)
-    cur = np.where(i_ph > 0, np.maximum(_diode(params, v, i_ph, a, i_0)[0], 0.0), 0.0)
-    return float(cur) if cur.ndim == 0 else cur
+    one = v.shape == (1,)  # one voltage runs on numpy's much faster scalar arithmetic
+    cur = _diode(params, v[0] if one else v, i_ph, a, i_0)[0]
+    cur = np.where(i_ph > 0, np.maximum(cur, 0.0), 0.0)
+    return cur if cur.ndim else cur.reshape(1) if one else float(cur)
 
 
 def pv_power(params: PvParams, v, irradiance, temperature):
@@ -282,11 +284,13 @@ def _aberth(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cubically near simple roots.  A polynomial is accepted when every
     root's last correction is at most 1e-8 (1 + |z|) and its roots sum to
     minus the next-to-leading coefficient (Vieta), so two iterates that
-    collapse onto one root and miss another are refused.  Returns the
-    roots and the accepted polynomials.
+    collapse onto one root and miss another are refused.  Each polynomial
+    stops at its own first sweep of small steps, so the others cannot
+    change its roots.  Returns the roots and the accepted polynomials.
     """
     d = z.shape[0]
     others = np.array([[j for j in range(d) if j != i] for i in range(d)], dtype=int)
+    done = np.zeros(z.shape[1], dtype=bool)
     with np.errstate(all="ignore"):  # a stalled polynomial turns inf or NaN, then is refused
         for _ in range(ABERTH_SWEEPS):
             p, dp = z + monic[-2], np.ones_like(z)
@@ -295,12 +299,12 @@ def _aberth(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 p = p * z + c
             w = p / dp
             step = w / (1.0 - w * np.reciprocal(z[:, None] - z[others]).sum(axis=1))
-            z = z - step
-            small = np.abs(step) <= 1e-8 * (1.0 + np.abs(z))
-            if small.all():
+            z = np.where(done, z, z - step)
+            done |= (np.abs(step) <= 1e-8 * (1.0 + np.abs(z))).all(axis=0)
+            if done.all():
                 break
         vieta = np.abs(z.sum(axis=0) + monic[-2]) <= 1e-8 * (1.0 + np.abs(z).sum(axis=0))
-    return z, small.all(axis=0) & vieta
+    return z, done & vieta
 
 
 def _companion_roots(monic: np.ndarray) -> np.ndarray:
@@ -328,9 +332,10 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
     refuses go to the eigenvalues.  Rows whose leading derivative
     coefficient is (numerically) zero use np.roots.  A ``start`` of
     another shape is ignored, and without ``start`` the result does not
-    depend on any earlier call.  Returns the maximisers mapped to
-    s * scale + shift, (N, 1), and the derivative roots, (N, degree - 1),
-    NaN in the np.roots rows.  The polynomial degree must be at least 2.
+    depend on any earlier call.  No row's result depends on the other
+    rows.  Returns the maximisers mapped to s * scale + shift, (N, 1), and
+    the derivative roots, (N, degree - 1), NaN in the np.roots rows.  The
+    polynomial degree must be at least 2.
     """
     # one column per polynomial, so each operation runs along the batch
     coef = np.atleast_2d(np.asarray(thetas, dtype=float)).T
@@ -385,7 +390,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
 
     While a ``warm_start()`` scope is open, each optimum-map call starts
     from the derivative roots of the previous call (see
-    ``_poly_argmax_batch``); a call with another row count starts cold.
+    ``_poly_argmax_batch``): a call with fewer rows from its leading rows,
+    as a loop cut to fewer seeds keeps the leading ones; one with more cold.
     The roots are dropped when the scope closes, also on an exception,
     and a nested scope starts empty and hands the outer one back its own.
     """
@@ -410,8 +416,9 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def opt_batch(thetas):
         if not np.all(np.isfinite(thetas)):
             raise DomainError("polynomial coefficients must be finite")
+        start = warm[0] if warm else None
         optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift,
-                                           warm[0] if warm else None)
+                                           None if start is None else start[:len(thetas)])
         if warm:
             warm[0] = roots
         return optima

@@ -22,7 +22,7 @@ GOLDEN = {
     "quadratic-seed7": "630f3de68175857ddea0d60f14995f20773ed4193a458f47bb1d3732bc2852b7",
     "mppt-hc": "0d8f8dca9c147afba2aa6bba4886715481adcdb5c2a6aeec99ce508208995471",
     "mppt-ic": "a70d26be21b02f749e34e80445281e75dc16617d932776caf18594ec47a671b3",
-    "mppt-dcee": "7f46e7f46b69f9a92c6f5b5912f5d34125f9a80a280a1541f51099a16df5783f",
+    "mppt-dcee": "f918b0ba749d7f1979c8da5819ff429195362b0369190f6c049da40a27f8990a",
 }
 SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
 

@@ -322,6 +322,47 @@ def test_warm_start_refuses_two_roots_collapsed_onto_one():
     np.testing.assert_array_equal(warm_roots, cold_roots)
 
 
+def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
+    # two blocks of the shipped prior's polynomials, each started from the
+    # roots of a perturbed copy: the near start settles in fewer Aberth
+    # sweeps than the far one, and stacking the blocks must not give the
+    # near block the far block's extra sweeps
+    from dcee import builtin_config
+    prior = builtin_config("mppt")["ensemble"]
+    rng = np.random.default_rng(3)
+    blocks, starts = [], []
+    for drift in (1e-9, 1e-3):
+        thetas = rng.uniform(prior["prior_low"], prior["prior_high"], size=(50, 6))
+        moved = thetas * (1.0 + drift * rng.standard_normal(thetas.shape))
+        blocks.append(thetas)
+        starts.append(_poly_argmax_batch(moved, -1.0, 1.0, 22.0, 22.0)[1])
+    optima, roots = _poly_argmax_batch(np.vstack(blocks), -1.0, 1.0, 22.0, 22.0,
+                                       np.vstack(starts))
+    for b, (thetas, start) in enumerate(zip(blocks, starts)):
+        alone = _poly_argmax_batch(thetas, -1.0, 1.0, 22.0, 22.0, start)
+        rows = slice(50 * b, 50 * (b + 1))
+        np.testing.assert_array_equal(optima[rows], alone[0])
+        np.testing.assert_array_equal(roots[rows], alone[1])
+
+
+def test_warm_map_cut_to_its_leading_rows_goes_on_from_their_roots():
+    # a loop cut to fewer seeds keeps the leading ones; their next call
+    # starts from their own roots, as if the dropped rows had never run
+    from dcee import builtin_config
+    prior = builtin_config("mppt")["ensemble"]
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(prior["prior_low"], prior["prior_high"], size=(100, 6))
+    moved = thetas * (1.0 + 1e-4 * rng.standard_normal(thetas.shape))
+    model = pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0)
+    with model.warm_start():
+        model.optimum_map_batch(thetas)
+        cut = model.optimum_map_batch(moved[:50])
+    with model.warm_start():
+        model.optimum_map_batch(thetas[:50])
+        alone = model.optimum_map_batch(moved[:50])
+    np.testing.assert_array_equal(cut, alone)
+
+
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
     # every tick after the first refines the previous tick's roots; the
     # spy counts the rows sent to the companion eigenvalues instead
