@@ -16,12 +16,12 @@ from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, mse_bound,
 from .errors import ConfigError, DomainError, NumericalError, RegulationError
 from .harness import (Metrics, ScenarioConfig, Trace, builtin_config, compare,
                       compute_metrics, config_from_dict, emit_csv, load_config,
-                      read_trace_csv, render_comparison, run_scenario, run_seeds)
+                      read_trace_csv, render_comparison, run_scenario, run_seeds,
+                      write_plot_script)
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
-from .pv import (EnvProfile, PolyBasis, PvParams, mpp_oracle, open_circuit_voltage,
-                 profile_eval, pv_current, pv_poly_reward, pv_power)
-from .reward import NoiseSpec, RewardModel, optimum_of, quadratic_reward, sample_noise
-from .servo import (LinearPlant, ServoGains, check_rank, design_gains,
-                    solve_regulation, stabilizing_gain)
+from .pv import (EnvProfile, PvParams, mpp_oracle, open_circuit_voltage, profile_eval,
+                 pv_current, pv_poly_reward)
+from .reward import NoiseSpec, RewardModel, quadratic_reward, sample_noise
+from .servo import LinearPlant, ServoGains, design_gains, solve_regulation, stabilizing_gain
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import logging
 
 import numpy as np
 
-from .ensemble import Ensemble, predicted_r_var
+from .ensemble import Ensemble, predict
 from .reward import RewardModel
 
 __all__ = [
@@ -48,11 +48,11 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
                  fd_eps: float = 1e-5) -> np.ndarray:
     """Finite-difference gradient of the predicted-optima spread at y.
 
-    The reference for the closed-form ``predict(...).r_var_grad``; it
-    needs no jacobians.  Central differences are used whenever both
-    probe points stay inside the model's admissible interval; at the
-    boundary the difference falls back to one-sided and a warning is
-    logged.
+    The reference for the closed-form ``predict(...).r_var_grad``: it
+    differences the spread ``predict(...).r_var`` and reads no jacobian.
+    Central differences are used whenever both probe points stay inside
+    the model's admissible interval; at the boundary the difference falls
+    back to one-sided and a warning is logged.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi = model.y_range
@@ -65,14 +65,14 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
         up_ok = up[j] <= hi
         dn_ok = dn[j] >= lo
         if up_ok and dn_ok:
-            grad[j] = (predicted_r_var(ens, up, model)
-                       - predicted_r_var(ens, dn, model)) / (2.0 * fd_eps)
+            grad[j] = (predict(ens, up, model).r_var
+                       - predict(ens, dn, model).r_var) / (2.0 * fd_eps)
         else:
             logger.warning("explore gradient at y[%d]=%g clips the admissible "
                            "range; using one-sided difference", j, y[j])
             hi_pt, lo_pt = (y, dn) if dn_ok else (up, y)
-            grad[j] = (predicted_r_var(ens, hi_pt, model)
-                       - predicted_r_var(ens, lo_pt, model)) / fd_eps
+            grad[j] = (predict(ens, hi_pt, model).r_var
+                       - predict(ens, lo_pt, model).r_var) / fd_eps
     return grad
 
 

@@ -8,9 +8,9 @@ applies the same update with the noise-free reward the current mean
 parameter implies, giving the one-step-ahead belief used by the
 controller.  The prediction also carries the exploration gradient in
 closed form, from the same optimum-map solve; an optimum the model's map
-pins adds nothing to it through the model's jacobian.
-``predicted_r_var`` recomputes the predicted spread alone; finite
-differences of it are the reference the closed form is tested against.
+pins adds nothing to it through the model's jacobian.  Finite
+differences of the predicted spread (``dual.explore_grad``) are the
+reference the closed form is tested against.
 
 Every op takes a batch of independent ensembles: ``thetas`` of shape
 (S, N, m) with one output per batch entry, ``y`` of shape (S,), and
@@ -217,17 +217,6 @@ def predict(ens: Ensemble, y_cand, model: RewardModel) -> BeliefStats:
     dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(rows, optima), _rows(dpred))
     out.r_var_grad = 2.0 * _mean(centred * dr.reshape(r.shape), -1, keepdims=True)
     return out
-
-
-def predicted_r_var(ens: Ensemble, y_cand, model: RewardModel):
-    """Predicted spread alone, the function ``dual.explore_grad`` differences.
-
-    Only the finite-difference reference uses it; the control loop takes
-    the closed-form gradient from ``predict``.
-    """
-    phi = model.unknown_basis(_outputs(ens, y_cand))
-    pred = _predicted_thetas(ens, phi[..., None, :], phi[..., :, None])
-    return _stats_of(_optima(pred, model)[..., 0])[0].r_var
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

@@ -1,12 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "DomainError", "RegulationError", "NumericalError"]
+
 
 class ConfigError(ValueError):
     """Scenario configuration is malformed or internally inconsistent."""
 
 
 class DomainError(ValueError):
-    """An optimum map was evaluated at a singular parameter value."""
+    """The polynomial optimum map was given non-finite coefficients."""
 
 
 class RegulationError(ValueError):

@@ -194,7 +194,7 @@ class ScenarioConfig:
     def with_updates(self, seed=None, out=None, algo=None) -> "ScenarioConfig":
         d = copy.deepcopy(self.data)
         if seed is not None:
-            d["run"]["seed"] = int(seed)
+            d["run"]["seed"] = seed
         if out is not None:
             d["run"]["out"] = str(out)
         if algo is not None:
@@ -252,6 +252,12 @@ def _positive(value, name: str) -> None:
         raise ConfigError(f"{name} must be finite and positive")
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build(kind: str, d: dict) -> ScenarioConfig:
     run, rw, ens, ctl = d["run"], d["reward"], d["ensemble"], d["controller"]
     dt = float(run["dt"])
@@ -259,10 +265,10 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
     if "duration" in run:
         horizon = int(round(float(run["duration"]) / dt))
     else:
-        horizon = int(run["horizon"])
+        horizon = _integer(run["horizon"], "run.horizon")
     if horizon < 0:
         raise ConfigError("run horizon (or duration) must be nonnegative")
-    seed, out = int(run["seed"]), run.get("out")
+    seed, out = _integer(run["seed"], "run.seed"), run.get("out")
     if seed < 0 or not (out is None or isinstance(out, str)):
         raise ConfigError("run.seed must be nonnegative and run.out a path or null")
     _positive(ctl["delta"], "controller.delta")
@@ -284,8 +290,8 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
                              poles=ctl.get("poles"), K=ctl.get("K"))
         built = dict(plant=plant, gains=gains)
     else:
-        model = pv_poly_reward(degree=int(rw["degree"]), v_range=rw["v_range"],
-                               v_scale=float(rw["v_scale"]),
+        model = pv_poly_reward(degree=_integer(rw["degree"], "reward.degree"),
+                               v_range=rw["v_range"], v_scale=float(rw["v_scale"]),
                                v_shift=float(rw["v_shift"]))
         if ctl["algo"] not in ("dcee", "hc", "ic"):
             raise ConfigError("controller.algo must be dcee, hc or ic")
@@ -297,14 +303,15 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         v_init = float(ctl["v_init"])
         if not vlo <= v_init <= vhi:
             raise ConfigError("controller.v_init must lie inside controller.v_limits")
+        d["plant"]["n_cells"] = _integer(d["plant"]["n_cells"], "plant.n_cells")
         params, profile = PvParams(**d["plant"]), EnvProfile(**d["profile"])
         params.check_temperatures(v for _, v in profile.temperature)
         built = dict(plant=params, profile=profile,
-                     hc=HcState(v_prev=v_init, step=float(ctl["hc_step"])),
+                     hc=HcState(step=float(ctl["hc_step"])),
                      ic=IcState(step=float(ctl["ic_step"]),
                                 deadband=float(ctl["ic_deadband"])))
 
-    n = int(ens["n"])
+    n = _integer(ens["n"], "ensemble.n")
     if n < 1:
         raise ConfigError("ensemble.n must be at least 1")
     low, high, rate = (np.asarray(ens[key], dtype=float)
@@ -434,11 +441,10 @@ class _Panel:
 
     def track(self, j_obs: np.ndarray) -> np.ndarray:
         """The hc or ic increment of every seed, (S, 1)."""
-        v = self.x[:, 0].tolist()
         if self.algo == "hc":
-            steps = [hc_step(s, p, vv) for s, p, vv in zip(self.trackers, j_obs.tolist(), v)]
+            steps = map(hc_step, self.trackers, j_obs.tolist())
         else:
-            steps = [ic_step(s, vv, i) for s, vv, i in zip(self.trackers, v, self.i.tolist())]
+            steps = map(ic_step, self.trackers, self.x[:, 0].tolist(), self.i.tolist())
         inc, self.trackers = zip(*steps)
         return np.array(inc)[:, None]
 
@@ -537,7 +543,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
     """Run the same scenario under each seed, all seeds as one batch;
     traces in seed order, each the same as the seed's run alone."""
-    seeds = [int(s) for s in seeds]
+    seeds = [_integer(s, "run.seed") for s in seeds]
     if any(s < 0 for s in seeds):
         raise ConfigError("run.seed must be nonnegative")
     return _run(config, seeds) if seeds else []
@@ -635,16 +641,19 @@ def write_plot_script(csv_path, kind: str) -> str:
     """Emit a small gnuplot script next to the CSV; returns its path.
 
     The curves are plotted against ``t`` by their column numbers in the
-    CSV's header.
+    CSV's header line; a missing header or column is a ``ValueError``.
     """
     base, _ = os.path.splitext(str(csv_path))
     script = base + ".gp"
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
-        number = {name: i + 1 for i, name in enumerate(next(csv.reader(fh)))}
+        number = {name: i + 1 for i, name in enumerate(next(csv.reader(fh), []))}
     if kind == "quadratic-linear":
         curves = (("y", "y"), ("xi", "xi"), ("theta_mean_0", "theta mean"))
     else:
         curves = (("v", "v"), ("p", "p"), ("p_max_oracle", "p max"))
+    missing = [name for name in ("t", *dict(curves)) if name not in number]
+    if missing:
+        raise ValueError(f"trace file {csv_path} has no header with column(s) {missing}")
     f = os.path.basename(str(csv_path))
     body = "\n".join([
         "set datafile separator ','",

@@ -19,9 +19,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class HcState:
-    """Perturb-and-observe memory: last operating point and direction."""
+    """Perturb-and-observe memory: last power and direction."""
 
-    v_prev: float
     p_prev: float = -math.inf
     last_dir: int = 1
     step: float = 0.3
@@ -49,15 +48,14 @@ class IcState:
             raise ValueError("deadband must be finite and nonnegative")
 
 
-def hc_step(state: HcState, p_now: float, v_now: float) -> tuple[float, HcState]:
+def hc_step(state: HcState, p_now: float) -> tuple[float, HcState]:
     """Next voltage increment: keep direction if power rose, else reverse.
 
     The first call (no power history) moves +step by convention.
     """
     direction = state.last_dir if p_now > state.p_prev else -state.last_dir
     dv = direction * state.step
-    return dv, HcState(v_prev=v_now, p_prev=p_now, last_dir=direction,
-                       step=state.step)
+    return dv, HcState(p_prev=p_now, last_dir=direction, step=state.step)
 
 
 def ic_step(state: IcState, v_now: float, i_now: float) -> tuple[float, IcState]:

@@ -42,9 +42,8 @@ from .reward import RewardModel
 __all__ = [
     "PvParams",
     "EnvProfile",
-    "PolyBasis",
     "pv_current",
-    "pv_power",
+    "open_circuit_voltage",
     "mpp_oracle",
     "profile_eval",
     "pv_poly_reward",
@@ -124,31 +123,6 @@ class EnvProfile:
         self._knots = [tuple(map(list, zip(*pts))) for pts in (self.irradiance, self.temperature)]
 
 
-@dataclass
-class PolyBasis:
-    """Polynomial regressor [1, s, s^2, ..., s^degree], s = (v - shift) / scale.
-
-    The affine normalisation keeps the monomials well conditioned over
-    the operating band; it reparameterises the same polynomial family in
-    the raw voltage.
-    """
-
-    degree: int
-    scale: float = 1.0
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("polynomial degree must be at least 2")
-        if not (0 < self.scale < math.inf and math.isfinite(self.shift)):
-            raise ValueError("voltage scale must be finite and positive, shift finite")
-
-    def __call__(self, v) -> np.ndarray:
-        """Regressors of the voltages v, shape v.shape + (degree + 1,)."""
-        s = (np.asarray(v, dtype=float) - self.shift) / self.scale
-        return s[..., None] ** np.arange(self.degree + 1)
-
-
 def _thermal(params: PvParams, irradiance, temperature):
     """Diode slope a, photocurrent i_ph and saturation current i_0."""
     t_kelvin = temperature + 273.15
@@ -191,11 +165,6 @@ def pv_current(params: PvParams, v, irradiance, temperature):
     return cur if cur.ndim else cur.reshape(1) if one else float(cur)
 
 
-def pv_power(params: PvParams, v, irradiance, temperature):
-    """Electrical power V * I(V) at the given operating conditions."""
-    return v * pv_current(params, v, irradiance, temperature)
-
-
 def _open_circuit(params: PvParams, i_ph, a, i_0):
     if math.isinf(params.r_sh):
         return a * np.log1p(i_ph / i_0)
@@ -212,7 +181,7 @@ def open_circuit_voltage(params: PvParams, irradiance, temperature):
 
     The root of i_ph - i_0 (exp(V / a) - 1) - V / r_sh through the Wright
     omega function (a log1p when r_sh = inf).  A dark panel gives 0.0;
-    scalar arguments give a float.
+    scalar arguments give a float.  It closes the bracket ``mpp_oracle`` searches.
     """
     a, i_ph, i_0 = _thermal(params, irradiance, temperature)
     v_oc = np.where(i_ph > 0, _open_circuit(params, i_ph, a, i_0), 0.0)
@@ -382,9 +351,9 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
                    v_scale: float = 1.0, v_shift: float = 0.0) -> RewardModel:
     """Reward model whose unknown part is a polynomial power curve.
 
-    ``v_scale`` and ``v_shift`` normalise the voltage inside the basis so
-    the regressor stays well-conditioned over the operating range; the
-    estimated coefficients are simply reparameterised accordingly.  The
+    The regressor is [1, s, ..., s^degree], s = (v - v_shift) / v_scale; the
+    normalisation keeps it well conditioned over the operating range, and
+    the estimated coefficients are simply reparameterised accordingly.  The
     basis and optimum-map jacobians are closed-form, so the exploration
     gradient needs no extra optimum-map solves.
 
@@ -395,7 +364,10 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     The roots are dropped when the scope closes, also on an exception,
     and a nested scope starts empty and hands the outer one back its own.
     """
-    basis = PolyBasis(degree=degree, scale=v_scale, shift=v_shift)
+    if degree < 2:
+        raise ValueError("polynomial degree must be at least 2")
+    if not (0 < v_scale < math.inf and math.isfinite(v_shift)):
+        raise ValueError("voltage scale must be finite and positive, shift finite")
     lo, hi = (float(v) for v in v_range)
     if not lo < hi:
         raise ValueError("v_range must be an interval with lo < hi")
@@ -431,6 +403,10 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
             yield
         finally:
             warm = outer
+
+    def basis(y):
+        s = (np.asarray(y, dtype=float) - v_shift) / v_scale
+        return s[..., None] ** j
 
     def dbasis(y):
         s = (np.asarray(y, dtype=float) - v_shift) / v_scale

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ContextManager
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "RewardModel",
     "NoiseSpec",
     "quadratic_reward",
-    "optimum_of",
     "sample_noise",
 ]
 
@@ -50,8 +48,8 @@ class RewardModel:
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     optimum_map_batch : callable
-        (N, dim) parameter vectors -> (N, 1) maximising outputs; the only
-        optimum map (``optimum_of`` passes a single row).
+        (N, dim) parameter vectors -> (N, 1) maximising outputs, the
+        model's only optimum map; a single vector is a batch of one row.
     basis_jacobian : callable
         outputs y -> d(unknown_basis)/dy, shape y.shape + (dim,).
     optimum_jacobian : callable
@@ -92,28 +90,29 @@ class NoiseSpec:
 
 
 def scan_regressor_bound(unknown_basis, y_range) -> float:
-    """max ||phi(y)|| over the admissible interval, by a 2001-point grid scan."""
+    """max ||phi(y)|| over the admissible interval, by a 2001-point grid scan:
+    the regressor bound in the paper's mean-square-error bound (``ensemble.mse_bound``)."""
     grid = np.linspace(y_range[0], y_range[1], 2001)
     return float(np.max(np.linalg.norm(unknown_basis(grid), axis=-1)))
 
 
 def quadratic_reward(known_gain: float = 2.0,
                      y_range: tuple[float, float] = (-4.0, 4.0),
-                     theta_floor: float | None = 1e-6) -> RewardModel:
+                     theta_floor: float = 1e-6) -> RewardModel:
     """Scalar concave reward  J = known_gain * y - theta * y**2.
 
     The single unknown parameter is the curvature coefficient; the
     maximiser is (known_gain / 2) / theta, i.e. 1/theta for the default
-    gain of 2.  The map is singular at theta = 0: with a ``theta_floor``
-    every estimate at or below it maps to (known_gain / 2) / theta_floor
-    with a zero jacobian; without one theta = 0 raises ``DomainError``.
+    gain of 2.  The map is singular at theta = 0, so every estimate at or
+    below the finite, positive ``theta_floor`` maps to
+    (known_gain / 2) / theta_floor with a zero jacobian.
     """
 
     lo, hi = (float(v) for v in y_range)
     if not (lo < hi and math.isfinite(known_gain)):
         raise ValueError("need a y_range with lo < hi and a finite known_gain")
-    if theta_floor is not None and not theta_floor > 0:
-        raise ValueError("theta_floor must be positive (or None)")
+    if not (isinstance(theta_floor, numbers.Real) and 0 < theta_floor < math.inf):
+        raise ValueError(f"theta_floor must be a finite positive number, got {theta_floor!r}")
     half_gain = known_gain / 2.0
 
     def known(y):
@@ -123,22 +122,15 @@ def quadratic_reward(known_gain: float = 2.0,
         y = np.asarray(y, dtype=float)
         return -(y * y)[..., None]
 
-    def floored(thetas):
-        return thetas if theta_floor is None else np.maximum(thetas, theta_floor)
-
     def opt_batch(thetas):
-        if theta_floor is None and (thetas == 0.0).any():
-            raise DomainError("optimum map 1/theta is singular at theta = 0")
-        return half_gain / floored(thetas)
+        return half_gain / np.maximum(thetas, theta_floor)
 
     def dphi(y):
         return (-2.0 * np.asarray(y, dtype=float))[..., None]
 
     def dopt(thetas, optima):
-        jac = -optima / floored(thetas)
-        if theta_floor is not None:
-            jac = np.where(thetas > theta_floor, jac, 0.0)
-        return jac[:, :, None]
+        jac = -optima / np.maximum(thetas, theta_floor)
+        return np.where(thetas > theta_floor, jac, 0.0)[:, :, None]
 
     return RewardModel(
         known_basis=known,
@@ -157,9 +149,3 @@ def sample_noise(noise: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarr
     The values equal n successive single draws from the same generator.
     """
     return rng.normal(0.0, math.sqrt(noise.variance), n)
-
-
-def optimum_of(model: RewardModel, theta: np.ndarray) -> np.ndarray:
-    """Operating point that maximises the reward for parameters theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return np.asarray(model.optimum_map_batch(theta[None, :])[0], dtype=float)

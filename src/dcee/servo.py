@@ -25,7 +25,6 @@ from .errors import RegulationError
 __all__ = [
     "LinearPlant",
     "ServoGains",
-    "check_rank",
     "solve_regulation",
     "stabilizing_gain",
     "design_gains",
@@ -42,10 +41,6 @@ def _matrices(*Ms) -> list[np.ndarray]:
 def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Controllability matrix [B, A B, ..., A^(n-1) B]."""
     return np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(A.shape[0])])
-
-
-def _controllable(A: np.ndarray, B: np.ndarray) -> bool:
-    return _full_rank(_ctrb(A, B))
 
 
 @dataclass
@@ -67,7 +62,7 @@ class LinearPlant:
             raise ValueError("inconsistent state-space dimensions")
         if not all(np.isfinite(m).all() for m in (self.A, self.B, self.C, self.x)):
             raise ValueError("A, B, C and the state must be finite")
-        if not _controllable(self.A, self.B):
+        if not _full_rank(_ctrb(self.A, self.B)):
             raise ValueError("(A, B) must be controllable")
 
     @property
@@ -100,11 +95,6 @@ def _full_rank(M: np.ndarray) -> bool:
     if s.size == 0 or s[0] == 0.0:
         return False
     return int(np.sum(s > RANK_RTOL * s[0])) == M.shape[0]
-
-
-def check_rank(A, B, C) -> bool:
-    """True iff the stacked regulation matrix has full rank n + q."""
-    return _full_rank(_stacked(*_matrices(A, B, C)))
 
 
 def solve_regulation(A, B, C) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ A = [[0.0, 1.0], [2.0, 1.0]]
 B = [[1.0], [1.0]]
 C = [[0.0, 1.0]]
 REPO = Path(__file__).resolve().parents[1]
+_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _report(num, name, elapsed, detail=""):
@@ -191,16 +192,29 @@ def test_criterion_9_mppt_ordering_over_seeds():
     cfg = load_config(REPO / "configs" / "mppt.json")
     seeds = range(20)
     t0 = time.perf_counter()
-    eff = {algo: np.array([compute_metrics(tr, tr.column("p_max_oracle")).efficiency
-                           for tr in run_seeds(cfg.with_updates(algo=algo), seeds)])
-           for algo in ("dcee", "hc", "ic")}
+    traces = {algo: run_seeds(cfg.with_updates(algo=algo), seeds)
+              for algo in ("dcee", "hc", "ic")}
     elapsed = time.perf_counter() - t0
+    eff = {algo: np.array([compute_metrics(tr, tr.column("p_max_oracle")).efficiency
+                           for tr in trs])
+           for algo, trs in traces.items()}
     for seed, d, h, i in zip(seeds, eff["dcee"], eff["hc"], eff["ic"]):
         assert d >= h >= i and d >= 0.96, (seed, d, h, i)
-    margin = eff["dcee"] - eff["hc"]
+
+    def summary(margin):
+        return (f"min {margin.min():.2e} (seed {seeds[margin.argmin()]}), "
+                f"median {np.median(margin):.2e}")
+
     _report(9, "MPPT ordering over seeds 0-19", elapsed,
-            f"dcee - hc min {margin.min():.2e} (seed {seeds[margin.argmin()]}), "
-            f"median {np.median(margin):.2e}")
+            f"dcee - hc {summary(eff['dcee'] - eff['hc'])}")
+    # the same margin before and after the +10 degC step at t = 1 s (reported,
+    # not asserted): each segment's trapezoid energy of p against p_max_oracle
+    for ticks, part in ((slice(0, 1000), "0-999"), (slice(999, None), "999-2000")):
+        seg = {algo: np.array([_trapz(tr.column("p")[ticks], tr.column("t")[ticks])
+                               / _trapz(tr.column("p_max_oracle")[ticks], tr.column("t")[ticks])
+                               for tr in traces[algo]])
+               for algo in ("dcee", "hc")}
+        print(f"    ticks {part}: dcee - hc {summary(seg['dcee'] - seg['hc'])}")
 
 
 def test_criterion_10_baseline_sanity():
@@ -226,11 +240,11 @@ def test_criterion_10_baseline_sanity():
 
     step = 1.6
     v = 16.0
-    hc = HcState(v_prev=v, step=step)
+    hc = HcState(step=step)
     worst = 0.0
     for k in range(1200):
         p = v * pv_current(params, v, g, temp)
-        dv, hc = hc_step(hc, p, v)
+        dv, hc = hc_step(hc, p)
         v += dv
         if k > 300:
             worst = max(worst, abs(v - v_star))

@@ -8,21 +8,21 @@ from dcee.pv import PvParams, mpp_oracle, pv_current
 
 
 def test_hc_keeps_direction_when_power_rises():
-    st = HcState(v_prev=10.0, p_prev=50.0, last_dir=1, step=0.5)
-    dv, st2 = hc_step(st, 55.0, 10.5)
+    st = HcState(p_prev=50.0, last_dir=1, step=0.5)
+    dv, st2 = hc_step(st, 55.0)
     assert dv == 0.5
-    assert st2.last_dir == 1 and st2.p_prev == 55.0 and st2.v_prev == 10.5
+    assert st2.last_dir == 1 and st2.p_prev == 55.0
 
 
 def test_hc_reverses_when_power_drops():
-    st = HcState(v_prev=10.0, p_prev=50.0, last_dir=1, step=0.5)
-    dv, _ = hc_step(st, 45.0, 10.5)
+    st = HcState(p_prev=50.0, last_dir=1, step=0.5)
+    dv, _ = hc_step(st, 45.0)
     assert dv == -0.5
 
 
 def test_hc_first_move_is_positive():
-    st = HcState(v_prev=10.0, step=0.5)
-    dv, _ = hc_step(st, 12.0, 10.0)
+    st = HcState(step=0.5)
+    dv, _ = hc_step(st, 12.0)
     assert dv == 0.5
 
 
@@ -81,11 +81,11 @@ def test_hc_limit_cycle_contained_on_frozen_curve():
     v_star, _ = mpp_oracle(params, g, temp)
     step = 1.6
     v = 16.0
-    hc = HcState(v_prev=v, step=step)
+    hc = HcState(step=step)
     worst = 0.0
     for k in range(1200):
         p = v * pv_current(params, v, g, temp)
-        dv, hc = hc_step(hc, p, v)
+        dv, hc = hc_step(hc, p)
         v += dv
         if k > 300:
             worst = max(worst, abs(v - v_star))

@@ -13,7 +13,6 @@ import pytest
 from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
                   exploit_grad, explore_grad, harness, init_ensemble, predict,
                   quadratic_reward, run_scenario, run_seeds)
-from dcee.ensemble import predicted_r_var
 
 
 def collapsed(value, n=5, rate=0.005):
@@ -92,8 +91,7 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
         g = explore_grad([y], ens, model, eps)
     # the probe that would leave the interval is replaced by y itself
     hi_pt, lo_pt = ([y], [y - eps]) if y > 0 else ([y + eps], [y])
-    expected = (predicted_r_var(ens, hi_pt, model)
-                - predicted_r_var(ens, lo_pt, model)) / eps
+    expected = (predict(ens, hi_pt, model).r_var - predict(ens, lo_pt, model).r_var) / eps
     assert np.isfinite(g[0])
     assert g[0] == expected
     assert any("one-sided" in rec.message for rec in caplog.records)

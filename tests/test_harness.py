@@ -1,10 +1,13 @@
 import copy
 import dataclasses
 import functools
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from dcee import (ConfigError, NumericalError, Trace, builtin_config, compare,
                   compute_metrics, config_from_dict, emit_csv, load_config,
                   read_trace_csv, render_comparison, run_scenario, run_seeds)
+import dcee
 from dcee import harness, pv
 from dcee.cli import main as cli_main
 from dcee.harness import write_plot_script
@@ -231,6 +235,16 @@ def test_run_seeds_rejects_negative_seeds():
         run_seeds(quad_config(horizon=5), [1, -1])
 
 
+def test_seeds_given_in_code_are_integers_too():
+    cfg = quad_config(horizon=5)
+    for seed in (1.9, True):
+        with pytest.raises(ConfigError, match="run.seed must be an integer"):
+            run_seeds(cfg, [1, seed])
+        with pytest.raises(ConfigError, match="run.seed must be an integer"):
+            cfg.with_updates(seed=seed)
+    assert cfg.with_updates(seed=3.0).seed == 3 and len(run_seeds(cfg, [2.0])) == 1
+
+
 @pytest.mark.parametrize("kind, rate, variance, horizon, seeds", [
     pytest.param("quadratic-linear", 0.02, 2.0, 300, [1, 5, 6], id="seeds0"),
     pytest.param("quadratic-linear", 0.02, 2.0, 300, [5, 2], id="seeds1"),
@@ -325,6 +339,13 @@ def _two_entry_prior(d):
     ("quadratic-linear", lambda d: d["plant"].update(A=[[float("inf"), 1.0], [2.0, 1.0]])),
     ("mppt", lambda d: d["plant"].update(r_sh=5.0)),
     ("mppt", lambda d: d["plant"].update(temp_coeff_i=-0.6, r_s=0.0)),
+    ("quadratic-linear", lambda d: d["reward"].update(theta_floor=None)),
+    ("quadratic-linear", lambda d: d["ensemble"].update(n=5.7)),
+    ("quadratic-linear", lambda d: d["ensemble"].update(n=True)),
+    ("quadratic-linear", lambda d: d["run"].update(seed=1.9)),
+    ("quadratic-linear", lambda d: d["run"].update(horizon=10.5)),
+    ("mppt", lambda d: d["reward"].update(degree=5.5)),
+    ("mppt", lambda d: d["plant"].update(n_cells=72.5)),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -332,7 +353,9 @@ def _two_entry_prior(d):
         "theta_true-two-entries", "u_max-negative", "delta-nan", "g_ref-0",
         "hc_step-nan", "ic_deadband-nan", "v_shift-nan", "noise-nan",
         "prior-infinite", "seed-negative", "horizon-infinite", "x0-nan", "A-inf",
-        "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC"])
+        "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC", "theta_floor-null",
+        "n-fraction", "n-bool", "seed-fraction", "horizon-fraction", "degree-fraction",
+        "n_cells-fraction"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -342,6 +365,16 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     for command in commands:
         assert cli_main([command, "--config", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_integer_keys_take_integral_floats():
+    d = builtin_config("mppt")
+    d["ensemble"]["n"], d["reward"]["degree"], d["plant"]["n_cells"] = 5.0, 5.0, 72.0
+    d["run"].update(seed=3.0, horizon=20.0)
+    del d["run"]["duration"]
+    cfg = config_from_dict(d)
+    assert (cfg.seed, cfg.horizon, cfg.model.dim, cfg.plant.n_cells) == (3, 20, 6, 72)
+    assert run_scenario(cfg).n_rows == 21
 
 
 def test_run_out_must_be_a_path_or_null():
@@ -557,6 +590,30 @@ def test_write_plot_script_reads_column_numbers_from_the_header(tmp_path):
         poles=(0.4, 0.5, 0.7))
     assert ('"t.csv" using 2:6 with lines title "y", "t.csv" using 2:7 with lines '
             'title "xi", "t.csv" using 2:10 with lines title "theta mean"') in text
+
+
+def test_write_plot_script_rejects_a_header_without_its_columns(tmp_path):
+    empty, no_p = tmp_path / "empty.csv", tmp_path / "no_p.csv"
+    empty.write_text("")
+    no_p.write_text("k,t,v\n0,0.0,16.0\n")
+    for path, kind, missing in ((empty, "quadratic-linear", "'t', 'y', 'xi'"),
+                                (no_p, "mppt", "'p', 'p_max_oracle'")):
+        with pytest.raises(ValueError, match=str(path)) as err:
+            write_plot_script(path, kind)
+        assert missing in str(err.value)
+        assert not path.with_suffix(".gp").exists()
+
+
+def test_package_exports_exactly_its_modules_all():
+    # the library modules each declare their public names; the package
+    # exports those and nothing else (the command line is not re-exported)
+    modules = [importlib.import_module(f"dcee.{info.name}")
+               for info in pkgutil.iter_modules(dcee.__path__) if info.name != "cli"]
+    assert [m.__name__ for m in modules if not hasattr(m, "__all__")] == []
+    names = set().union(*(m.__all__ for m in modules))
+    exported = {name for name, value in vars(dcee).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == names
 
 
 def test_cli_gains_and_exit_codes(tmp_path, capsys):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from dcee import (EnvProfile, PolyBasis, PvParams, mpp_oracle, optimum_of,
-                  profile_eval, pv_current, pv_poly_reward, pv_power)
-from dcee.pv import _poly_argmax_batch, _thermal, open_circuit_voltage
+from dcee import (EnvProfile, PvParams, mpp_oracle, open_circuit_voltage, profile_eval,
+                  pv_current, pv_poly_reward)
+from dcee.pv import _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
 
@@ -105,8 +105,8 @@ def test_negative_voltage_rejected(params):
 
 def test_power_zero_at_interval_ends(params):
     voc = open_circuit_voltage(params, **REF)
-    assert pv_power(params, 0.0, **REF) == 0.0
-    assert pv_power(params, voc, **REF) == pytest.approx(0.0, abs=1e-5)
+    assert 0.0 * pv_current(params, 0.0, **REF) == 0.0
+    assert voc * pv_current(params, voc, **REF) == pytest.approx(0.0, abs=1e-5)
 
 
 def test_power_peak_is_interior_and_unique(params):
@@ -140,7 +140,7 @@ def test_mpp_oracle_definition(params):
     assert mpp_oracle(params, 0.0, 25.0) == (0.0, 0.0)
     voc = open_circuit_voltage(params, **REF)
     for v in np.linspace(0.0, voc, 200):
-        assert p_star >= pv_power(params, v, **REF) - 1e-9
+        assert p_star >= v * pv_current(params, v, **REF) - 1e-9
 
 
 def test_mpp_oracle_monotone_in_irradiance(params):
@@ -180,7 +180,7 @@ def test_mpp_oracle_matches_reference(params, irradiance, temperature):
     v_ref, p_ref = _reference_mpp(params, irradiance, temperature)
     assert p_star >= p_ref - 1e-9 * (1.0 + p_ref)
     assert abs(v_star - v_ref) <= 1e-4
-    assert p_star == pytest.approx(pv_power(params, v_star, irradiance, temperature),
+    assert p_star == pytest.approx(v_star * pv_current(params, v_star, irradiance, temperature),
                                    rel=1e-12, abs=1e-300)
     if p_ref > 1e-9:  # below the power tolerance every voltage is an optimum
         assert _reference_dpdv(params, v_star * (1.0 - 1e-6), irradiance, temperature) > 0.0
@@ -275,12 +275,17 @@ def test_profile_validation():
 
 
 def test_poly_basis_regressor_values():
-    basis = PolyBasis(degree=3)
+    basis = pv_poly_reward(degree=3).unknown_basis
     np.testing.assert_allclose(basis(2.0), [1.0, 2.0, 4.0, 8.0])
     np.testing.assert_allclose(basis([2.0, -1.0]), [[1.0, 2.0, 4.0, 8.0],
                                                     [1.0, -1.0, 1.0, -1.0]])
-    with pytest.raises(ValueError):
-        PolyBasis(degree=1)
+    # s = (v - shift) / scale
+    np.testing.assert_allclose(pv_poly_reward(degree=2, v_scale=2.0, v_shift=1.0)
+                               .unknown_basis(5.0), [1.0, 2.0, 4.0])
+    for bad in (dict(degree=1), dict(v_scale=0.0), dict(v_scale=math.inf),
+                dict(v_shift=math.nan)):
+        with pytest.raises(ValueError):
+            pv_poly_reward(**bad)
 
 
 def test_poly_fit_represents_power_curve(params):
@@ -389,7 +394,7 @@ def test_pv_poly_reward_optimum_matches_fit(params):
     power = grid * pv_current(params, grid, **REF)
     coef = np.polyfit((grid - 22.0) / 22.0, power, 5)[::-1]
     v_star, _ = mpp_oracle(params, **REF)
-    assert abs(optimum_of(model, coef)[0] - v_star) < 0.5
+    assert abs(model.optimum_map_batch(coef[None, :])[0, 0] - v_star) < 0.5
 
 
 def _shipped_model_and_prior():

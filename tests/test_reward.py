@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dcee import (DomainError, Ensemble, NoiseSpec, optimum_of, quadratic_reward, sample_noise,
-                  stats)
+from dcee import Ensemble, NoiseSpec, quadratic_reward, sample_noise, stats
 from dcee.reward import scan_regressor_bound
 
 
 @pytest.fixture
 def model():
     return quadratic_reward()
+
+
+def optimum(model, theta):
+    """The optimum map at one parameter value, a batch of one row."""
+    return model.optimum_map_batch(np.array([[theta]], dtype=float))[0, 0]
 
 
 def reward(model, theta, y):
@@ -64,13 +68,15 @@ def test_noise_drawn_at_once_equals_single_draws():
 
 
 def test_optimum_of_values(model):
-    assert optimum_of(model, [1.0])[0] == pytest.approx(1.0)
-    assert optimum_of(model, [2.0])[0] == pytest.approx(0.5)
+    assert optimum(model, 1.0) == pytest.approx(1.0)
+    assert optimum(model, 2.0) == pytest.approx(0.5)
 
 
-def test_optimum_of_singularity_rejected():
-    with pytest.raises(DomainError):
-        optimum_of(quadratic_reward(theta_floor=None), [0.0])
+@pytest.mark.parametrize("floor", [None, 0.0, -1e-6, math.nan, math.inf, "1e-6"])
+def test_quadratic_floor_must_be_finite_and_positive(floor):
+    # the map is singular at theta = 0, so every model needs a finite positive floor
+    with pytest.raises(ValueError, match="theta_floor"):
+        quadratic_reward(theta_floor=floor)
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1e-6, 1e-3, 2.0])
@@ -88,9 +94,9 @@ def test_floored_optimum_map_and_jacobian(theta):
     else:
         assert r[0, 0] == gain / (2.0 * theta)
         assert jac[0, 0, 0] == -r[0, 0] / theta
-    # optimum_of and the ensemble statistics see the same floored map
+    # a single row and the ensemble statistics see the same floored map
     ens = Ensemble(thetas=[[theta], [0.5], [2.0]], rates=[0.1] * 3)
-    optima = [optimum_of(model, row)[0] for row in ens.thetas]
+    optima = [optimum(model, row[0]) for row in ens.thetas]
     assert optima[0] == r[0, 0]
     assert stats(ens, model).r_mean[0] == np.mean(optima)
 
@@ -98,7 +104,7 @@ def test_floored_optimum_map_and_jacobian(theta):
 def test_optimum_is_global_maximum_on_grid(model):
     grid = np.linspace(-4.0, 4.0, 801)
     for theta in (0.25, 1.0, 3.0, 17.5):
-        best = reward(model, [theta], optimum_of(model, [theta])[0])
+        best = reward(model, [theta], optimum(model, theta))
         assert np.all(best >= reward(model, [theta], grid) - 1e-12)
 
 

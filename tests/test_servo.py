@@ -10,7 +10,7 @@ import pytest
 
 import dcee.servo as servo_mod
 from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains, adapt,
-                  builtin_config, check_rank, config_from_dict, design_gains, exploit_grad,
+                  builtin_config, config_from_dict, design_gains, exploit_grad,
                   harness, init_ensemble, predict, quadratic_reward, run_scenario, run_seeds,
                   sample_noise, solve_regulation, stabilizing_gain)
 
@@ -20,9 +20,11 @@ C = np.array([[0.0, 1.0]])
 
 
 def test_check_rank_examples():
-    assert check_rank(A, B, C) is True
-    assert check_rank([[1.0]], [[0.0]], [[1.0]]) is False
-    assert check_rank([[0.0]], [[1.0]], [[1.0]]) is True
+    # solve_regulation checks that [[A - I, B], [C, 0]] has full rank n + q
+    solve_regulation(A, B, C)
+    solve_regulation([[0.0]], [[1.0]], [[1.0]])
+    with pytest.raises(RegulationError, match="full rank"):
+        solve_regulation([[1.0]], [[0.0]], [[1.0]])
 
 
 def test_solve_regulation_reference_system():
@@ -156,9 +158,12 @@ def test_regulation_residual_invariants():
         A_r = rng.normal(size=(n, n))
         B_r = rng.normal(size=(n, 1))
         C_r = rng.normal(size=(q, n))
-        if not check_rank(A_r, B_r, C_r):
+        try:
+            Psi, G = solve_regulation(A_r, B_r, C_r)
+        except RegulationError as exc:
+            # skip a rank-deficient draw; a residual failure fails the test
+            assert "full rank" in str(exc)
             continue
-        Psi, G = solve_regulation(A_r, B_r, C_r)
         assert np.linalg.norm((A_r - np.eye(n)) @ Psi + B_r @ G) < 1e-10
         assert np.linalg.norm(C_r @ Psi - np.eye(q)) < 1e-10
         accepted += 1
@@ -229,9 +234,10 @@ def test_servo_step_does_not_revalidate_plant(monkeypatch):
     d["run"]["horizon"] = 50
     cfg = config_from_dict(d)
     plant_checks, ensemble_checks = [], []
-    controllable = servo_mod._controllable
-    monkeypatch.setattr(servo_mod, "_controllable",
-                        lambda *a: plant_checks.append(1) or controllable(*a))
+    # every rank test of the servo module, the plant's controllability among them
+    full_rank = servo_mod._full_rank
+    monkeypatch.setattr(servo_mod, "_full_rank",
+                        lambda *a: plant_checks.append(1) or full_rank(*a))
     post_init = Ensemble.__post_init__
     monkeypatch.setattr(Ensemble, "__post_init__",
                         lambda self: ensemble_checks.append(1) or post_init(self))
@@ -239,3 +245,5 @@ def test_servo_step_does_not_revalidate_plant(monkeypatch):
     assert plant_checks == []
     assert len(ensemble_checks) == 3 + 1
     assert [tr.n_rows for tr in traces] == [51] * 3
+    LinearPlant(cfg.plant.A, cfg.plant.B, cfg.plant.C, cfg.plant.x)  # the seam sees a check
+    assert plant_checks == [1]
