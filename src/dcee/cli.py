@@ -56,6 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args, algo=None) -> int:
     cfg = load_config(args.config)
+    if args.command == "mppt" and cfg.kind != "mppt":
+        raise ConfigError("mppt requires an mppt scenario")
     cfg = cfg.with_updates(seed=args.seed, out=args.out, algo=algo)
     if cfg.kind == "quadratic-linear":
         _print_gains(cfg)

@@ -23,9 +23,9 @@ reference, then step it down ``exploit_grad`` plus the closed-form
 exploration gradient (or by the hc / ic increment).  All that differs
 between the kinds sits in the plant, ``_Servo`` or ``_Panel``: ``observe``
 gives the outputs and rewards, ``step`` moves the reference ``ref`` by an
-increment and returns the tick's ``row`` and ``tail`` columns, ``shared``
-holds the columns all seeds share, and ``per_seed`` names what a cut to
-fewer seeds slices.  A seed's trace is the same whatever else shares its batch.
+increment and returns the tick's ``row`` and ``tail`` columns, and
+``shared`` holds the columns all seeds share.  A seed's trace is the same
+whatever else shares its batch.
 
 A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
 turns a seed's slice of it into a ``Trace``, as it does for the partial
@@ -298,8 +298,9 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         _positive(ctl["u_max"], "controller.u_max")
         lo, hi = model.y_range
         vlo, vhi = (float(v) for v in ctl["v_limits"])
-        if not lo <= vlo < vhi <= hi:
-            raise ConfigError("controller.v_limits must sit inside reward.v_range")
+        if vlo < 0 or not lo <= vlo < vhi <= hi:
+            raise ConfigError("controller.v_limits must be nonnegative and sit inside "
+                              "reward.v_range")
         v_init = float(ctl["v_init"])
         if not vlo <= v_init <= vhi:
             raise ConfigError("controller.v_init must lie inside controller.v_limits")
@@ -390,7 +391,7 @@ class _Servo:
     """The linear plant under the servo law u = -Kx + (G + K Psi) xi, with
     one state x (S, n, 1) and one reference xi (S, 1) per seed."""
 
-    per_seed, shared, tail = ("x", "ref", "y"), {}, ("err_track",)
+    shared, tail = {}, ("err_track",)
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
         self.plant, self.model, self.gains = cfg.plant, cfg.model, cfg.gains
@@ -419,7 +420,7 @@ class _Panel:
     """The PV panel; its voltage (S, 1) is both its state x and the
     reference.  hc and ic keep one tracker state per seed."""
 
-    per_seed, tail, row = ("x", "ref", "i", "p", "trackers"), (), ("v", "u", "i", "p")
+    tail, row = (), ("v", "u", "i", "p")
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
         ctl = cfg.section("controller")
@@ -468,7 +469,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
 def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     """Run every seed in one tick loop over a batch of ensembles and plants;
-    a failure is that of the first failing seed in list order."""
+    when seeds go non-finite, the seeds before the first of them run again
+    on their own, so a failure is that of the first failing seed in list order."""
     plant = (_Servo if cfg.kind == "quadratic-linear" else _Panel)(cfg, len(seeds))
     model, ctl = cfg.model, cfg.section("controller")
     delta, dual = float(ctl["delta"]), ctl.get("algo", "dcee") == "dcee"
@@ -484,44 +486,34 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     data = np.empty((len(written), len(seeds), len(k_col)))
     data[n_tick:] = np.array([*shared.values()], dtype=float)[:, None]
     ens, noise = _start(cfg, seeds)
-    live, failure = len(seeds), None
 
     def trace(i: int, n_rows: int) -> Trace:
         cols = dict(zip(written, data[:, i, :n_rows]))
         return _build_trace(order, [cols[name] for name in order])
 
-    def fail(i: int, k: int, n_rows: int, what: str) -> NumericalError:
-        """Write seed i's rows so far to the run's output path, if any."""
+    def fail(finite: np.ndarray, k: int, n_rows: int, what: str) -> NumericalError:
+        """The first non-finite seed's error, if the seeds before it run clean;
+        its rows so far go to the run's output path, if any."""
+        i = int(np.argmin(finite))
+        if i:
+            _run(cfg, seeds[:i])
         if cfg.out:
             emit_csv(trace(i, n_rows), cfg.out)
         return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
 
-    def cut(finite: np.ndarray, k: int, n_rows: int, what: str, *arrays) -> list:
-        """Stop the first non-finite seed and every later one; cut the arrays to the rest."""
-        nonlocal live, failure, ens
-        live = int(np.argmin(finite))
-        failure = (live, k, n_rows, what)
-        if not live:  # no earlier seed is left to fail first
-            raise fail(*failure)
-        for name in plant.per_seed:
-            setattr(plant, name, getattr(plant, name)[:live])
-        ens = ens.with_thetas(ens.thetas[:live])
-        return [a[:live] for a in arrays]
-
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():
         for k in range(len(k_col)):
-            y, j_obs = plant.observe(k, noise[:live, k])
+            y, j_obs = plant.observe(k, noise[:, k])
             if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
-                y, j_obs = cut(np.isfinite(j_obs), k, k, "estimator ensemble diverged", y, j_obs)
+                raise fail(np.isfinite(j_obs), k, k, "estimator ensemble diverged")
             if dual:
                 ens = adapt(ens, y, j_obs, model)
                 th_mean, th_std = ens.moments()
                 # a finite spread needs finite estimates and a finite mean
                 if not _all_finite(th_std):
-                    j_obs, th_mean, th_std = cut(np.isfinite(th_std).all(axis=1), k, k,
-                                                 "estimator ensemble diverged",
-                                                 j_obs, th_mean, th_std)
+                    raise fail(np.isfinite(th_std).all(axis=1), k, k,
+                               "estimator ensemble diverged")
                 ps = predict(ens, plant.ref, model)
                 g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
                 inc = -delta * (g_exploit + g_explore)
@@ -529,14 +521,11 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                              np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]))
             else:
                 inc, learn_row = plant.track(j_obs), ()
-            data[:n_tick, :live, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
+            data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
             # a non-finite increment makes the state non-finite
             if not _all_finite(plant.x):
-                cut(np.isfinite(plant.x).reshape(live, -1).all(axis=1), k, k + 1,
-                    "state became non-finite")
-
-    if failure is not None:
-        raise fail(*failure)
+                raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
+                           "state became non-finite")
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
 

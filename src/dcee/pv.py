@@ -359,8 +359,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
 
     While a ``warm_start()`` scope is open, each optimum-map call starts
     from the derivative roots of the previous call (see
-    ``_poly_argmax_batch``): a call with fewer rows from its leading rows,
-    as a loop cut to fewer seeds keeps the leading ones; one with more cold.
+    ``_poly_argmax_batch``); a call with another row count starts cold.
     The roots are dropped when the scope closes, also on an exception,
     and a nested scope starts empty and hands the outer one back its own.
     """
@@ -388,9 +387,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def opt_batch(thetas):
         if not np.all(np.isfinite(thetas)):
             raise DomainError("polynomial coefficients must be finite")
-        start = warm[0] if warm else None
         optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift,
-                                           None if start is None else start[:len(thetas)])
+                                           warm[0] if warm else None)
         if warm:
             warm[0] = roots
         return optima

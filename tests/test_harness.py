@@ -128,10 +128,18 @@ def test_bit_identical_reruns(make):
         assert np.array_equal(a.values[col], b.values[col]), col
 
 
-@pytest.mark.parametrize("rate", [None, 50.0], ids=["returns", "raises"])
-def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate):
+@pytest.mark.parametrize("rate, variance, horizon, seeds, cold_rows", [
+    pytest.param(None, 0.0, 100, [1], [50], id="returns"),
+    pytest.param(50.0, 0.0, 100, [1], [50], id="raises"),
+    # seed 0 diverges first, at step 317: seed 3 runs again alone and
+    # diverges at step 318
+    pytest.param(4.0, 1.0, 400, [3, 0], [100, 50], id="re-runs-the-seeds-before"),
+])
+def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate, variance, horizon,
+                                               seeds, cold_rows):
     d = builtin_config("mppt")
-    d["run"] = {"horizon": 100, "seed": 1}
+    d["run"] = {"horizon": horizon, "seed": 1}
+    d["noise"]["variance"] = variance
     if rate is not None:
         d["ensemble"]["rate"] = rate  # the estimates diverge: the run raises
     cfg = config_from_dict(d)
@@ -144,12 +152,14 @@ def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate):
 
     monkeypatch.setattr(pv, "_poly_argmax_batch", spy)
     if rate is None:
-        run_scenario(cfg)
+        run_seeds(cfg, seeds)
     else:
         with pytest.raises(NumericalError), np.errstate(all="ignore"):
-            run_scenario(cfg)
-    # the run warm-starts every call after its first
-    assert [s is None for s in starts] == [True] + [False] * (len(starts) - 1)
+            run_seeds(cfg, seeds)
+    # the run, and a re-run of the seeds before a failing one, warm-start
+    # every call after their first
+    cold = [i for i, start in enumerate(starts) if start is None]
+    assert cold[0] == 0 and [len(seen[i]) for i in cold] == cold_rows
     thetas, starts[:] = seen[-1], []
     got = cfg.model.optimum_map_batch(thetas)
     assert [s is None for s in starts] == [True]
@@ -346,6 +356,8 @@ def _two_entry_prior(d):
     ("quadratic-linear", lambda d: d["run"].update(horizon=10.5)),
     ("mppt", lambda d: d["reward"].update(degree=5.5)),
     ("mppt", lambda d: d["plant"].update(n_cells=72.5)),
+    ("mppt", lambda d: (d["reward"].update(v_range=[-5.0, 43.0]),
+                        d["controller"].update(v_limits=[-1.0, 42.0], v_init=-1.0))),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -355,7 +367,7 @@ def _two_entry_prior(d):
         "prior-infinite", "seed-negative", "horizon-infinite", "x0-nan", "A-inf",
         "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC", "theta_floor-null",
         "n-fraction", "n-bool", "seed-fraction", "horizon-fraction", "degree-fraction",
-        "n_cells-fraction"])
+        "n_cells-fraction", "v_limits-negative"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -638,9 +650,12 @@ def test_cli_gains_and_exit_codes(tmp_path, capsys):
             assert "configuration error" in capsys.readouterr().err
     # i/o error category
     assert cli_main(["gains", "--config", str(tmp_path / "missing.json")]) == 4
-    # wrong scenario kind for compare
-    assert cli_main(["compare", "--config",
-                     str(REPO / "configs" / "quadratic_linear.json")]) == 2
+    # wrong scenario kind for compare and for mppt, with or without --algo
+    quadratic = str(REPO / "configs" / "quadratic_linear.json")
+    assert cli_main(["compare", "--config", quadratic]) == 2
+    for extra in ([], ["--algo", "hc"]):
+        assert cli_main(["mppt", "--config", quadratic, *extra]) == 2
+        assert "mppt requires an mppt scenario" in capsys.readouterr().err
 
 
 def test_cli_run_writes_trace(tmp_path, capsys):

@@ -350,9 +350,9 @@ def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
         np.testing.assert_array_equal(roots[rows], alone[1])
 
 
-def test_warm_map_cut_to_its_leading_rows_goes_on_from_their_roots():
-    # a loop cut to fewer seeds keeps the leading ones; their next call
-    # starts from their own roots, as if the dropped rows had never run
+def test_warm_map_with_another_row_count_starts_cold():
+    # the previous call's roots fit only a call with its row count; a call
+    # with fewer or more rows gives the bits of a cold call
     from dcee import builtin_config
     prior = builtin_config("mppt")["ensemble"]
     rng = np.random.default_rng(5)
@@ -361,11 +361,10 @@ def test_warm_map_cut_to_its_leading_rows_goes_on_from_their_roots():
     model = pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0)
     with model.warm_start():
         model.optimum_map_batch(thetas)
-        cut = model.optimum_map_batch(moved[:50])
-    with model.warm_start():
-        model.optimum_map_batch(thetas[:50])
-        alone = model.optimum_map_batch(moved[:50])
-    np.testing.assert_array_equal(cut, alone)
+        fewer = model.optimum_map_batch(moved[:50])
+        more = model.optimum_map_batch(moved)
+    np.testing.assert_array_equal(fewer, model.optimum_map_batch(moved[:50]))
+    np.testing.assert_array_equal(more, model.optimum_map_batch(moved))
 
 
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
