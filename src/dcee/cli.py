@@ -6,6 +6,7 @@ Subcommands:
   compare  run dcee/hc/ic on one PV scenario and rank them by efficiency
   gains    print the servo gain matrices of a linear scenario
 
+``--out`` receives a run's trace, or the rows before an exit-3 failure.
 Exit codes: 0 success, 2 configuration error, 3 numerical/domain failure,
 4 I/O failure.
 """
@@ -27,7 +28,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None,
-                        help="override the trace output path")
+                        help="write the trace CSV to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +59,19 @@ def _cmd_run(args, algo=None) -> int:
     cfg = load_config(args.config)
     if args.command == "mppt" and cfg.kind != "mppt":
         raise ConfigError("mppt requires an mppt scenario")
-    cfg = cfg.with_updates(seed=args.seed, out=args.out, algo=algo)
+    cfg = cfg.with_updates(seed=args.seed, algo=algo)
     if cfg.kind == "quadratic-linear":
         _print_gains(cfg)
-    trace = run_scenario(cfg)
-    if cfg.out:
-        emit_csv(trace, cfg.out)
-        script = write_plot_script(cfg.out, cfg.kind)
-        print(f"trace written to {cfg.out} ({trace.n_rows} rows); "
+    try:
+        trace = run_scenario(cfg)
+    except NumericalError as exc:
+        if args.out:
+            emit_csv(exc.trace, args.out)
+        raise
+    if args.out:
+        emit_csv(trace, args.out)
+        script = write_plot_script(args.out, cfg.kind)
+        print(f"trace written to {args.out} ({trace.n_rows} rows); "
               f"plot script {script}")
     else:
         last = trace.n_rows - 1

@@ -18,12 +18,12 @@ class RegulationError(ValueError):
 class NumericalError(RuntimeError):
     """A simulation produced non-finite values mid-run.
 
-    Carries the step index at which the failure was detected and, when the
-    scenario had an output path configured, the location of the partial
-    trace that was persisted before raising.
+    Carries the step index at which the failure was detected and the
+    failing seed's rows before it, a ``Trace``; the caller decides whether
+    to write them.
     """
 
-    def __init__(self, message, step=None, partial_path=None):
+    def __init__(self, message, step=None, trace=None):
         super().__init__(message)
         self.step = step
-        self.partial_path = partial_path
+        self.trace = trace

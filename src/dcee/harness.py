@@ -115,7 +115,7 @@ def builtin_config(kind: str) -> dict:
                 "xi0": [3.6],
             },
             "noise": {"variance": 2.0},
-            "run": {"horizon": 5000, "dt": 1.0, "seed": 1, "out": None},
+            "run": {"horizon": 5000, "dt": 1.0, "seed": 1},
         }
     if kind == "mppt":
         return {
@@ -162,16 +162,16 @@ def builtin_config(kind: str) -> dict:
                 "ic_deadband": 0.02,
             },
             "noise": {"variance": 0.0},
-            "run": {"duration": 2.0, "dt": 0.001, "seed": 1, "out": None},
+            "run": {"duration": 2.0, "dt": 0.001, "seed": 1},
         }
     raise ConfigError(f"unknown scenario kind {kind!r}")
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario: the merged sections (``data``) and the objects
-    a run uses.  ``plant`` is the ``LinearPlant`` at its initial state
-    (quadratic, with its servo ``gains``) or the ``PvParams`` panel (mppt,
+    """Validated scenario: the merged sections (``data``) and the objects a run
+    uses, but no output path.  ``plant`` is the ``LinearPlant`` at its initial
+    state (quadratic, with its servo ``gains``) or the ``PvParams`` panel (mppt,
     with its ``profile`` and initial ``hc`` / ``ic`` tracker states)."""
 
     kind: str
@@ -179,7 +179,6 @@ class ScenarioConfig:
     seed: int
     horizon: int
     dt: float
-    out: str | None
     model: RewardModel
     noise: NoiseSpec
     plant: LinearPlant | PvParams
@@ -191,12 +190,10 @@ class ScenarioConfig:
     def section(self, name: str) -> dict:
         return self.data[name]
 
-    def with_updates(self, seed=None, out=None, algo=None) -> "ScenarioConfig":
+    def with_updates(self, seed=None, algo=None) -> "ScenarioConfig":
         d = copy.deepcopy(self.data)
         if seed is not None:
             d["run"]["seed"] = seed
-        if out is not None:
-            d["run"]["out"] = str(out)
         if algo is not None:
             d["controller"]["algo"] = str(algo)
         return config_from_dict(d)
@@ -268,17 +265,17 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         horizon = _integer(run["horizon"], "run.horizon")
     if horizon < 0:
         raise ConfigError("run horizon (or duration) must be nonnegative")
-    seed, out = _integer(run["seed"], "run.seed"), run.get("out")
-    if seed < 0 or not (out is None or isinstance(out, str)):
-        raise ConfigError("run.seed must be nonnegative and run.out a path or null")
+    seed = _integer(run["seed"], "run.seed")
+    if seed < 0:
+        raise ConfigError("run.seed must be nonnegative")
     _positive(ctl["delta"], "controller.delta")
 
     if kind == "quadratic-linear":
         model = quadratic_reward(known_gain=float(rw["known_gain"]),
                                  y_range=rw["y_range"], theta_floor=rw["theta_floor"])
-        if np.asarray(rw["theta_true"], dtype=float).shape != (model.dim,):
-            raise ConfigError("reward.theta_true must have one entry per model "
-                              "parameter")
+        theta_true = np.asarray(rw["theta_true"], dtype=float)
+        if theta_true.shape != (model.dim,) or not np.all(np.isfinite(theta_true)):
+            raise ConfigError("reward.theta_true needs one finite entry per model parameter")
         p = d["plant"]
         plant = LinearPlant(p["A"], p["B"], p["C"], p["x0"])
         xi0 = np.asarray(ctl["xi0"], dtype=float)
@@ -326,8 +323,7 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
                           "per estimator")
 
     return ScenarioConfig(kind=kind, data=d, seed=seed, horizon=horizon, dt=dt,
-                          out=out, model=model,
-                          noise=NoiseSpec(float(d["noise"]["variance"])), **built)
+                          model=model, noise=NoiseSpec(float(d["noise"]["variance"])), **built)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -468,9 +464,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
 
 
 def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
-    """Run every seed in one tick loop over a batch of ensembles and plants;
-    when seeds go non-finite, the seeds before the first of them run again
-    on their own, so a failure is that of the first failing seed in list order."""
+    """Run every seed in one tick loop over a batch of ensembles and plants.
+    When seeds go non-finite, the seeds before the first of them run again on
+    their own, then the first's error is raised with its rows so far; no file is written."""
     plant = (_Servo if cfg.kind == "quadratic-linear" else _Panel)(cfg, len(seeds))
     model, ctl = cfg.model, cfg.section("controller")
     delta, dual = float(ctl["delta"]), ctl.get("algo", "dcee") == "dcee"
@@ -492,14 +488,12 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
         return _build_trace(order, [cols[name] for name in order])
 
     def fail(finite: np.ndarray, k: int, n_rows: int, what: str) -> NumericalError:
-        """The first non-finite seed's error, if the seeds before it run clean;
-        its rows so far go to the run's output path, if any."""
+        """The first non-finite seed's error with its rows so far, if the
+        seeds before it run clean."""
         i = int(np.argmin(finite))
         if i:
             _run(cfg, seeds[:i])
-        if cfg.out:
-            emit_csv(trace(i, n_rows), cfg.out)
-        return NumericalError(f"{what} at step {k}", step=k, partial_path=cfg.out or None)
+        return NumericalError(f"{what} at step {k}", step=k, trace=trace(i, n_rows))
 
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():
@@ -627,13 +621,13 @@ def read_trace_csv(path) -> Trace:
 
 
 def write_plot_script(csv_path, kind: str) -> str:
-    """Emit a small gnuplot script next to the CSV; returns its path.
-
-    The curves are plotted against ``t`` by their column numbers in the
-    CSV's header line; a missing header or column is a ``ValueError``.
+    """Emit a small gnuplot script next to the CSV (``t.gp`` for ``t.csv``,
+    ``t.gp.gp`` for ``t.gp``); returns its path.  The curves are plotted against
+    ``t`` by their header's column numbers; a missing header or column is a
+    ``ValueError``.
     """
-    base, _ = os.path.splitext(str(csv_path))
-    script = base + ".gp"
+    base, ext = os.path.splitext(str(csv_path))
+    script = f"{csv_path}.gp" if ext == ".gp" else base + ".gp"
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
         number = {name: i + 1 for i, name in enumerate(next(csv.reader(fh), []))}
     if kind == "quadratic-linear":

@@ -69,7 +69,7 @@ def _rejected_or_runs(d) -> None:
         cfg = config_from_dict(d)
     except ConfigError:
         return
-    cfg = dataclasses.replace(cfg, horizon=min(cfg.horizon, 5), out=None)
+    cfg = dataclasses.replace(cfg, horizon=min(cfg.horizon, 5))
     try:
         with np.errstate(all="ignore"):
             trace = run_scenario(cfg)

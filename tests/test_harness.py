@@ -262,46 +262,54 @@ def test_seeds_given_in_code_are_integers_too():
     pytest.param("mppt", 3.0, 0.0, 600, [4, 1, 2], id="mppt"),
     pytest.param("mppt", 4.0, 1.0, 400, [3, 0], id="mppt-after-a-cut"),
 ])
-def test_run_seeds_reports_the_first_failing_seed_in_list_order(tmp_path, kind, rate,
-                                                                variance, horizon, seeds):
+def test_run_seeds_reports_the_first_failing_seed_in_list_order(kind, rate, variance,
+                                                                horizon, seeds):
     # quadratic at rate 0.02: seeds 2, 5 and 6 diverge at steps 259, 267 and
     # 249 and seeds 1 and 3 do not.  mppt at rate 3.0: every seed diverges
     # at step 502; at rate 4.0 with noise, seed 0 at step 317 and seed 3 at
-    # step 318, so seed 3 runs its last tick in a batch cut to it.  The
-    # error is the one running the seeds in turn meets first, also when a
-    # later seed diverges earlier
+    # step 318, so after seed 0 fails seed 3 runs again alone and its step
+    # 318 is the failure reported.  The error is the one running the seeds
+    # in turn meets first, also when a later seed diverges earlier
     d = builtin_config(kind)
     d["ensemble"]["rate"] = rate
     d["noise"]["variance"] = variance
     d["run"].pop("duration", None)
-    d["run"].update(horizon=horizon, out=str(tmp_path / "batch.csv"))
+    d["run"]["horizon"] = horizon
     cfg = config_from_dict(d)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError) as batched:
             run_seeds(cfg, seeds)
         for seed in seeds:
             try:
-                run_scenario(cfg.with_updates(seed=seed, out=tmp_path / "serial.csv"))
+                run_scenario(cfg.with_updates(seed=seed))
             except NumericalError as exc:
                 serial = exc
                 break
     assert (str(batched.value), batched.value.step) == (str(serial), serial.step)
-    assert batched.value.partial_path == str(tmp_path / "batch.csv")
-    assert ((tmp_path / "batch.csv").read_text()
-            == (tmp_path / "serial.csv").read_text())
+    got, want = batched.value.trace, serial.trace
+    assert got.columns == want.columns
+    for col in want.columns:
+        assert got.values[col].dtype == want.values[col].dtype
+        assert np.array_equal(got.values[col], want.values[col]), col
 
 
-def test_numerical_failure_persists_partial_trace(tmp_path):
+def _refuse_writes_from_the_loop(monkeypatch):
+    def emit_csv(*args):
+        raise AssertionError("the simulation wrote a trace file")
+    monkeypatch.setattr(harness, "emit_csv", emit_csv)
+
+
+def test_numerical_failure_persists_partial_trace(tmp_path, monkeypatch):
     d = builtin_config("quadratic-linear")
     d["ensemble"]["rate"] = 1e308  # blows the estimates up immediately
     d["run"]["horizon"] = 50
-    d["run"]["out"] = str(tmp_path / "partial.csv")
     cfg = config_from_dict(d)
+    _refuse_writes_from_the_loop(monkeypatch)
     with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
         run_scenario(cfg)
     assert err.value.step == 0
-    assert err.value.partial_path == str(tmp_path / "partial.csv")
     # no row is complete at step 0: the partial trace is the header alone
+    emit_csv(err.value.trace, tmp_path / "partial.csv")
     back = read_trace_csv(tmp_path / "partial.csv")
     assert back.n_rows == 0
     assert back.columns == run_scenario(quad_config(horizon=0)).columns
@@ -358,6 +366,9 @@ def _two_entry_prior(d):
     ("mppt", lambda d: d["plant"].update(n_cells=72.5)),
     ("mppt", lambda d: (d["reward"].update(v_range=[-5.0, 43.0]),
                         d["controller"].update(v_limits=[-1.0, 42.0], v_init=-1.0))),
+    ("quadratic-linear", lambda d: d["run"].update(out="trace.csv")),
+    ("quadratic-linear", lambda d: d["reward"].update(theta_true=[float("nan")])),
+    ("quadratic-linear", lambda d: d["reward"].update(theta_true=[float("inf")])),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -367,7 +378,8 @@ def _two_entry_prior(d):
         "prior-infinite", "seed-negative", "horizon-infinite", "x0-nan", "A-inf",
         "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC", "theta_floor-null",
         "n-fraction", "n-bool", "seed-fraction", "horizon-fraction", "degree-fraction",
-        "n_cells-fraction", "v_limits-negative"])
+        "n_cells-fraction", "v_limits-negative", "run-out", "theta_true-nan",
+        "theta_true-inf"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -389,22 +401,21 @@ def test_integer_keys_take_integral_floats():
     assert run_scenario(cfg).n_rows == 21
 
 
-def test_run_out_must_be_a_path_or_null():
-    d = builtin_config("quadratic-linear")
-    d["run"]["out"] = 5  # would otherwise be opened as a file descriptor
-    with pytest.raises(ConfigError, match="run.out"):
-        config_from_dict(d)
-
-
-@pytest.mark.parametrize("rate", [5.0, 50.0])
-def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, rate):
+@pytest.mark.parametrize("rate, command", [
+    pytest.param(5.0, ["run"], id="5.0"),
+    pytest.param(50.0, ["run"], id="50.0"),
+    pytest.param(5.0, ["mppt", "--algo", "dcee"], id="5.0-mppt-dcee"),
+    pytest.param(50.0, ["mppt", "--algo", "dcee"], id="50.0-mppt-dcee"),
+])
+def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, rate,
+                                                             command):
     d = builtin_config("mppt")
     d["ensemble"]["rate"] = rate
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps(d))
     out = tmp_path / "diverge.csv"
     with np.errstate(all="ignore"):
-        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        rc = cli_main([*command, "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3
     assert "estimator ensemble diverged" in capsys.readouterr().err
     tr = read_trace_csv(out)
@@ -428,15 +439,15 @@ def test_mppt_profile_temperature_outside_diode_model_exits_2(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_quadratic_estimator_divergence_stops_before_non_finite_rows(tmp_path):
+def test_quadratic_estimator_divergence_stops_before_non_finite_rows(monkeypatch):
     # rate 0.05 overshoots: theta_std_0 overflows long before the plant does
     d = builtin_config("quadratic-linear")
     d["ensemble"]["rate"] = 0.05
-    d["run"]["out"] = str(tmp_path / "partial.csv")
+    _refuse_writes_from_the_loop(monkeypatch)
     with pytest.raises(NumericalError, match="estimator ensemble diverged") as err, \
             np.errstate(all="ignore"):
         run_scenario(config_from_dict(d))
-    tr = read_trace_csv(tmp_path / "partial.csv")
+    tr = err.value.trace
     assert 0 < tr.n_rows == err.value.step < d["run"]["horizon"]
     for col in tr.columns:
         assert np.all(np.isfinite(tr.values[col])), col
@@ -683,6 +694,17 @@ def test_cli_mppt_algo_override(tmp_path):
     assert rc == 0
     tr = read_trace_csv(out_path)
     assert "theta_mean_0" not in tr.columns  # baseline trace has no ensemble
+
+
+def test_cli_out_ending_in_gp_keeps_the_trace(tmp_path, capsys):
+    # the plot script would be named t.gp too; it goes to t.gp.gp instead
+    out = tmp_path / "t.gp"
+    rc = cli_main(["mppt", "--config", str(REPO / "configs" / "mppt.json"), "--algo", "hc",
+                   "--out", str(out)])
+    assert rc == 0
+    assert f"plot script {out}.gp" in capsys.readouterr().out
+    assert read_trace_csv(out).n_rows == 2001
+    assert '"t.gp" using' in (tmp_path / "t.gp.gp").read_text()
 
 
 def test_import_does_not_load_scipy_optimize():
