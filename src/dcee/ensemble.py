@@ -150,7 +150,8 @@ def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
 
         theta_i' = theta_i - eta_i * phi * (phi . theta_i - (j_obs - known))
     """
-    if not np.isfinite(j_obs).all():
+    finite = np.isfinite(j_obs)
+    if np.count_nonzero(finite) != finite.size:
         raise ValueError("reward observation must be finite")
     y = _outputs(ens, y_prev)
     phi = model.unknown_basis(y)

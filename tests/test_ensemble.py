@@ -71,8 +71,12 @@ def test_adapt_fixed_point_at_truth():
 def test_adapt_rejects_non_finite_observation():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.ones((2, 1)), rates=np.full(2, 0.1))
-    with pytest.raises(ValueError):
-        adapt(ens, [1.0], float("nan"), model)
+    batch = Ensemble(thetas=np.ones((3, 2, 1)), rates=np.full(2, 0.1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            adapt(ens, [1.0], bad, model)
+        with pytest.raises(ValueError, match="finite"):  # one bad entry of a batch
+            adapt(batch, [1.0, 0.5, 2.0], np.array([0.3, bad, 0.1]), model)
 
 
 def test_adapt_converges_on_persistently_exciting_sequence():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from dcee import (EnvProfile, PvParams, mpp_oracle, open_circuit_voltage, profile_eval,
-                  pv_current, pv_poly_reward)
+from dcee import (DomainError, EnvProfile, PvParams, mpp_oracle, open_circuit_voltage,
+                  profile_eval, pv_current, pv_poly_reward)
 from dcee.pv import _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
@@ -441,3 +442,38 @@ def test_pv_poly_optimum_jacobian_zero_at_endpoint_maximum():
     jac = model.optimum_jacobian(thetas, optima)
     assert np.all(jac[:4] == 0.0)
     assert np.all(jac[4, 0, 1:] != 0.0) and jac[4, 0, 0] == 0.0
+
+
+def test_pv_poly_optimum_jacobian_rows_do_not_depend_on_their_batch():
+    # the endpoint, p'' > 0, p'' = 0 and interior rows stacked with prior
+    # draws: each row's jacobian is that row's alone, and no masked-out row
+    # divides by its curvature (a warning would be an error here)
+    model, low, high = _shipped_model_and_prior()
+    special = np.vstack([
+        [0.0, 3.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, -3.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+        0.5 * (low + high),
+    ])
+    draws = np.random.default_rng(8).uniform(low, high, size=(40, 6))
+    thetas = np.vstack([draws[:20], special, draws[20:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = model.optimum_jacobian(thetas, model.optimum_map_batch(thetas))
+        for i, row in enumerate(thetas):
+            alone = model.optimum_jacobian(row[None], model.optimum_map_batch(row[None]))
+            np.testing.assert_array_equal(jac[i], alone[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pv_poly_optimum_map_rejects_non_finite_coefficients(bad):
+    model, low, high = _shipped_model_and_prior()
+    thetas = np.random.default_rng(9).uniform(low, high, size=(50, 6))
+    thetas[17, 3] = bad
+    with pytest.raises(DomainError):
+        model.optimum_map_batch(thetas)
+    with model.warm_start():
+        model.optimum_map_batch(np.where(np.isfinite(thetas), thetas, 0.0))
+        with pytest.raises(DomainError):  # a warm call, started from those roots
+            model.optimum_map_batch(thetas)
