@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="rank dcee/hc/ic on one PV scenario")
     cmp_p.add_argument("--config", required=True, help="scenario JSON file")
-    cmp_p.add_argument("--seed", type=int, default=None)
+    cmp_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     cmp_p.add_argument("--out", default=None, help="write the table as CSV")
 
     gains_p = sub.add_parser("gains", help="print servo gain matrices")

@@ -13,6 +13,9 @@ config inputs approximating a ~175 W, 72-cell module.
 The current and the open-circuit voltage are the Lambert-W closed forms
 of that equation and take arrays of voltages and conditions; the maximum
 power point of one condition is a bracketed Newton solve on dP/dV.
+Their Wright omega function comes from ``scipy.special``, imported by
+the first diode evaluation rather than with this module: it takes most
+of ``import dcee``, and a quadratic run never evaluates the diode.
 
 The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
@@ -36,7 +39,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .errors import DomainError
 from .reward import RewardModel
@@ -133,6 +135,17 @@ def _thermal(params: PvParams, irradiance, temperature):
     v_oc_t = params.v_oc_ref + params.temp_coeff_v * (temperature - params.t_ref)
     i_0 = (i_ph_ref_t - v_oc_t / params.r_sh) / np.expm1(v_oc_t / a)
     return a, (irradiance / params.g_ref) * i_ph_ref_t, i_0
+
+
+def wrightomega(x):
+    """``scipy.special.wrightomega``, imported on the first call.
+
+    The call rebinds this module's name to scipy's ufunc, so later calls
+    go straight to it, with no import statement per call.
+    """
+    global wrightomega
+    from scipy.special import wrightomega
+    return wrightomega(x)
 
 
 def _diode(params: PvParams, v, i_ph, a, i_0):

@@ -201,9 +201,10 @@ def test_criterion_9_mppt_ordering_over_seeds():
     for seed, d, h, i in zip(seeds, eff["dcee"], eff["hc"], eff["ic"]):
         assert d >= h >= i and d >= 0.96, (seed, d, h, i)
 
-    def summary(margin):
-        return (f"min {margin.min():.2e} (seed {seeds[margin.argmin()]}), "
-                f"median {np.median(margin):.2e}")
+    def summary(x, fmt=".2e"):
+        lo, hi = x.argmin(), x.argmax()
+        return (f"min {x[lo]:{fmt}} (seed {seeds[lo]}), median {np.median(x):{fmt}}, "
+                f"max {x[hi]:{fmt}} (seed {seeds[hi]})")
 
     _report(9, "MPPT ordering over seeds 0-19", elapsed,
             f"dcee - hc {summary(eff['dcee'] - eff['hc'])}")
@@ -215,6 +216,13 @@ def test_criterion_9_mppt_ordering_over_seeds():
                                for tr in traces[algo]])
                for algo in ("dcee", "hc")}
         print(f"    ticks {part}: dcee - hc {summary(seg['dcee'] - seg['hc'])}")
+    # the stall after the step (reported, not asserted): how many of those
+    # ticks dcee's reference stands still, and how far its belief ends from the MPP
+    dcee = traces["dcee"]
+    rest = np.array([np.count_nonzero(np.abs(tr.column("u")[999:]) <= 1e-8) for tr in dcee])
+    miss = np.array([abs(tr.column("r_mean")[-1] - tr.column("v_mpp_oracle")[-1]) for tr in dcee])
+    print(f"    ticks 999-2000, dcee at rest (|u| <= 1e-8 V): {summary(rest, 'g')} ticks")
+    print(f"    tick 2000, dcee |r_mean - v_mpp_oracle|: {summary(miss, '.3f')} V")
 
 
 def test_criterion_10_baseline_sanity():

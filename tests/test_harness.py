@@ -707,11 +707,43 @@ def test_cli_out_ending_in_gp_keeps_the_trace(tmp_path, capsys):
     assert '"t.gp" using' in (tmp_path / "t.gp.gp").read_text()
 
 
+_SCIPY_LOADS = """
+import contextlib, io, json, sys
+import numpy as np
+import dcee, dcee.cli
+from dcee import harness, pv
+
+def loaded():
+    return [m in sys.modules for m in ("scipy.optimize", "scipy.special")]
+
+out = {"import": loaded()}
+d = harness.builtin_config("quadratic-linear")
+d["run"]["horizon"] = 19
+out["ticks"] = harness.run_scenario(harness.config_from_dict(d)).n_rows
+with contextlib.redirect_stdout(io.StringIO()):
+    out["gains_exit"] = dcee.cli.main(["gains", "--config", "configs/quadratic_linear.json"])
+out["quadratic"] = loaded()
+v = np.linspace(0.0, 45.0, 10)
+first = pv.pv_current(pv.PvParams(), v, 1000.0, 25.0)
+out["diode"] = loaded()
+import scipy.special
+out["ufunc"] = pv.wrightomega is scipy.special.wrightomega
+out["same_bits"] = pv.pv_current(pv.PvParams(), v, 1000.0, 25.0).tobytes() == first.tobytes()
+print(json.dumps(out))
+"""
+
+
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize once made up most of `import dcee`; the package uses none of it
+    # the package uses no scipy.optimize, and only the diode needs scipy.special,
+    # most of the package's import time: a quadratic run and `dcee gains` load neither
     src = str(Path(harness.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, dcee, dcee.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADS], capture_output=True, text=True,
+                         check=True, cwd=REPO, env={**os.environ, "PYTHONPATH": path},
+                         timeout=60)
+    got = json.loads(out.stdout)
+    assert got["import"] == got["quadratic"] == [False, False]
+    assert got["ticks"] == 20 and got["gains_exit"] == 0
+    # the first diode evaluation imports scipy's ufunc, and later ones call it directly
+    assert got["diode"] == [False, True]
+    assert got["ufunc"] and got["same_bits"]
