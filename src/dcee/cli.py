@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical/domain failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -104,9 +105,8 @@ def _cmd_compare(args) -> int:
     rows = compare([cfg.with_updates(algo=a) for a in ("dcee", "hc", "ic")])
     print(render_comparison(rows))
     if args.out:
-        import csv as _csv
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["algo", "efficiency", "energy_extracted",
                              "energy_max", "power_loss", "steady_state_band"])
             for label, met in rows:

@@ -593,31 +593,42 @@ def render_comparison(rows) -> str:
 
 
 def emit_csv(trace: Trace, path) -> None:
-    """Write the trace with lossless float formatting (17 significant digits)."""
+    """Write the trace as unquoted, CRLF-ended rows (the bytes ``csv.writer``
+    writes): the ``_INT_COLUMNS`` counters as integers, every other value with
+    lossless float formatting (17 significant digits)."""
+    row = ",".join("%d" if c in _INT_COLUMNS else "%.17g" for c in trace.columns) + "\r\n"
+    columns = [np.asarray(trace.values[c], dtype=int if c in _INT_COLUMNS else float).tolist()
+               for c in trace.columns]
+    body = "".join(map(row.__mod__, zip(*columns)))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(trace.columns)
-            # each column formatted at once: integers as such, floats to 17 digits
-            text = [map(str, np.asarray(trace.values[c], dtype=int).tolist())
-                    if c in _INT_COLUMNS else
-                    [format(v, ".17g") for v in np.asarray(trace.values[c], dtype=float).tolist()]
-                    for c in trace.columns]
-            writer.writerows(zip(*text))
+            fh.write(",".join(trace.columns) + "\r\n")
+            fh.write(body)
     except OSError as exc:
         raise OSError(f"could not write trace to {path}: {exc}") from exc
 
 
 def read_trace_csv(path) -> Trace:
     """Read back a trace written by ``emit_csv``; a file without a header
-    line, or a row with a cell too many or too few, is a ``ValueError``."""
+    line, a blank or ``#`` line, a row with a cell too many or too few, or a
+    counter that is not an integer is a ``ValueError``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"trace file {path} is empty: no header line")
-        columns = list(zip(*reader, strict=True)) or [()] * len(header)
-    return _build_trace(header, columns)
+        lines = fh.read().splitlines()
+    if not lines:
+        return _build_trace(header, [()] * len(header))
+    dtype = [("", int if name in _INT_COLUMNS else float) for name in header]
+    # loadtxt skips blank lines, and warns when it finds nothing else
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1) if any(lines) else ()
+    except ValueError as exc:
+        raise ValueError(f"trace file {path}: {exc}") from exc
+    if len(rows) != len(lines):
+        raise ValueError(f"trace file {path} has a blank line")
+    return _build_trace(header, [rows[f].copy() for f in rows.dtype.names])
 
 
 def write_plot_script(csv_path, kind: str) -> str:

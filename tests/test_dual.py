@@ -6,13 +6,16 @@ it every tick, so the step tests run short scenarios and read the trace.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
-                  exploit_grad, explore_grad, harness, init_ensemble, predict,
+                  exploit_grad, explore_grad, harness, init_ensemble, load_config, predict,
                   quadratic_reward, run_scenario, run_seeds)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def collapsed(value, n=5, rate=0.005):
@@ -182,6 +185,23 @@ def test_dcee_step_monotone_convergence_after_collapse():
     distances = np.abs(tr.column("xi")[collapsed[0]:] - 1.0)
     assert np.all(np.diff(distances) <= 1e-13)
     assert distances[-1] < 1e-6
+
+
+def test_shipped_mppt_rests_only_where_the_dual_gradients_cancel():
+    # u = -delta (g_exploit + g_explore) wherever u_max does not clip it, so
+    # by the triangle inequality the two gradients' magnitudes differ by at
+    # most |u| / delta: a reference at rest sits where they cancel
+    cfg = load_config(REPO / "configs" / "mppt.json").with_updates(algo="dcee")
+    ctl = cfg.section("controller")
+    tr = run_scenario(cfg)
+    v, u = tr.column("v"), tr.column("u")
+    g_exploit, g_explore = tr.column("grad_exploit_norm"), tr.column("grad_explore_norm")
+    assert np.array_equal(g_exploit, np.abs(2.0 * (v - tr.column("r_mean"))))
+    # the terminal row applies no control; the shipped run comes to rest
+    free = np.flatnonzero(np.abs(u[:-1]) < ctl["u_max"])
+    assert np.any(np.abs(u[free]) <= 1e-8)
+    excess = np.abs(g_exploit - g_explore)[free] - np.abs(u[free]) / ctl["delta"]
+    assert np.all(excess <= 4 * np.spacing(np.maximum(g_exploit, g_explore)[free]))
 
 
 def test_contraction_check_values():

@@ -5,15 +5,21 @@ order (the same digest the benchmark records), so a change in any bit of
 a trace fails here.  The sweep digest chains the digests of the ten
 criterion-4 traces (``run_seeds`` over seeds 1-10) in seed order.  A change that alters traces on purpose re-captures
 the affected digest and states the largest deviation in CHANGES.md.
+
+The CSV digests cover the bytes ``emit_csv`` writes for the shipped hc and
+dcee traces and for a 50-tick quadratic trace, so a change in the file
+format fails here even when the traces hold.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcee import builtin_config, config_from_dict, load_config, run_scenario, run_seeds
+from dcee import (NumericalError, builtin_config, config_from_dict, emit_csv, load_config,
+                  run_scenario, run_seeds)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -25,6 +31,11 @@ GOLDEN = {
     "mppt-dcee": "f918b0ba749d7f1979c8da5819ff429195362b0369190f6c049da40a27f8990a",
 }
 SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
+CSV_BYTES = {
+    "mppt-hc": "129f020fcbd428d0e2e8e9b8ae901e025ace862d2e2a31792163e6fb67016a6b",
+    "mppt-dcee": "8ac7f0245ac1d74cc1c6daddeff87c3a0f2f12d4630c34da6fd0c22bda1e219c",
+    "quadratic-50-ticks": "bffc64ddeedb7edd5179552ff9c256a94a00455d83299e835f1b5e43075a386c",
+}
 
 
 def trace_digest(trace) -> str:
@@ -38,6 +49,10 @@ def trace_digest(trace) -> str:
 
 
 def _scenario(case):
+    if case == "quadratic-50-ticks":
+        d = builtin_config("quadratic-linear")
+        d["run"]["horizon"] = 50
+        return config_from_dict(d)
     if case.startswith("quadratic"):
         cfg = config_from_dict(builtin_config("quadratic-linear"))
         return cfg.with_updates(seed=int(case.removeprefix("quadratic-seed")))
@@ -45,9 +60,34 @@ def _scenario(case):
     return shipped.with_updates(algo=case.removeprefix("mppt-"))
 
 
+@functools.cache
+def _trace(case):
+    """The case's trace, run once for the trace and the CSV digests."""
+    return run_scenario(_scenario(case))
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_trace_digest_is_pinned(case):
-    assert trace_digest(run_scenario(_scenario(case))) == GOLDEN[case]
+    assert trace_digest(_trace(case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CSV_BYTES))
+def test_csv_bytes_are_pinned(case, tmp_path):
+    path = tmp_path / f"{case}.csv"
+    emit_csv(_trace(case), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_BYTES[case]
+
+
+def test_empty_partial_trace_writes_its_header_line_alone(tmp_path):
+    d = builtin_config("quadratic-linear")
+    d["ensemble"]["rate"] = 1e308  # fails at step 0, before any row is complete
+    d["run"]["horizon"] = 5
+    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+        run_scenario(config_from_dict(d))
+    partial = err.value.trace
+    assert partial.n_rows == 0
+    emit_csv(partial, tmp_path / "partial.csv")
+    assert (tmp_path / "partial.csv").read_bytes() == (",".join(partial.columns) + "\r\n").encode()
 
 
 def test_seed_sweep_digest_is_pinned():

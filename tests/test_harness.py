@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,36 @@ def test_read_trace_csv_rejects_ragged_rows(tmp_path, bad_row):
     path.write_text(f"k,t,v\n0,0.0,1.5\n{bad_row}\n" if bad_row else "")
     with pytest.raises(ValueError, match=None if bad_row else "ragged.csv"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("0,0.0,1.5\r\n\r\n1,0.001,1.5\r\n", id="blank-line-between-rows"),
+    pytest.param("0,0.0,1.5\r\n\r\n", id="blank-last-line"),
+    pytest.param("\r\n", id="blank-line-alone"),
+    pytest.param("# a comment\r\n0,0.0,1.5\r\n", id="comment-line"),
+    pytest.param("0,0.0,1.5\r\n1.5,0.001,1.5\r\n", id="fractional-k"),
+    pytest.param("0,0.0,1.5\r\n1e3,0.001,1.5\r\n", id="exponent-k"),
+])
+def test_read_trace_csv_refuses_what_emit_csv_never_writes(tmp_path, body):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(f"k,t,v\r\n{body}".encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="odd.csv"):
+            read_trace_csv(path)
+    assert caught == []
+
+
+def test_emit_csv_round_trips_extreme_floats_bit_for_bit(tmp_path):
+    extremes = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    tr = Trace(columns=("k", "v"), values={"k": np.array([0, -1, 1, 2**53 + 1, 2**63 - 1, -2**63]),
+                                           "v": extremes})
+    emit_csv(tr, tmp_path / "extremes.csv")
+    back = read_trace_csv(tmp_path / "extremes.csv")
+    assert back.columns == tr.columns
+    for col in tr.columns:
+        assert back.values[col].dtype == tr.values[col].dtype
+        assert back.values[col].tobytes() == tr.values[col].tobytes(), col
 
 
 def test_trace_schema_quadratic():
