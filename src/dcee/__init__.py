@@ -11,8 +11,8 @@ reproducible simulation harness with CSV traces.
 """
 
 from .dual import contraction_check, exploit_grad, explore_grad
-from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, mse_bound,
-                       predict, stats)
+from .ensemble import (BeliefStats, Ensemble, adapt, init_ensemble, moments, mse_bound,
+                       predict, spread, stats)
 from .errors import ConfigError, DomainError, NumericalError, RegulationError
 from .harness import (Metrics, ScenarioConfig, Trace, builtin_config, compare,
                       compute_metrics, config_from_dict, emit_csv, load_config,

@@ -8,10 +8,12 @@ the spread of the predicted optima (exploration).  The control loop in
     y' = y - delta * (exploit_grad(y, r_mean) + r_var_grad),
 
 with the belief and the exploration gradient ``r_var_grad`` both from
-``ensemble.predict``, which computes them from one optimum-map solve.
-``explore_grad`` takes central finite differences of the predicted
-spread; no control loop calls it, it is the reference the closed form
-is tested against.
+``ensemble.predict(ens, centre, dev, y, model)``, which computes them
+from one optimum-map solve given the ensemble's ``moments``.
+``explore_grad(y, ens, model)`` takes central finite differences of the
+predicted spread, from moments computed once for all its probes; no
+control loop calls it, it is the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import logging
 
 import numpy as np
 
-from .ensemble import Ensemble, predict
+from .ensemble import Ensemble, moments, predict
 from .reward import RewardModel
 
 __all__ = [
@@ -56,6 +58,7 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi = model.y_range
+    centre, dev = moments(ens.thetas)
     grad = np.empty_like(y)
     for j in range(y.size):
         up = y.copy()
@@ -65,14 +68,14 @@ def explore_grad(y, ens: Ensemble, model: RewardModel,
         up_ok = up[j] <= hi
         dn_ok = dn[j] >= lo
         if up_ok and dn_ok:
-            grad[j] = (predict(ens, up, model).r_var
-                       - predict(ens, dn, model).r_var) / (2.0 * fd_eps)
+            grad[j] = (predict(ens, centre, dev, up, model).r_var
+                       - predict(ens, centre, dev, dn, model).r_var) / (2.0 * fd_eps)
         else:
             logger.warning("explore gradient at y[%d]=%g clips the admissible "
                            "range; using one-sided difference", j, y[j])
             hi_pt, lo_pt = (y, dn) if dn_ok else (up, y)
-            grad[j] = (predict(ens, hi_pt, model).r_var
-                       - predict(ens, lo_pt, model).r_var) / fd_eps
+            grad[j] = (predict(ens, centre, dev, hi_pt, model).r_var
+                       - predict(ens, centre, dev, lo_pt, model).r_var) / fd_eps
     return grad
 
 

@@ -18,14 +18,15 @@ sub-streams for ensemble initialisation and measurement noise, so
 changing the ensemble size never perturbs the noise sequence.  One tick
 loop serves both kinds, for a batch of seeds at once on the ensemble
 ops' seed axis (``run_seeds``; ``run_scenario`` is a batch of one):
-``adapt`` to the observation, ``predict`` the belief at the plant's
-reference, then step it down ``exploit_grad`` plus the closed-form
-exploration gradient (or by the hc / ic increment).  All that differs
-between the kinds sits in the plant, ``_Servo`` or ``_Panel``: ``observe``
-gives the outputs and rewards, ``step`` moves the reference ``ref`` by an
-increment and returns the tick's ``row`` and ``tail`` columns, and
-``shared`` holds the columns all seeds share.  A seed's trace is the same
-whatever else shares its batch.
+``adapt`` to the observation, take the estimates' ``moments`` once,
+``predict`` from them the belief at the plant's reference, then step it
+down ``exploit_grad`` plus the closed-form exploration gradient (or by
+the hc / ic increment).  All that differs between the kinds sits in the
+plant, ``_Servo`` or ``_Panel``: ``observe`` gives the outputs and
+rewards, ``step`` moves the reference ``ref`` by an increment and
+returns the tick's ``row`` and ``tail`` columns, and ``shared`` holds
+the columns all seeds share.  A seed's trace is the same whatever else
+shares its batch.
 
 A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
 turns a seed's slice of it into a ``Trace``, as it does for the partial
@@ -48,7 +49,7 @@ import numpy as np
 # explore_grad is not called here (the loop takes the closed-form gradient); it
 # stays a harness attribute because the benchmark's tracer patches it on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
-from .ensemble import Ensemble, adapt, init_ensemble, predict
+from .ensemble import Ensemble, adapt, init_ensemble, moments, predict, spread
 from .errors import ConfigError, NumericalError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
@@ -363,10 +364,14 @@ class Metrics:
 
 
 def _build_trace(names, columns) -> Trace:
-    """Trace of the given columns, one sequence per name, in name order."""
-    return Trace(columns=tuple(names),
-                 values={name: np.asarray(col, dtype=int if name in _INT_COLUMNS else float)
-                         for name, col in zip(names, columns, strict=True)})
+    """Trace of the given columns, one sequence per name, in name order;
+    a name given twice is a ``ValueError``."""
+    values = {name: np.asarray(col, dtype=int if name in _INT_COLUMNS else float)
+              for name, col in zip(names, columns, strict=True)}
+    if len(values) < len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"trace column {twice!r} is named twice")
+    return Trace(columns=tuple(names), values=values)
 
 
 def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
@@ -379,8 +384,7 @@ def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
         inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
                                    ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
         noise.append(sample_noise(cfg.noise, rng_noise, cfg.horizon + 1))
-    ens = Ensemble(thetas=np.stack([e.thetas for e in inits]), rates=inits[0].rates)
-    return ens, np.stack(noise)
+    return Ensemble(np.stack([e.thetas for e in inits]), inits[0].rates), np.stack(noise)
 
 
 class _Servo:
@@ -503,15 +507,16 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 raise fail(np.isfinite(j_obs), k, k, "estimator ensemble diverged")
             if dual:
                 ens = adapt(ens, y, j_obs, model)
-                th_mean, th_std = ens.moments()
+                centre, dev = moments(ens.thetas)
+                th_std = spread(dev)
                 # a finite spread needs finite estimates and a finite mean
                 if not _all_finite(th_std):
                     raise fail(np.isfinite(th_std).all(axis=1), k, k,
                                "estimator ensemble diverged")
-                ps = predict(ens, plant.ref, model)
+                ps = predict(ens, centre, dev, plant.ref, model)
                 g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
                 inc = -delta * (g_exploit + g_explore)
-                learn_row = (*th_mean.T, *th_std.T, ps.r_mean[:, 0], ps.r_var,
+                learn_row = (*centre[:, 0].T, *th_std.T, ps.r_mean[:, 0], ps.r_var,
                              np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]))
             else:
                 inc, learn_row = plant.track(j_obs), ()
@@ -610,8 +615,8 @@ def emit_csv(trace: Trace, path) -> None:
 
 def read_trace_csv(path) -> Trace:
     """Read back a trace written by ``emit_csv``; a file without a header
-    line, a blank or ``#`` line, a row with a cell too many or too few, or a
-    counter that is not an integer is a ``ValueError``."""
+    line, a column named twice, a blank or ``#`` line, a row with a cell too
+    many or too few, or a counter that is not an integer is a ``ValueError``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:

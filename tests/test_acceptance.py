@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from dcee import (Ensemble, adapt, builtin_config, compare, compute_metrics,
-                  config_from_dict, explore_grad, init_ensemble, load_config,
+                  config_from_dict, explore_grad, init_ensemble, load_config, moments,
                   mse_bound, predict, quadratic_reward, run_scenario, run_seeds,
                   solve_regulation, stabilizing_gain, stats)
-from dcee.ensemble import _optima
 from dcee.reward import scan_regressor_bound
 
 A = [[0.0, 1.0], [2.0, 1.0]]
@@ -94,7 +93,7 @@ def test_criterion_5_variance_decomposition():
                        rates=np.full(n, 0.005))
         y = rng.uniform(-5.0, 5.0)
         s = stats(ens, model)
-        r = _optima(ens.thetas, model)
+        r = model.optimum_map_batch(ens.thetas)
         lhs = float(np.mean(np.sum((y - r) ** 2, axis=1)))
         rhs = (y - s.r_mean[0]) ** 2 + s.r_var
         worst = max(worst, abs(lhs - rhs))
@@ -115,7 +114,7 @@ def test_criterion_6_exploration_gradient_cross_check():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = predict(ens, [y], model).r_var_grad[0]
+        an = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
         rel = abs(fd - an) / max(abs(an), abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

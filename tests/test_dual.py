@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
-                  exploit_grad, explore_grad, harness, init_ensemble, load_config, predict,
-                  quadratic_reward, run_scenario, run_seeds)
+                  exploit_grad, explore_grad, harness, init_ensemble, load_config, moments,
+                  predict, quadratic_reward, run_scenario, run_seeds)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -43,7 +43,7 @@ def test_explore_grad_analytic_matches_fd_two_point():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.005))
     fd = explore_grad([1.0], ens, model, 1e-5)
-    an = predict(ens, [1.0], model).r_var_grad
+    an = predict(ens, *moments(ens.thetas), [1.0], model).r_var_grad
     assert abs(fd[0] - an[0]) <= 1e-5 * max(abs(an[0]), 1e-12)
 
 
@@ -56,7 +56,7 @@ def test_explore_grad_analytic_matches_fd_randomized():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = predict(ens, [y], model).r_var_grad[0]
+        an = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
@@ -68,7 +68,7 @@ def test_explore_grad_analytic_ignores_estimators_at_the_floor():
     model = quadratic_reward(theta_floor=1e-6)
     ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
     fd = explore_grad([1.0], ens, model, 1e-5)[0]
-    an = predict(ens, [1.0], model).r_var_grad[0]
+    an = predict(ens, *moments(ens.thetas), [1.0], model).r_var_grad[0]
     assert abs(fd - an) <= 1e-3 * abs(an)
 
 
@@ -77,8 +77,8 @@ def test_explore_pushes_away_from_uninformative_origin():
     model = quadratic_reward()
     rng = np.random.default_rng(2)
     ens = init_ensemble(50, [0.5], [20.0], 0.005, rng)
-    p0 = predict(ens, [0.0], model).r_var
-    p_off = predict(ens, [0.5], model).r_var
+    p0 = predict(ens, *moments(ens.thetas), [0.0], model).r_var
+    p_off = predict(ens, *moments(ens.thetas), [0.5], model).r_var
     assert p0 > p_off
     assert explore_grad([0.1], ens, model, 1e-5)[0] < 0  # descent moves +
     assert explore_grad([-0.1], ens, model, 1e-5)[0] > 0  # descent moves -
@@ -94,7 +94,9 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
         g = explore_grad([y], ens, model, eps)
     # the probe that would leave the interval is replaced by y itself
     hi_pt, lo_pt = ([y], [y - eps]) if y > 0 else ([y + eps], [y])
-    expected = (predict(ens, hi_pt, model).r_var - predict(ens, lo_pt, model).r_var) / eps
+    centre, dev = moments(ens.thetas)
+    expected = (predict(ens, centre, dev, hi_pt, model).r_var
+                - predict(ens, centre, dev, lo_pt, model).r_var) / eps
     assert np.isfinite(g[0])
     assert g[0] == expected
     assert any("one-sided" in rec.message for rec in caplog.records)
@@ -136,7 +138,7 @@ def test_dcee_step_increment_identity():
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
     ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
     xi = tr.column("xi")[:1]
-    ps = predict(ens, xi, model)
+    ps = predict(ens, *moments(ens.thetas), xi, model)
     moved = xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad)
     assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad[0])
     assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)[0]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dcee import (Ensemble, adapt, init_ensemble, mse_bound, predict, pv_poly_reward,
-                  quadratic_reward, stats)
-from dcee.ensemble import _optima, _predicted_thetas
+from dcee import (Ensemble, adapt, init_ensemble, moments, mse_bound, predict, pv_poly_reward,
+                  quadratic_reward, spread, stats)
+from dcee.ensemble import _predicted_thetas
 from dcee.reward import RewardModel
 
 
@@ -50,6 +50,15 @@ def test_init_rejects_bad_arguments():
         init_ensemble(2, [], [], 0.1, rng)
     with pytest.raises(ValueError):
         init_ensemble(2, [0.0], [1.0], -0.1, rng)
+    # one finite positive rate, or one per estimator
+    for rate in (np.nan, np.inf, 0.0, [0.1, np.nan], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
+        with pytest.raises(ValueError, match="learning rate"):
+            init_ensemble(2, [0.0], [1.0], rate, rng)
+    # finite bounds with low <= high
+    for low, high in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]),
+                      ([0.0], [np.nan]), ([0.0, 0.0], [1.0, -np.inf])):
+        with pytest.raises(ValueError, match="prior bounds"):
+            init_ensemble(2, low, high, 0.1, rng)
 
 
 def test_adapt_single_step_hand_computed():
@@ -129,7 +138,7 @@ def test_predict_is_identity_for_collapsed_ensemble():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.full((5, 1), 1.0), rates=np.full(5, 0.005))
     cur = stats(ens, model)
-    pred = predict(ens, [1.5], model)
+    pred = predict(ens, *moments(ens.thetas), [1.5], model)
     assert pred.r_mean[0] == cur.r_mean[0]
     assert pred.r_var == cur.r_var == 0.0
 
@@ -138,7 +147,7 @@ def test_predict_gradient_matches_hand_derivation():
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
     assert stats(ens, quadratic_reward()).r_var_grad is None
     # a constant regressor carries no information about where to probe
-    assert predict(ens, [0.5], identity_model()).r_var_grad[0] == 0.0
+    assert predict(ens, *moments(ens.thetas), [0.5], identity_model()).r_var_grad[0] == 0.0
     # quadratic, phi = -y^2: theta_i' = theta_i - eta y^4 d_i and r_i = 1/theta_i'
     model = quadratic_reward()
     y = 0.7
@@ -148,7 +157,8 @@ def test_predict_gradient_matches_hand_derivation():
     r = 1.0 / pred
     dr = -dpred / pred ** 2
     expect = 2.0 * np.mean((r - r.mean()) * dr)
-    assert predict(ens, [y], model).r_var_grad[0] == pytest.approx(expect, rel=1e-12)
+    got = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_predict_zero_regressor_changes_nothing():
@@ -156,19 +166,20 @@ def test_predict_zero_regressor_changes_nothing():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
     cur = stats(ens, model)
-    pred = predict(ens, [0.0], model)
+    pred = predict(ens, *moments(ens.thetas), [0.0], model)
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
     assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
     phi = model.unknown_basis(0.0)
-    assert np.array_equal(_predicted_thetas(ens, phi[None, :], phi[:, None]), ens.thetas)
+    centre = moments(ens.thetas)[0]
+    assert np.array_equal(_predicted_thetas(ens, centre, phi[None, :], phi[:, None]), ens.thetas)
 
 
 def test_predict_informative_point_shrinks_spread():
     model = quadratic_reward()
     rng = np.random.default_rng(4)
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng)
-    at_zero = predict(ens, [0.0], model).r_var
-    at_one = predict(ens, [1.0], model).r_var
+    at_zero = predict(ens, *moments(ens.thetas), [0.0], model).r_var
+    at_one = predict(ens, *moments(ens.thetas), [1.0], model).r_var
     assert at_one <= at_zero
 
 
@@ -183,7 +194,7 @@ def test_variance_decomposition_identity():
                        rates=np.full(n, 0.01))
         y = rng.uniform(-5.0, 5.0)
         s = stats(ens, model)
-        r = _optima(ens.thetas, model)
+        r = model.optimum_map_batch(ens.thetas)
         lhs = np.mean(np.sum((y - r) ** 2, axis=1))
         rhs = (y - s.r_mean[0]) ** 2 + s.r_var
         worst = max(worst, abs(lhs - rhs))
@@ -234,17 +245,21 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
     # a batch entry's numbers are the bits its ensemble gives on its own
     rng = np.random.default_rng(9)
     alone = [init_ensemble(30, low, high, 0.01, rng) for _ in range(4)]
-    batch = Ensemble(thetas=np.stack([e.thetas for e in alone]), rates=alone[0].rates)
+    batch = Ensemble(np.stack([e.thetas for e in alone]), alone[0].rates)
     lo, hi = model.y_range
     y = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 4)
     j = rng.normal(size=4)
     moved = adapt(batch, y, j, model)
-    belief = predict(moved, y, model)
+    centre, dev = moments(moved.thetas)
+    belief = predict(moved, centre, dev, y, model)
     for i, ens in enumerate(alone):
         ens = adapt(ens, [y[i]], j[i], model)
         assert np.array_equal(moved.thetas[i], ens.thetas)
-        one = predict(ens, [y[i]], model)
+        one_centre, one_dev = moments(ens.thetas)
+        assert np.array_equal(centre[i], one_centre)
+        assert np.array_equal(dev[i], one_dev)
+        assert np.array_equal(spread(dev)[i], spread(one_dev))
+        one = predict(ens, one_centre, one_dev, [y[i]], model)
         assert np.array_equal(belief.r_mean[i], one.r_mean)
         assert belief.r_var[i] == one.r_var
         assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)
-        assert all(np.array_equal(a[i], b) for a, b in zip(moved.moments(), ens.moments()))

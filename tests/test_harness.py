@@ -530,6 +530,15 @@ def test_read_trace_csv_refuses_what_emit_csv_never_writes(tmp_path, body):
     assert caught == []
 
 
+@pytest.mark.parametrize("body", ["0,1.5,2.5\r\n", ""], ids=["rows", "header-only"])
+def test_read_trace_csv_refuses_a_column_named_twice(tmp_path, body):
+    # keeping one of the two columns would lose the other's values unseen
+    path = tmp_path / "twice.csv"
+    path.write_bytes(f"k,t,t\r\n{body}".encode())
+    with pytest.raises(ValueError, match="'t' is named twice"):
+        read_trace_csv(path)
+
+
 def test_emit_csv_round_trips_extreme_floats_bit_for_bit(tmp_path):
     extremes = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308])
     tr = Trace(columns=("k", "v"), values={"k": np.array([0, -1, 1, 2**53 + 1, 2**63 - 1, -2**63]),

@@ -95,7 +95,7 @@ def test_floored_optimum_map_and_jacobian(theta):
         assert r[0, 0] == gain / (2.0 * theta)
         assert jac[0, 0, 0] == -r[0, 0] / theta
     # a single row and the ensemble statistics see the same floored map
-    ens = Ensemble(thetas=[[theta], [0.5], [2.0]], rates=[0.1] * 3)
+    ens = Ensemble(thetas=np.array([[theta], [0.5], [2.0]]), rates=np.full(3, 0.1))
     optima = [optimum(model, row[0]) for row in ens.thetas]
     assert optima[0] == r[0, 0]
     assert stats(ens, model).r_mean[0] == np.mean(optima)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import dcee.servo as servo_mod
-from dcee import (Ensemble, LinearPlant, NoiseSpec, RegulationError, ServoGains, adapt,
-                  builtin_config, config_from_dict, design_gains, exploit_grad,
-                  harness, init_ensemble, predict, quadratic_reward, run_scenario, run_seeds,
-                  sample_noise, solve_regulation, stabilizing_gain)
+from dcee import (LinearPlant, NoiseSpec, RegulationError, ServoGains, adapt, builtin_config,
+                  config_from_dict, design_gains, exploit_grad, harness, init_ensemble,
+                  moments, predict, quadratic_reward, run_scenario, run_seeds, sample_noise,
+                  solve_regulation, stabilizing_gain)
 
 A = np.array([[0.0, 1.0], [2.0, 1.0]])
 B = np.array([[1.0], [1.0]])
@@ -189,7 +189,7 @@ def _servo_loop_columns(d: dict, horizon: int) -> dict:
         y = (C @ x)[0]
         j = 2.0 * y - 1.0 * (y * y) + noise[k]
         ens = adapt(ens, [y], j, model)
-        ps = predict(ens, xi, model)
+        ps = predict(ens, *moments(ens.thetas), xi, model)
         for name, value in (("y", y), ("xi", xi[0]), ("x0", x[0]), ("x1", x[1]),
                             ("theta_mean_0", ens.thetas.mean(axis=0)[0]),
                             ("grad_explore_norm", abs(ps.r_var_grad[0]))):
@@ -228,22 +228,21 @@ def test_servo_step_matches_scenario_loop_with_floored_estimators():
 
 def test_servo_step_does_not_revalidate_plant(monkeypatch):
     # no tick re-checks the plant or an ensemble: the plant is checked when
-    # the config is built, each seed's ensemble when it is drawn, and the
-    # stacked batch once
+    # the config is built, and each seed's ensemble only where it is drawn
     d = builtin_config("quadratic-linear")
     d["run"]["horizon"] = 50
     cfg = config_from_dict(d)
-    plant_checks, ensemble_checks = [], []
+    plant_checks, ensemble_draws = [], []
     # every rank test of the servo module, the plant's controllability among them
     full_rank = servo_mod._full_rank
     monkeypatch.setattr(servo_mod, "_full_rank",
                         lambda *a: plant_checks.append(1) or full_rank(*a))
-    post_init = Ensemble.__post_init__
-    monkeypatch.setattr(Ensemble, "__post_init__",
-                        lambda self: ensemble_checks.append(1) or post_init(self))
+    draw = harness.init_ensemble
+    monkeypatch.setattr(harness, "init_ensemble",
+                        lambda *a: ensemble_draws.append(1) or draw(*a))
     traces = run_seeds(cfg, [1, 2, 3])
     assert plant_checks == []
-    assert len(ensemble_checks) == 3 + 1
+    assert len(ensemble_draws) == 3
     assert [tr.n_rows for tr in traces] == [51] * 3
     LinearPlant(cfg.plant.A, cfg.plant.B, cfg.plant.C, cfg.plant.x)  # the seam sees a check
     assert plant_checks == [1]
