@@ -84,6 +84,7 @@ def contraction_check(delta: float) -> bool:
 
     ``EXPLOIT_HESSIAN`` is the curvature of the exploitation term, exactly
     2 for the quadratic tracking term.  Reported as a diagnostic, not
-    enforced.
+    enforced.  A factor of 1 or more fails unsquared: its square can overflow.
     """
-    return bool(2.0 * (1.0 - delta * EXPLOIT_HESSIAN) ** 2 < 1.0)
+    factor = abs(1.0 - delta * EXPLOIT_HESSIAN)
+    return bool(factor < 1.0 and 2.0 * factor ** 2 < 1.0)

@@ -6,14 +6,14 @@ sample statistics of their predicted optima quantify how uncertain the
 current belief is.  An ``Ensemble`` is the plain pair of estimates and
 rates, checked once where ``init_ensemble`` draws it.  ``adapt``
 consumes a real observation and returns the next pair; ``moments`` gives
-the mean estimate and every estimate's deviation from it, once per tick;
-``predict`` takes both and applies the same update with the noise-free
-reward the mean estimate implies, giving the one-step-ahead belief used
-by the controller.  The prediction also carries the exploration gradient
-in closed form, from the same optimum-map solve; an optimum the model's
-map pins adds nothing to it through the model's jacobian.  Finite
-differences of the predicted spread (``dual.explore_grad``) are the
-reference the closed form is tested against.
+the mean estimate and every estimate's deviation from it, once per tick.
+``predict`` applies the same update with the noise-free reward the mean
+implies, moving each estimate by its deviation along the regressor, a
+product taken once; it gives the one-step-ahead belief and its
+exploration gradient in closed form from one optimum-map solve, to which
+an optimum the model's map pins adds nothing.  Finite differences of the
+predicted spread (``dual.explore_grad``) are the reference the closed
+form is tested against.
 
 Every op takes a batch of independent ensembles: ``thetas`` of shape
 (S, N, m) with one output per batch entry, ``y`` of shape (S,), and
@@ -71,14 +71,10 @@ class BeliefStats(NamedTuple):
     r_var_grad: np.ndarray | None = None
 
 
-def init_ensemble(n: int, prior_low, prior_high, rates,
-                  rng: np.random.Generator) -> Ensemble:
-    """Draw n estimates elementwise-uniform between the prior bounds.
-
-    ``rates`` may be a single shared learning rate or one per estimator,
-    each finite and positive; the bounds must be finite with
-    prior_low <= prior_high.  This is the one place an ensemble is checked.
-    """
+def _checked_args(n: int, prior_low, prior_high, rates):
+    """The bounds and rates as float arrays if n >= 1, the bounds are finite with
+    prior_low <= prior_high and ``rates`` is one finite positive learning rate
+    or one per estimator, else a ``ValueError``; the scenario config checks by it too."""
     if n < 1:
         raise ValueError("ensemble size must be at least 1")
     low = np.atleast_1d(np.asarray(prior_low, dtype=float))
@@ -90,6 +86,14 @@ def init_ensemble(n: int, prior_low, prior_high, rates,
     rates = np.asarray(rates, dtype=float)
     if rates.shape not in ((), (n,)) or not np.all((rates > 0) & (rates < np.inf)):
         raise ValueError("need one finite positive learning rate, or one per estimator")
+    return low, high, rates
+
+
+def init_ensemble(n: int, prior_low, prior_high, rates,
+                  rng: np.random.Generator) -> Ensemble:
+    """Draw n estimates elementwise-uniform between the prior bounds, the
+    arguments checked by ``_checked_args``, the one check an ensemble gets."""
+    low, high, rates = _checked_args(n, prior_low, prior_high, rates)
     return Ensemble(rng.uniform(low, high, size=(n, low.size)), np.full(n, rates))
 
 
@@ -150,41 +154,38 @@ def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     return BeliefStats(r_mean, _mean((r - r_mean) ** 2, -1))
 
 
-def _predicted_thetas(ens: Ensemble, centre: np.ndarray, phi_row: np.ndarray,
-                      phi_col: np.ndarray) -> np.ndarray:
+def _predicted_thetas(ens: Ensemble, along: np.ndarray, phi_row: np.ndarray) -> np.ndarray:
     """One-step-ahead estimates if the next observation had regressor phi.
 
-    The predicted reward is noise-free and evaluated with the ensemble
-    mean ``centre``, so the known offset cancels from the residual and
-    each deviation from the mean contracts along phi.
+    The predicted reward is noise-free and evaluated with the ensemble mean,
+    so the residual is each deviation from the mean along phi, ``along``.
     """
-    resid = ens.thetas @ phi_col - centre @ phi_col
-    return ens.thetas - (ens.rates[:, None] * resid) * phi_row
+    return ens.thetas - (ens.rates[:, None] * along) * phi_row
 
 
 def predict(ens: Ensemble, centre: np.ndarray, dev: np.ndarray, y_cand,
             model: RewardModel) -> BeliefStats:
     """Belief statistics after a hypothetical observation at y_cand.
 
-    ``centre`` and ``dev`` are the ensemble's ``moments``.  One optimum-map
-    solve serves the statistics and the exploration gradient
-    ``r_var_grad`` = d r_var / d y_cand.  The gradient follows the chain
-    rule through theta_i - eta_i*phi*(phi.d_i), d_i = theta_i - mean, and
+    ``centre`` and ``dev`` are the ensemble's ``moments``; the prediction
+    reads d_i = theta_i - mean, whose product with phi, a_i = phi.d_i, it
+    takes once.  a_i gives the predicted estimates theta_i - eta_i*phi*a_i
+    and, through one optimum-map solve, the statistics and the exploration
+    gradient ``r_var_grad`` = d r_var / d y_cand by the chain rule through
     the optimum jacobian; r_mean drops out since the r_i - r_mean sum to
-    zero.  Where the model pins an optimum its jacobian is zero, so a
-    pinned estimator adds nothing to the gradient.
+    zero.  A pinned optimum has a zero jacobian and adds nothing to it.
     """
     y = _outputs(ens, y_cand)
     phi, dphi = model.unknown_basis(y), model.basis_jacobian(y)
-    phi_row, phi_col = phi[..., None, :], phi[..., :, None]
-    pred = _predicted_thetas(ens, centre, phi_row, phi_col)
+    phi_row, along = phi[..., None, :], dev @ phi[..., :, None]
+    pred = _predicted_thetas(ens, along, phi_row)
     rows = _rows(pred)
     optima = model.optimum_map_batch(rows)
     r = optima.reshape(pred.shape[:-1])
     r_mean = _mean(r, -1, keepdims=True)
     centred = r - r_mean
 
-    dpred = -(ens.rates[:, None] * (dphi[..., None, :] * (dev @ phi_col)
+    dpred = -(ens.rates[:, None] * (dphi[..., None, :] * along
                                     + phi_row * (dev @ dphi[..., :, None])))
     dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(rows, optima), _rows(dpred))
     return BeliefStats(r_mean, _mean(centred ** 2, -1),

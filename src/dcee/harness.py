@@ -49,7 +49,7 @@ import numpy as np
 # explore_grad is not called here (the loop takes the closed-form gradient); it
 # stays a harness attribute because the benchmark's tracer patches it on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
-from .ensemble import Ensemble, adapt, init_ensemble, moments, predict, spread
+from .ensemble import Ensemble, _checked_args, adapt, init_ensemble, moments, predict, spread
 from .errors import ConfigError, NumericalError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
@@ -311,17 +311,10 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
                                 deadband=float(ctl["ic_deadband"])))
 
     n = _integer(ens["n"], "ensemble.n")
-    if n < 1:
-        raise ConfigError("ensemble.n must be at least 1")
-    low, high, rate = (np.asarray(ens[key], dtype=float)
-                       for key in ("prior_low", "prior_high", "rate"))
-    if not (low.shape == high.shape == (model.dim,)
-            and np.all(np.isfinite(low) & np.isfinite(high) & (low <= high))):
-        raise ConfigError(f"ensemble prior bounds need {model.dim} finite entries "
-                          "each (one per model parameter) with prior_low <= prior_high")
-    if rate.shape not in ((), (n,)) or not np.all((rate > 0) & (rate < np.inf)):
-        raise ConfigError("ensemble.rate must be one finite positive number or one "
-                          "per estimator")
+    low = _checked_args(n, ens["prior_low"], ens["prior_high"], ens["rate"])[0]
+    if low.shape != (model.dim,):
+        raise ConfigError(f"ensemble prior bounds need {model.dim} entries each "
+                          "(one per model parameter)")
 
     return ScenarioConfig(kind=kind, data=d, seed=seed, horizon=horizon, dt=dt,
                           model=model, noise=NoiseSpec(float(d["noise"]["variance"])), **built)
@@ -394,8 +387,8 @@ class _Servo:
     shared, tail = {}, ("err_track",)
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
-        self.plant, self.model, self.gains = cfg.plant, cfg.model, cfg.gains
-        self.feed = self.gains.G + self.gains.K @ self.gains.Psi
+        self.plant, self.model, gains = cfg.plant, cfg.model, cfg.gains
+        self.feed, self.neg_K = gains.G + gains.K @ gains.Psi, -gains.K
         self.theta_true = np.asarray(cfg.section("reward")["theta_true"], dtype=float)
         self.x = np.tile(cfg.plant.x[:, None], (n_seeds, 1, 1))
         self.ref = np.tile(cfg.section("controller")["xi0"], (n_seeds, 1)).astype(float)
@@ -411,7 +404,7 @@ class _Servo:
             u = np.zeros((len(x), 1, 1))
         else:
             self.ref = np.minimum(np.maximum(self.ref + inc, lo), hi)
-            u = -(self.gains.K @ x) + self.feed * self.ref[:, None]
+            u = self.neg_K @ x + self.feed * self.ref[:, None]
             self.x = self.plant.A @ x + self.plant.B @ u
         return (*x[:, :, 0].T, self.y, xi, u[:, 0, 0], self.y - xi)
 
@@ -550,11 +543,7 @@ def compute_metrics(trace: Trace, oracle) -> Metrics:
     p = trace.column("p")
     if oracle.shape != p.shape:
         raise ValueError("oracle series length does not match the trace")
-    if t.size > 1:
-        energy = float(_trapz(p, t))
-        energy_max = float(_trapz(oracle, t))
-    else:
-        energy, energy_max = 0.0, 0.0
+    energy, energy_max = float(_trapz(p, t)), float(_trapz(oracle, t))  # 0.0 under two rows
     efficiency = energy / energy_max if energy_max > 0 else 1.0
     window = max(1, int(round(trace.n_rows * 0.1)))
     tail = trace.column("v")[-window:]

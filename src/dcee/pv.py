@@ -268,6 +268,14 @@ def _others(d: int) -> np.ndarray:
     return others
 
 
+@functools.lru_cache(maxsize=None)
+def _orders(m: int) -> np.ndarray:
+    """The derivative's factors 1.0 .. m - 1 as a column; read-only, as it is shared."""
+    orders = np.arange(1.0, m)[:, None]
+    orders.flags.writeable = False
+    return orders
+
+
 def _aberth(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refine starting roots z (d, k) of k monic polynomials by Aberth-Ehrlich.
 
@@ -339,10 +347,10 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
     np.roots rows.  The polynomial degree must be at least 2.
     """
     # one column per polynomial, so each operation runs along the batch
-    coef = np.atleast_2d(np.asarray(thetas, dtype=float)).T
+    coef = np.ascontiguousarray(np.atleast_2d(np.asarray(thetas, dtype=float)).T)
     m, n = coef.shape
     deg = m - 2  # degree of the derivative polynomial
-    deriv = coef[1:] * np.arange(1, m)[:, None]
+    deriv = coef[1:] * _orders(m)
     lead = deriv[-1]
     tiny = 1e-12 * np.maximum(np.maximum.reduce(np.abs(deriv)), 1.0)
     ok = np.abs(lead) > tiny
@@ -411,7 +419,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     # stationary point clipped into the interval lands there as well)
     v_lo = s_lo * v_scale + v_shift
     v_hi = s_hi * v_scale + v_shift
-    j = np.arange(degree + 1)
+    j = np.arange(degree + 1.0)  # floats, as an int power is cast on every call
     j_slope, j_less, j_curv = j[1:], np.maximum(j - 1, 0), j[2:] * j[1:-1]
 
     warm = None  # while a warm_start scope is open: [the previous call's roots]
@@ -449,7 +457,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         v = optima[:, 0]
         pw = np.ones((v.size, degree))  # s^0 .. s^(degree - 1), as np.vander makes them
         pw[:, 1:] = ((v - v_shift) / v_scale)[:, None]
-        pw = np.multiply.accumulate(pw, axis=1)
+        np.multiply.accumulate(pw, axis=1, out=pw)
         curv = np.add.reduce(j_curv * thetas[:, 2:] * pw[:, :-1], axis=1)
         interior = (v > v_lo) & (v < v_hi) & (curv < 0.0)
         jac = np.zeros((v.size, 1, degree + 1))

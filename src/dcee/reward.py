@@ -129,8 +129,9 @@ def quadratic_reward(known_gain: float = 2.0,
         return (-2.0 * np.asarray(y, dtype=float))[..., None]
 
     def dopt(thetas, optima):
-        jac = -optima / np.maximum(thetas, theta_floor)
-        return np.where(thetas > theta_floor, jac, 0.0)[:, :, None]
+        jac = np.zeros((len(thetas), 1, 1))
+        np.divide(-optima, thetas, out=jac[:, :, 0], where=thetas > theta_floor)
+        return jac
 
     return RewardModel(
         known_basis=known,

@@ -210,3 +210,4 @@ def test_contraction_check_values():
     assert contraction_check(0.5) is True
     assert contraction_check(1.0) is False
     assert contraction_check(0.15) is True
+    assert contraction_check(1e300) is False  # (1 - 2 delta)^2 would overflow

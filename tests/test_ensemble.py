@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcee import (Ensemble, adapt, init_ensemble, moments, mse_bound, predict, pv_poly_reward,
                   quadratic_reward, spread, stats)
@@ -170,8 +172,8 @@ def test_predict_zero_regressor_changes_nothing():
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
     assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
     phi = model.unknown_basis(0.0)
-    centre = moments(ens.thetas)[0]
-    assert np.array_equal(_predicted_thetas(ens, centre, phi[None, :], phi[:, None]), ens.thetas)
+    dev = moments(ens.thetas)[1]
+    assert np.array_equal(_predicted_thetas(ens, dev @ phi[:, None], phi[None, :]), ens.thetas)
 
 
 def test_predict_informative_point_shrinks_spread():
@@ -260,6 +262,36 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
         assert np.array_equal(dev[i], one_dev)
         assert np.array_equal(spread(dev)[i], spread(one_dev))
         one = predict(ens, one_centre, one_dev, [y[i]], model)
+        assert np.array_equal(belief.r_mean[i], one.r_mean)
+        assert belief.r_var[i] == one.r_var
+        assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)
+
+
+@pytest.mark.parametrize("model, low, high", [
+    (quadratic_reward(), [0.0], [20.0]),
+    (pv_poly_reward(degree=5, v_range=(2.0, 43.0), v_scale=22.0, v_shift=22.0),
+     [88.9, 83.8, 12.1, 35.2, -151.1, -218.4], [143.8, 137.0, 39.8, 71.2, -94.3, -144.0]),
+], ids=["quadratic", "pv-poly"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_batch_entry_is_its_ensemble_alone(model, low, high, data):
+    # adapt, moments and predict give every entry of any batch the bits of
+    # its ensemble on its own, whatever the batch and ensemble sizes
+    n_batch, n = data.draw(st.integers(1, 5), "S"), data.draw(st.integers(1, 40), "N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), "seed"))
+    lo, hi = model.y_range
+    y = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n_batch, max_size=n_batch)))
+    batch = Ensemble(rng.uniform(low, high, (n_batch, n, len(low))), rng.uniform(1e-3, 0.1, n))
+    j = rng.normal(size=n_batch)
+    moved = adapt(batch, y, j, model)
+    centre, dev = moments(moved.thetas)
+    belief = predict(moved, centre, dev, y, model)
+    for i in range(n_batch):
+        ens = adapt(Ensemble(batch.thetas[i], batch.rates), y[i:i + 1], j[i], model)
+        assert np.array_equal(moved.thetas[i], ens.thetas)
+        one_centre, one_dev = moments(ens.thetas)
+        assert np.array_equal(centre[i], one_centre) and np.array_equal(dev[i], one_dev)
+        one = predict(ens, one_centre, one_dev, y[i:i + 1], model)
         assert np.array_equal(belief.r_mean[i], one.r_mean)
         assert belief.r_var[i] == one.r_var
         assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)

@@ -24,17 +24,17 @@ from dcee import (NumericalError, builtin_config, config_from_dict, emit_csv, lo
 REPO = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
-    "quadratic-seed1": "63b4578ef79a613ce0568b4828babfdca7c7febc361a19fd4f29644818f1fefa",
-    "quadratic-seed7": "630f3de68175857ddea0d60f14995f20773ed4193a458f47bb1d3732bc2852b7",
+    "quadratic-seed1": "3185e9da761d1e18573cb632b6993e1792765cdb64afa40da85efd95322ee1f9",
+    "quadratic-seed7": "9bbdbc426b965749901cb888216608d6edf22dc908cd3f2692101e1537de8e48",
     "mppt-hc": "0d8f8dca9c147afba2aa6bba4886715481adcdb5c2a6aeec99ce508208995471",
     "mppt-ic": "a70d26be21b02f749e34e80445281e75dc16617d932776caf18594ec47a671b3",
-    "mppt-dcee": "f918b0ba749d7f1979c8da5819ff429195362b0369190f6c049da40a27f8990a",
+    "mppt-dcee": "301124755fb925aadc6a62db2d034841ae42e087e03a403b224b9e431be4b5f3",
 }
-SWEEP = "147f818cd8f08dd65ed0984202e5fdd3ce16c48b99b14926b17ace5e7d5f4acb"
+SWEEP = "ddb4eec2bd79037b62b49f9c081df5e7dc6f75a7169654bf24abbf359647aff3"
 CSV_BYTES = {
     "mppt-hc": "129f020fcbd428d0e2e8e9b8ae901e025ace862d2e2a31792163e6fb67016a6b",
-    "mppt-dcee": "8ac7f0245ac1d74cc1c6daddeff87c3a0f2f12d4630c34da6fd0c22bda1e219c",
-    "quadratic-50-ticks": "bffc64ddeedb7edd5179552ff9c256a94a00455d83299e835f1b5e43075a386c",
+    "mppt-dcee": "4c846f7d34351ddf4980a8ffd21b88533ae32cbb2cbc5a03dc3bcdc93552f406",
+    "quadratic-50-ticks": "a96a0074a3823c1fdf2dc562403f7312aca814622581339ea417ebbc6f0e842c",
 }
 
 

@@ -392,6 +392,25 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, command", [
+    ("quadratic-linear", ["run"]),
+    ("mppt", ["mppt", "--algo", "dcee"]),
+    ("mppt", ["compare"]),
+], ids=["run", "mppt-dcee", "compare"])
+def test_cli_huge_delta_runs_without_a_warning(tmp_path, capsys, kind, command):
+    # (1 - 2 delta)^2 overflows beyond delta ~ 6.7e153, so contraction_check must not square it
+    d = builtin_config(kind)
+    d["run"].pop("duration", None)
+    d["run"]["horizon"] = 50
+    d["controller"]["delta"] = 1e300
+    cfg_path = tmp_path / "huge_delta.json"
+    cfg_path.write_text(json.dumps(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main([*command, "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_integer_keys_take_integral_floats():
     d = builtin_config("mppt")
     d["ensemble"]["n"], d["reward"]["degree"], d["plant"]["n_cells"] = 5.0, 5.0, 72.0
