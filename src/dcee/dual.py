@@ -8,10 +8,10 @@ the spread of the predicted optima (exploration).  The control loop in
     y' = y - delta * (exploit_grad(y, r_mean) + r_var_grad),
 
 with the belief and the exploration gradient ``r_var_grad`` both from
-``ensemble.predict(ens, centre, dev, y, model)``, which computes them
-from one optimum-map solve given the ensemble's ``moments``.
-``explore_grad(y, ens, model)`` takes central finite differences of the
-predicted spread, from moments computed once for all its probes; no
+``ensemble.predict(ens, dev, y, model)``, which computes them from one
+optimum-map solve given the deviations from the ensemble's ``moments``.
+``explore_grad(y, ens, model)`` takes a central finite difference of the
+predicted spread at one output, with the fixed step ``FD_EPS``; no
 control loop calls it, it is the reference the closed form is tested
 against.
 """
@@ -35,6 +35,8 @@ logger = logging.getLogger(__name__)
 
 # curvature of the exploitation term ||y - r_mean||^2 (see exploit_grad)
 EXPLOIT_HESSIAN = 2.0
+# probe step of explore_grad's finite difference
+FD_EPS = 1e-5
 
 
 def exploit_grad(y, r_mean) -> np.ndarray:
@@ -46,37 +48,30 @@ def exploit_grad(y, r_mean) -> np.ndarray:
     return 2.0 * (y - r_mean)
 
 
-def explore_grad(y, ens: Ensemble, model: RewardModel,
-                 fd_eps: float = 1e-5) -> np.ndarray:
-    """Finite-difference gradient of the predicted-optima spread at y.
+def explore_grad(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
+    """Finite-difference gradient of the predicted-optima spread at y, as a
+    one-element array.
 
     The reference for the closed-form ``predict(...).r_var_grad``: it
     differences the spread ``predict(...).r_var`` and reads no jacobian.
-    Central differences are used whenever both probe points stay inside
-    the model's admissible interval; at the boundary the difference falls
-    back to one-sided and a warning is logged.
+    An unbatched ensemble has one scalar output, so y is one value.  The
+    difference is central whenever both probe points stay inside the
+    model's admissible interval; at the boundary it falls back to
+    one-sided and a warning is logged.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi = model.y_range
-    centre, dev = moments(ens.thetas)
-    grad = np.empty_like(y)
-    for j in range(y.size):
-        up = y.copy()
-        dn = y.copy()
-        up[j] += fd_eps
-        dn[j] -= fd_eps
-        up_ok = up[j] <= hi
-        dn_ok = dn[j] >= lo
-        if up_ok and dn_ok:
-            grad[j] = (predict(ens, centre, dev, up, model).r_var
-                       - predict(ens, centre, dev, dn, model).r_var) / (2.0 * fd_eps)
-        else:
-            logger.warning("explore gradient at y[%d]=%g clips the admissible "
-                           "range; using one-sided difference", j, y[j])
-            hi_pt, lo_pt = (y, dn) if dn_ok else (up, y)
-            grad[j] = (predict(ens, centre, dev, hi_pt, model).r_var
-                       - predict(ens, centre, dev, lo_pt, model).r_var) / fd_eps
-    return grad
+    dev = moments(ens.thetas)[1]
+    up, dn = y + FD_EPS, y - FD_EPS
+    if up[0] <= hi and dn[0] >= lo:
+        hi_pt, lo_pt, width = up, dn, 2.0 * FD_EPS
+    else:
+        logger.warning("explore gradient at y=%g clips the admissible range; "
+                       "using one-sided difference", y[0])
+        hi_pt, lo_pt = (y, dn) if dn[0] >= lo else (up, y)
+        width = FD_EPS
+    return np.atleast_1d((predict(ens, dev, hi_pt, model).r_var
+                          - predict(ens, dev, lo_pt, model).r_var) / width)
 
 
 def contraction_check(delta: float) -> bool:

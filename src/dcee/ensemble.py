@@ -7,13 +7,14 @@ current belief is.  An ``Ensemble`` is the plain pair of estimates and
 rates, checked once where ``init_ensemble`` draws it.  ``adapt``
 consumes a real observation and returns the next pair; ``moments`` gives
 the mean estimate and every estimate's deviation from it, once per tick.
-``predict`` applies the same update with the noise-free reward the mean
-implies, moving each estimate by its deviation along the regressor, a
-product taken once; it gives the one-step-ahead belief and its
-exploration gradient in closed form from one optimum-map solve, to which
-an optimum the model's map pins adds nothing.  Finite differences of the
-predicted spread (``dual.explore_grad``) are the reference the closed
-form is tested against.
+``predict(ens, dev, y, model)`` applies the same update, ``_step``, to
+the noise-free reward the mean implies: the residual is then each
+deviation along the regressor, a product taken once.  It gives the
+one-step-ahead belief and its exploration gradient in closed form from
+one optimum-map solve, to which an optimum the model's map pins adds
+nothing.  Finite differences of the predicted spread
+(``dual.explore_grad``) are the reference the closed form is tested
+against.
 
 Every op takes a batch of independent ensembles: ``thetas`` of shape
 (S, N, m) with one output per batch entry, ``y`` of shape (S,), and
@@ -124,6 +125,12 @@ def spread(dev: np.ndarray) -> np.ndarray:
 # against its column phi[..., :, None]; they give the same bits with or
 # without batch axes, where an elementwise product and sum would not.
 
+def _step(ens: Ensemble, resid: np.ndarray, phi_row: np.ndarray) -> np.ndarray:
+    """The estimator update law, theta_i - eta_i * resid_i * phi, given each
+    estimate's residual (..., N, 1) and the regressor as a row (..., 1, m)."""
+    return ens.thetas - (ens.rates[:, None] * resid) * phi_row
+
+
 def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
     """Gradient-descent regression step on one reward observation per entry.
 
@@ -138,8 +145,8 @@ def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
     y = _outputs(ens, y_prev)
     phi = model.unknown_basis(y)
     target = np.asarray(j_obs - model.known_basis(y))[..., None, None]
-    resid = ens.thetas @ phi[..., :, None] - target
-    return Ensemble(ens.thetas - (ens.rates[:, None] * resid) * phi[..., None, :], ens.rates)
+    return Ensemble(_step(ens, ens.thetas @ phi[..., :, None] - target, phi[..., None, :]),
+                    ens.rates)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -154,22 +161,13 @@ def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     return BeliefStats(r_mean, _mean((r - r_mean) ** 2, -1))
 
 
-def _predicted_thetas(ens: Ensemble, along: np.ndarray, phi_row: np.ndarray) -> np.ndarray:
-    """One-step-ahead estimates if the next observation had regressor phi.
-
-    The predicted reward is noise-free and evaluated with the ensemble mean,
-    so the residual is each deviation from the mean along phi, ``along``.
-    """
-    return ens.thetas - (ens.rates[:, None] * along) * phi_row
-
-
-def predict(ens: Ensemble, centre: np.ndarray, dev: np.ndarray, y_cand,
-            model: RewardModel) -> BeliefStats:
+def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> BeliefStats:
     """Belief statistics after a hypothetical observation at y_cand.
 
-    ``centre`` and ``dev`` are the ensemble's ``moments``; the prediction
-    reads d_i = theta_i - mean, whose product with phi, a_i = phi.d_i, it
-    takes once.  a_i gives the predicted estimates theta_i - eta_i*phi*a_i
+    The observation is the noise-free reward the mean estimate implies, so
+    ``adapt``'s residual becomes a_i = phi.d_i, where ``dev`` holds the
+    deviations d_i = theta_i - mean from ``moments``; the product is taken
+    once.  a_i gives the predicted estimates theta_i - eta_i*phi*a_i
     and, through one optimum-map solve, the statistics and the exploration
     gradient ``r_var_grad`` = d r_var / d y_cand by the chain rule through
     the optimum jacobian; r_mean drops out since the r_i - r_mean sum to
@@ -178,7 +176,7 @@ def predict(ens: Ensemble, centre: np.ndarray, dev: np.ndarray, y_cand,
     y = _outputs(ens, y_cand)
     phi, dphi = model.unknown_basis(y), model.basis_jacobian(y)
     phi_row, along = phi[..., None, :], dev @ phi[..., :, None]
-    pred = _predicted_thetas(ens, along, phi_row)
+    pred = _step(ens, along, phi_row)
     rows = _rows(pred)
     optima = model.optimum_map_batch(rows)
     r = optima.reshape(pred.shape[:-1])

@@ -506,7 +506,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 if not _all_finite(th_std):
                     raise fail(np.isfinite(th_std).all(axis=1), k, k,
                                "estimator ensemble diverged")
-                ps = predict(ens, centre, dev, plant.ref, model)
+                ps = predict(ens, dev, plant.ref, model)
                 g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
                 inc = -delta * (g_exploit + g_explore)
                 learn_row = (*centre[:, 0].T, *th_std.T, ps.r_mean[:, 0], ps.r_var,

@@ -45,7 +45,8 @@ def _ctrb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearPlant:
-    """Discrete-time state-space triple with the current state attached."""
+    """Discrete-time state-space triple with its initial state ``x`` (the
+    config's ``x0``); ``harness._Servo`` keeps the running state."""
 
     A: np.ndarray
     B: np.ndarray

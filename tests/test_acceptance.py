@@ -113,8 +113,8 @@ def test_criterion_6_exploration_gradient_cross_check():
         ens = Ensemble(thetas=rng.uniform(0.3, 15.0, (n, 1)),
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
-        fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
+        fd = explore_grad([y], ens, model)[0]
+        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
         rel = abs(fd - an) / max(abs(an), abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

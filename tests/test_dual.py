@@ -14,6 +14,7 @@ import pytest
 from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
                   exploit_grad, explore_grad, harness, init_ensemble, load_config, moments,
                   predict, quadratic_reward, run_scenario, run_seeds)
+from dcee.dual import FD_EPS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -35,15 +36,15 @@ def test_exploit_grad_rejects_mismatch():
 
 def test_explore_grad_zero_for_collapsed_ensemble():
     model = quadratic_reward()
-    g = explore_grad([1.0], collapsed(1.0), model, 1e-5)
+    g = explore_grad([1.0], collapsed(1.0), model)
     assert g[0] == 0.0
 
 
 def test_explore_grad_analytic_matches_fd_two_point():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.005))
-    fd = explore_grad([1.0], ens, model, 1e-5)
-    an = predict(ens, *moments(ens.thetas), [1.0], model).r_var_grad
+    fd = explore_grad([1.0], ens, model)
+    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
     assert abs(fd[0] - an[0]) <= 1e-5 * max(abs(an[0]), 1e-12)
 
 
@@ -55,8 +56,8 @@ def test_explore_grad_analytic_matches_fd_randomized():
         ens = Ensemble(thetas=rng.uniform(0.3, 15.0, (n, 1)),
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
-        fd = explore_grad([y], ens, model, 1e-5)[0]
-        an = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
+        fd = explore_grad([y], ens, model)[0]
+        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
@@ -67,8 +68,8 @@ def test_explore_grad_analytic_ignores_estimators_at_the_floor():
     # quotient about four digits
     model = quadratic_reward(theta_floor=1e-6)
     ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
-    fd = explore_grad([1.0], ens, model, 1e-5)[0]
-    an = predict(ens, *moments(ens.thetas), [1.0], model).r_var_grad[0]
+    fd = explore_grad([1.0], ens, model)[0]
+    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad[0]
     assert abs(fd - an) <= 1e-3 * abs(an)
 
 
@@ -77,11 +78,11 @@ def test_explore_pushes_away_from_uninformative_origin():
     model = quadratic_reward()
     rng = np.random.default_rng(2)
     ens = init_ensemble(50, [0.5], [20.0], 0.005, rng)
-    p0 = predict(ens, *moments(ens.thetas), [0.0], model).r_var
-    p_off = predict(ens, *moments(ens.thetas), [0.5], model).r_var
+    p0 = predict(ens, moments(ens.thetas)[1], [0.0], model).r_var
+    p_off = predict(ens, moments(ens.thetas)[1], [0.5], model).r_var
     assert p0 > p_off
-    assert explore_grad([0.1], ens, model, 1e-5)[0] < 0  # descent moves +
-    assert explore_grad([-0.1], ens, model, 1e-5)[0] > 0  # descent moves -
+    assert explore_grad([0.1], ens, model)[0] < 0  # descent moves +
+    assert explore_grad([-0.1], ens, model)[0] > 0  # descent moves -
 
 
 @pytest.mark.parametrize("y", [4.0, -4.0], ids=["upper", "lower"])
@@ -89,14 +90,13 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
     model = quadratic_reward(y_range=(-4.0, 4.0))
     rng = np.random.default_rng(3)
     ens = init_ensemble(20, [0.5], [20.0], 0.005, rng)
-    eps = 1e-5
     with caplog.at_level("WARNING"):
-        g = explore_grad([y], ens, model, eps)
+        g = explore_grad([y], ens, model)
     # the probe that would leave the interval is replaced by y itself
-    hi_pt, lo_pt = ([y], [y - eps]) if y > 0 else ([y + eps], [y])
-    centre, dev = moments(ens.thetas)
-    expected = (predict(ens, centre, dev, hi_pt, model).r_var
-                - predict(ens, centre, dev, lo_pt, model).r_var) / eps
+    hi_pt, lo_pt = ([y], [y - FD_EPS]) if y > 0 else ([y + FD_EPS], [y])
+    dev = moments(ens.thetas)[1]
+    expected = (predict(ens, dev, hi_pt, model).r_var
+                - predict(ens, dev, lo_pt, model).r_var) / FD_EPS
     assert np.isfinite(g[0])
     assert g[0] == expected
     assert any("one-sided" in rec.message for rec in caplog.records)
@@ -138,7 +138,7 @@ def test_dcee_step_increment_identity():
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
     ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
     xi = tr.column("xi")[:1]
-    ps = predict(ens, *moments(ens.thetas), xi, model)
+    ps = predict(ens, moments(ens.thetas)[1], xi, model)
     moved = xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad)
     assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad[0])
     assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)[0]

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcee import (Ensemble, adapt, init_ensemble, moments, mse_bound, predict, pv_poly_reward,
-                  quadratic_reward, spread, stats)
-from dcee.ensemble import _predicted_thetas
+from dcee import (Ensemble, adapt, builtin_config, init_ensemble, moments, mse_bound, predict,
+                  pv_poly_reward, quadratic_reward, spread, stats)
+from dcee.ensemble import _step
 from dcee.reward import RewardModel
 
 
@@ -140,7 +140,7 @@ def test_predict_is_identity_for_collapsed_ensemble():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.full((5, 1), 1.0), rates=np.full(5, 0.005))
     cur = stats(ens, model)
-    pred = predict(ens, *moments(ens.thetas), [1.5], model)
+    pred = predict(ens, moments(ens.thetas)[1], [1.5], model)
     assert pred.r_mean[0] == cur.r_mean[0]
     assert pred.r_var == cur.r_var == 0.0
 
@@ -149,7 +149,7 @@ def test_predict_gradient_matches_hand_derivation():
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
     assert stats(ens, quadratic_reward()).r_var_grad is None
     # a constant regressor carries no information about where to probe
-    assert predict(ens, *moments(ens.thetas), [0.5], identity_model()).r_var_grad[0] == 0.0
+    assert predict(ens, moments(ens.thetas)[1], [0.5], identity_model()).r_var_grad[0] == 0.0
     # quadratic, phi = -y^2: theta_i' = theta_i - eta y^4 d_i and r_i = 1/theta_i'
     model = quadratic_reward()
     y = 0.7
@@ -159,7 +159,7 @@ def test_predict_gradient_matches_hand_derivation():
     r = 1.0 / pred
     dr = -dpred / pred ** 2
     expect = 2.0 * np.mean((r - r.mean()) * dr)
-    got = predict(ens, *moments(ens.thetas), [y], model).r_var_grad[0]
+    got = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -168,21 +168,48 @@ def test_predict_zero_regressor_changes_nothing():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
     cur = stats(ens, model)
-    pred = predict(ens, *moments(ens.thetas), [0.0], model)
+    pred = predict(ens, moments(ens.thetas)[1], [0.0], model)
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
     assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
     phi = model.unknown_basis(0.0)
     dev = moments(ens.thetas)[1]
-    assert np.array_equal(_predicted_thetas(ens, dev @ phi[:, None], phi[None, :]), ens.thetas)
+    assert np.array_equal(_step(ens, dev @ phi[:, None], phi[None, :]), ens.thetas)
 
 
 def test_predict_informative_point_shrinks_spread():
     model = quadratic_reward()
     rng = np.random.default_rng(4)
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng)
-    at_zero = predict(ens, *moments(ens.thetas), [0.0], model).r_var
-    at_one = predict(ens, *moments(ens.thetas), [1.0], model).r_var
+    at_zero = predict(ens, moments(ens.thetas)[1], [0.0], model).r_var
+    at_one = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var
     assert at_one <= at_zero
+
+
+_SHIPPED_PRIOR = builtin_config("mppt")["ensemble"]
+
+
+@pytest.mark.parametrize("model, low, high, max_rate", [
+    # eta * y^4 <= 1 on (-4, 4): every update stays a convex mix of the
+    # estimate and the mean, so no estimate crosses the floor
+    (quadratic_reward(), [0.5], [20.0], 1.0 / 256.0),
+    (pv_poly_reward(degree=5, v_range=(2.0, 43.0), v_scale=22.0, v_shift=22.0),
+     _SHIPPED_PRIOR["prior_low"], _SHIPPED_PRIOR["prior_high"], 0.2),
+], ids=["quadratic", "pv-poly"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 59), at=st.floats(0.0, 1.0))
+def test_predict_is_adapt_under_the_believed_reward(model, low, high, max_rate, seed, n, at):
+    # the one-step-ahead belief is adapt's update fed the noise-free reward
+    # the mean estimate implies, J = known(y) + phi(y) . mean
+    rng = np.random.default_rng(seed)
+    ens = init_ensemble(n, low, high, rng.uniform(1e-3 * max_rate, max_rate, n), rng)
+    lo, hi = model.y_range
+    y = lo + at * (hi - lo)
+    centre, dev = moments(ens.thetas)
+    believed = model.known_basis(y) + model.unknown_basis(y) @ centre[0]
+    want = stats(adapt(ens, [y], believed, model), model)
+    got = predict(ens, dev, [y], model)
+    assert got.r_mean == pytest.approx(want.r_mean, rel=1e-11, abs=0.0)
+    assert got.r_var == pytest.approx(want.r_var, rel=1e-11, abs=0.0)
 
 
 def test_variance_decomposition_identity():
@@ -253,7 +280,7 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
     j = rng.normal(size=4)
     moved = adapt(batch, y, j, model)
     centre, dev = moments(moved.thetas)
-    belief = predict(moved, centre, dev, y, model)
+    belief = predict(moved, dev, y, model)
     for i, ens in enumerate(alone):
         ens = adapt(ens, [y[i]], j[i], model)
         assert np.array_equal(moved.thetas[i], ens.thetas)
@@ -261,7 +288,7 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
         assert np.array_equal(centre[i], one_centre)
         assert np.array_equal(dev[i], one_dev)
         assert np.array_equal(spread(dev)[i], spread(one_dev))
-        one = predict(ens, one_centre, one_dev, [y[i]], model)
+        one = predict(ens, one_dev, [y[i]], model)
         assert np.array_equal(belief.r_mean[i], one.r_mean)
         assert belief.r_var[i] == one.r_var
         assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)
@@ -285,13 +312,13 @@ def test_any_batch_entry_is_its_ensemble_alone(model, low, high, data):
     j = rng.normal(size=n_batch)
     moved = adapt(batch, y, j, model)
     centre, dev = moments(moved.thetas)
-    belief = predict(moved, centre, dev, y, model)
+    belief = predict(moved, dev, y, model)
     for i in range(n_batch):
         ens = adapt(Ensemble(batch.thetas[i], batch.rates), y[i:i + 1], j[i], model)
         assert np.array_equal(moved.thetas[i], ens.thetas)
         one_centre, one_dev = moments(ens.thetas)
         assert np.array_equal(centre[i], one_centre) and np.array_equal(dev[i], one_dev)
-        one = predict(ens, one_centre, one_dev, y[i:i + 1], model)
+        one = predict(ens, one_dev, y[i:i + 1], model)
         assert np.array_equal(belief.r_mean[i], one.r_mean)
         assert belief.r_var[i] == one.r_var
         assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)

@@ -189,7 +189,7 @@ def _servo_loop_columns(d: dict, horizon: int) -> dict:
         y = (C @ x)[0]
         j = 2.0 * y - 1.0 * (y * y) + noise[k]
         ens = adapt(ens, [y], j, model)
-        ps = predict(ens, *moments(ens.thetas), xi, model)
+        ps = predict(ens, moments(ens.thetas)[1], xi, model)
         for name, value in (("y", y), ("xi", xi[0]), ("x0", x[0]), ("x1", x[1]),
                             ("theta_mean_0", ens.thetas.mean(axis=0)[0]),
                             ("grad_explore_norm", abs(ps.r_var_grad[0]))):
