@@ -22,10 +22,10 @@ The controller's power-curve model is a polynomial in the voltage
 polynomial over the operating band, through the roots of the derivative.
 A call finds those roots cold by companion-matrix eigenvalues.  Inside
 the model's ``warm_start`` scope, which the tick loop holds open for one
-run, each call instead refines the roots of the previous call by
-Aberth-Ehrlich sweeps, one or two in the shipped run, since the estimates
-barely move from one tick to the next; a row the sweeps do not settle
-goes back to the eigenvalues.
+run, each call instead starts from the roots of the last two calls,
+extrapolated one call ahead, and refines them by Newton steps, one or two
+in the shipped run, since the estimates barely move from one tick to the
+next; a row the steps do not settle goes back to the eigenvalues.
 The scope's memory is dropped when it closes, so every call outside a
 run, and the first call of every run, is cold.
 """
@@ -171,13 +171,15 @@ def pv_current(params: PvParams, v, irradiance, temperature):
     panel.  Scalar arguments give a float.
     """
     v = np.asarray(v, dtype=float)
-    if np.count_nonzero(v < 0):
+    one = v.shape == (1,)  # one voltage runs on numpy's much faster scalar arithmetic
+    if v[0] < 0.0 if one else np.count_nonzero(v < 0):
         raise ValueError("voltage must be nonnegative")
     a, i_ph, i_0 = _thermal(params, irradiance, temperature)
-    one = v.shape == (1,)  # one voltage runs on numpy's much faster scalar arithmetic
     cur = _diode(params, v[0] if one else v, i_ph, a, i_0)[0]
-    cur = np.where(i_ph > 0, np.maximum(cur, 0.0), 0.0)
-    return cur if cur.ndim else cur.reshape(1) if one else float(cur)
+    if isinstance(cur, np.ndarray):
+        return np.where(i_ph > 0, np.maximum(cur, 0.0), 0.0)
+    cur = max(cur, 0.0) if i_ph > 0 else 0.0  # max keeps a NaN or -0.0 as np.maximum does
+    return np.array([cur]) if one else float(cur)
 
 
 def _open_circuit(params: PvParams, i_ph, a, i_0):
@@ -256,16 +258,9 @@ def _interp_linear(ts, vs, t):
     return (1.0 - w) * vs[i] + w * vs[i + 1]
 
 
-# of the shipped mppt run's 2000 warm calls, 1127 settle in 1 sweep, 855 in 2, 18 in 3
-ABERTH_SWEEPS = 3
-
-
-@functools.lru_cache(maxsize=None)
-def _others(d: int) -> np.ndarray:
-    """Row i holds the root indices other than i, (d, d - 1); read-only, as it is shared."""
-    others = np.array([[j for j in range(d) if j != i] for i in range(d)], dtype=int)
-    others.flags.writeable = False
-    return others
+# of the shipped mppt run's 2000 warm calls (seed 1), from the extrapolated start,
+# 1172 settle in 1 sweep, 780 in 2, 47 in 3 and 1 in 4
+NEWTON_SWEEPS = 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,40 +271,39 @@ def _orders(m: int) -> np.ndarray:
     return orders
 
 
-def _aberth(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refine starting roots z (d, k) of k monic polynomials by Aberth-Ehrlich.
+def _newton(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine starting roots z (d, k) of k monic polynomials by Newton steps.
 
     ``monic`` (d + 1, k) holds ascending coefficients, the last row 1.
-    Each sweep moves every root at once by w / (1 - w sum_j 1 / (z_i - z_j)),
-    w = p(z_i) / p'(z_i) (O. Aberth, Math. Comp. 27, 1973), and converges
-    cubically near simple roots.  A polynomial is accepted when every
-    root's last correction is at most 1e-8 (1 + |z|) and its roots sum to
-    minus the next-to-leading coefficient (Vieta), so two iterates that
-    collapse onto one root and miss another are refused.  Each polynomial
-    stops at its own first sweep of small steps, so the others cannot
-    change its roots.  Returns the roots, in z's memory layout, and the
-    accepted polynomials.  Horner runs against ``monic`` copied into a
-    complex block of z's shape, which gives the same sums without a cast
-    of a broadcast float row in every step.
+    Each sweep moves every root on its own by p(z) / p'(z), which
+    converges quadratically from a start near a simple root.  A polynomial
+    is accepted when every root's last step is at most 1e-8 (1 + |z|), z
+    the root it stepped from, and its roots sum to minus the
+    next-to-leading coefficient (Vieta), so two iterates that settle on
+    one root and miss another are refused.  Each polynomial stops at its
+    own first sweep of small steps, so the others cannot change its roots.
+    Returns the roots, in z's memory layout, and the accepted polynomials.
+    Horner runs against ``monic`` copied into a complex block of z's
+    shape, which gives the same sums without a cast of a broadcast float
+    row in every step.
     """
     d, k = z.shape
-    others = _others(d)
     block = np.empty((d + 1, d, k), dtype=complex)  # monic, one row per root
     block[...] = monic[:, None, :]
     done = np.zeros(k, dtype=bool)
     with np.errstate(all="ignore"):  # a stalled polynomial turns inf or NaN, then is refused
-        for sweep in range(ABERTH_SWEEPS):
+        for sweep in range(NEWTON_SWEEPS):
             p, dp = z + block[-2], block[-1]  # p'(z)'s Horner starts from the leading 1
             for c in block[-3::-1]:
                 dp = dp * z + p
                 p = p * z + c
-            w = p / dp
-            step = w / (1.0 - w * np.add.reduce(np.reciprocal(z[:, None] - z[others]), axis=1))
+            step = p / dp
+            size = np.abs(z)  # before the step, so an infinite step is never small
             z = np.where(done, z, z - step) if sweep else z - step
-            done |= np.logical_and.reduce(np.abs(step) <= 1e-8 * (1.0 + np.abs(z)), axis=0)
+            done |= np.logical_and.reduce(np.abs(step) <= 1e-8 * (1.0 + size), axis=0)
             if np.count_nonzero(done) == k:
                 break
-        vieta = np.abs(np.add.reduce(z) + monic[-2]) <= 1e-8 * (1.0 + np.add.reduce(np.abs(z)))
+        vieta = np.abs(np.add.reduce(z) + monic[-2]) <= 1e-8 * (1.0 + np.add.reduce(size))
     return z, done & vieta
 
 
@@ -328,37 +322,38 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Maximiser of each polynomial sum_j theta_j s^j over [s_lo, s_hi].
 
-    The candidates are the endpoints and the real stationary points
-    clipped into the interval (safe, since the endpoints are candidates
-    too); the one with the largest Horner value wins.  Stationary points
-    are the roots of the derivative.  Cold, they are batched companion
-    eigenvalues.  Given ``start``, the (N, degree - 1) complex roots a
-    previous call returned for nearby polynomials, they are refined from
-    there by Aberth-Ehrlich sweeps (``_aberth``), and only the rows it
-    refuses go to the eigenvalues.  Rows whose leading derivative
-    coefficient is (numerically) zero use np.roots; only a batch with such
-    rows splits its columns, the others keep the solver's roots as they
-    are.  Either solver leaves a C-ordered (degree - 1, N) array, since
-    the Aberth sums of a warm start follow the layout of its ``start``.
-    A ``start`` of another shape is ignored, and without ``start`` the
-    result does not depend on any earlier call.  No row's result depends
-    on the other rows.  Returns the maximisers mapped to s * scale +
-    shift, (N, 1), and the derivative roots, (N, degree - 1), NaN in the
-    np.roots rows.  The polynomial degree must be at least 2.
+    ``thetas`` is (N, degree + 1).  The candidates are the endpoints and
+    the real parts of the stationary points, clipped into the interval;
+    the one with the largest Horner value wins.  Every candidate is a
+    point of the interval, so the real part of a complex stationary point
+    cannot beat the maximum, which is an endpoint or a real one.
+    Stationary points are the roots of the derivative.  Cold, they are
+    batched companion eigenvalues.  Given ``start``, (N, degree - 1)
+    complex roots near those of the derivatives (such as a previous call's
+    for nearby polynomials), they are refined from there by Newton steps
+    (``_newton``), and only the rows it refuses go to the eigenvalues.
+    Rows whose leading derivative coefficient is (numerically) zero use
+    np.roots; only a batch with such rows splits its columns, the others
+    keep the solver's roots as they are.  A ``start`` of another shape is
+    ignored, and without ``start`` the result does not depend on any
+    earlier call.  No row's result depends on the other rows.  Returns the
+    maximisers mapped to s * scale + shift, (N, 1), and the derivative
+    roots, (N, degree - 1), NaN in the np.roots rows.  The polynomial
+    degree must be at least 2.
     """
     # one column per polynomial, so each operation runs along the batch
-    coef = np.ascontiguousarray(np.atleast_2d(np.asarray(thetas, dtype=float)).T)
+    coef = np.asarray(thetas, dtype=float).T
     m, n = coef.shape
     deg = m - 2  # degree of the derivative polynomial
     deriv = coef[1:] * _orders(m)
-    lead = deriv[-1]
-    tiny = 1e-12 * np.maximum(np.maximum.reduce(np.abs(deriv)), 1.0)
-    ok = np.abs(lead) > tiny
+    size = np.abs(deriv)
+    tiny = 1e-12 * np.maximum.reduce(size, initial=1.0)
+    ok = size[-1] > tiny
     every = np.count_nonzero(ok) == n
     cols = slice(None) if every else ok
-    monic = deriv[:, cols] / lead[cols]
+    monic = deriv[:, cols] / deriv[-1, cols]
     if start is not None and start.shape == (n, deg):
-        found, fine = _aberth(monic, start.T[:, cols])
+        found, fine = _newton(monic, start.T[:, cols])
         if np.count_nonzero(fine) != fine.size:
             found[:, ~fine] = _companion_roots(monic[:, ~fine])
     else:
@@ -368,21 +363,21 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
         roots[:, ok] = found
     cand = np.empty((m, n))  # the two endpoints, then the deg roots
     cand[0], cand[1] = s_lo, s_hi
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
-    cand[2:] = np.where(real, np.minimum(np.maximum(roots.real, s_lo), s_hi), s_lo)
+    # fmax sends the np.roots rows' NaN to s_lo
+    np.minimum(np.fmax(roots.real, s_lo), s_hi, out=cand[2:])
     if not every:
         for idx in np.flatnonzero(~ok):
             # drop the negligible leading coefficients: a subnormal one
             # would overflow np.roots' companion matrix
-            keep = np.flatnonzero(np.abs(deriv[:, idx]) > tiny[idx])
-            rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]) if keep.size else []
-            rr = [float(np.clip(r.real, s_lo, s_hi)) for r in rr
-                  if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real))]
-            cand[2:2 + len(rr), idx] = rr
-    vals = coef[-1]
-    for j in range(m - 2, -1, -1):
-        vals = vals * cand + coef[j]
-    best = cand[np.argmax(vals, axis=0), np.arange(n)]
+            keep = np.flatnonzero(size[:, idx] > tiny[idx])
+            rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]).real if keep.size else []
+            cand[2:2 + len(rr), idx] = np.minimum(np.maximum(rr, s_lo), s_hi)
+    vals = coef[-1] * cand
+    for c in coef[-2:0:-1]:
+        vals += c
+        vals *= cand
+    vals += coef[0]
+    best = cand[vals.argmax(axis=0), np.arange(n)]
     return best[:, None] * scale + shift, roots.T
 
 
@@ -397,7 +392,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     gradient needs no extra optimum-map solves.
 
     While a ``warm_start()`` scope is open, each optimum-map call starts
-    from the derivative roots of the previous call (see
+    from the derivative roots z_k of the previous call, extrapolated to
+    2 z_k - z_(k-1) when the call before had the same row count (see
     ``_poly_argmax_batch``); a call with another row count starts cold.
     The roots are dropped when the scope closes, also on an exception,
     and a nested scope starts empty and hands the outer one back its own.
@@ -420,24 +416,25 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     v_lo = s_lo * v_scale + v_shift
     v_hi = s_hi * v_scale + v_shift
     j = np.arange(degree + 1.0)  # floats, as an int power is cast on every call
-    j_slope, j_less, j_curv = j[1:], np.maximum(j - 1, 0), j[2:] * j[1:-1]
+    j_less, j_slope, j_curv = np.maximum(j - 1, 0), j[1:, None], (j[2:] * j[1:-1])[:, None]
 
-    warm = None  # while a warm_start scope is open: [the previous call's roots]
+    warm = None  # while a warm_start scope is open: [last call's roots, the call's before]
 
     def opt_batch(thetas):
         finite = np.isfinite(thetas)
         if np.count_nonzero(finite) != finite.size:
             raise DomainError("polynomial coefficients must be finite")
-        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift,
-                                           warm[0] if warm else None)
+        last, before = warm or (None, None)
+        start = 2.0 * last - before if before is not None and before.shape == last.shape else last
+        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, start)
         if warm:
-            warm[0] = roots
+            warm[:] = roots, warm[0]
         return optima
 
     @contextlib.contextmanager
     def warm_start():
         nonlocal warm
-        outer, warm = warm, [None]
+        outer, warm = warm, [None, None]
         try:
             yield
         finally:
@@ -454,15 +451,16 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def dopt(thetas, optima):
         # implicit function theorem on p'(s) = 0 at an interior maximum:
         # ds/dtheta_j = -j s^(j-1) / p''(s); an endpoint maximum stays put
+        # one column per row, so each operation runs along the batch
         v = optima[:, 0]
-        pw = np.ones((v.size, degree))  # s^0 .. s^(degree - 1), as np.vander makes them
-        pw[:, 1:] = ((v - v_shift) / v_scale)[:, None]
-        np.multiply.accumulate(pw, axis=1, out=pw)
-        curv = np.add.reduce(j_curv * thetas[:, 2:] * pw[:, :-1], axis=1)
+        pw = np.empty((degree, v.size))  # s^0 .. s^(degree - 1), as np.vander makes them
+        pw[0] = 1.0
+        pw[1:] = (v - v_shift) / v_scale
+        np.multiply.accumulate(pw, out=pw)
+        curv = np.add.reduce(j_curv * thetas.T[2:] * pw[:-1])
         interior = (v > v_lo) & (v < v_hi) & (curv < 0.0)
         jac = np.zeros((v.size, 1, degree + 1))
-        np.divide(-v_scale * (j_slope * pw), curv[:, None], out=jac[:, 0, 1:],
-                  where=interior[:, None])
+        np.divide(-v_scale * (j_slope * pw), curv, out=jac[:, 0, 1:].T, where=interior)
         return jac
 
     return RewardModel(

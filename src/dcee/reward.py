@@ -62,8 +62,8 @@ class RewardModel:
     warm_start : callable
         () -> context manager.  One simulation run holds it open around
         its tick loop; inside it ``optimum_map_batch`` may start each solve
-        from the previous call's (pv-poly: the previous derivative roots),
-        so its results can differ from a cold call's in the last bits.
+        from earlier calls (pv-poly: the last two calls' roots), so its
+        results can differ from a cold call's in the last bits.
         Nothing is kept once it closes.  The default, for maps that keep
         nothing, is ``contextlib.nullcontext``.
     """

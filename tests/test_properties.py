@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcee import builtin_config, explore_grad, init_ensemble, moments, predict, pv_poly_reward
-from dcee.pv import _poly_argmax_batch
+from dcee.pv import _companion_roots, _newton, _poly_argmax_batch
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -77,3 +77,29 @@ def test_warm_poly_argmax_matches_cold(seed, m, n, drift, resize, s_lo, width):
                 at_s, at_cold = np.polynomial.polynomial.polyval([s, s_cold], th)
                 assert at_s >= best - 1e-9 * max(1.0, abs(best))
                 assert abs(at_s - at_cold) <= 1e-12 * max(1.0, abs(at_cold))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+       drift=st.floats(-7.0, -3.0).map(lambda e: 10.0 ** e))
+def test_warm_refined_roots_match_the_eigenvalues(seed, n, drift):
+    # shipped-prior polynomials drifting by a relative step of ``drift``
+    # per call, each call started as a run starts it from the roots of the
+    # calls before: every root of a row the refinement accepts is one of
+    # that row's companion eigenvalues, and each eigenvalue is matched
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(PRIOR_LOW, PRIOR_HIGH, (n, 6))
+    last, before = _poly_argmax_batch(thetas, -1.0, 1.0, 22.0, 22.0)[1], None
+    for _ in range(4):
+        thetas = thetas * (1.0 + drift * rng.uniform(-1.0, 1.0, thetas.shape))
+        deriv = thetas[:, 1:] * np.arange(1.0, 6.0)
+        monic = (deriv / deriv[:, -1:]).T
+        start = last if before is None else 2.0 * last - before
+        found, fine = _newton(monic, start.T)
+        eig = _companion_roots(monic)
+        for row in np.flatnonzero(fine):
+            gap = np.abs(found[:, row, None] - eig[None, :, row])
+            bound = 1e-10 * (1.0 + np.abs(eig[:, row]))
+            assert np.all(gap.min(axis=1) <= bound[gap.argmin(axis=1)])
+            assert np.all(gap.min(axis=0) <= bound)
+        last, before = np.where(fine, found, eig).T, last

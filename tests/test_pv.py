@@ -315,8 +315,8 @@ def test_poly_argmax_matches_brute_force():
 
 def test_warm_start_refuses_two_roots_collapsed_onto_one():
     # p'(s) = -(s - 0.1)(s - a)(s - b) with a close pair a, b: the maximum
-    # on [-1, 1] is at 0.1.  Two starting roots on b barely move, so every
-    # Aberth correction is tiny and the root at 0.1 would be missed; the
+    # on [-1, 1] is at 0.1.  Two starting roots on b both stay there, so every
+    # Newton step is tiny and the root at 0.1 would be missed; the
     # roots' sum (Vieta) refuses the row and the eigenvalues find it.
     roots = np.array([0.1, 0.98619106, 0.98647133])
     deriv = -np.poly(roots)[::-1]
@@ -328,9 +328,22 @@ def test_warm_start_refuses_two_roots_collapsed_onto_one():
     np.testing.assert_array_equal(warm_roots, cold_roots)
 
 
+def test_warm_start_refuses_a_root_started_where_the_slope_vanishes():
+    # p'(s) = 3 s^2 - 3 has p''(0) = 0: a root started at 0 takes an
+    # infinite Newton step, which must refuse the row, not accept it with a
+    # root at infinity and lose the maximum at -1
+    thetas = np.array([[0.0, -3.0, 0.0, 1.0]])
+    cold, cold_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0)
+    for start in ([0.0, 0.0], [0.0, 0.9]):
+        warm, warm_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0, 0.0,
+                                              np.array([start], dtype=complex))
+        assert warm[0, 0] == cold[0, 0] == -1.0
+        np.testing.assert_array_equal(warm_roots, cold_roots)
+
+
 def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
     # two blocks of the shipped prior's polynomials, each started from the
-    # roots of a perturbed copy: the near start settles in fewer Aberth
+    # roots of a perturbed copy: the near start settles in fewer Newton
     # sweeps than the far one, and stacking the blocks must not give the
     # near block the far block's extra sweeps
     from dcee import builtin_config
@@ -369,8 +382,9 @@ def test_warm_map_with_another_row_count_starts_cold():
 
 
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
-    # every tick after the first refines the previous tick's roots; the
-    # spy counts the rows sent to the companion eigenvalues instead
+    # every tick after the first refines the roots of the ticks before, over
+    # the whole shipped horizon; the spy counts the rows sent to the
+    # companion eigenvalues instead
     from dcee import builtin_config, config_from_dict, pv, run_scenario
     eig, rows = pv._companion_roots, []
 
@@ -380,7 +394,7 @@ def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
 
     monkeypatch.setattr(pv, "_companion_roots", counted)
     d = builtin_config("mppt")
-    d["run"] = {"horizon": 300, "seed": 1}
+    d["run"]["seed"] = 1
     run_scenario(config_from_dict(d))
     assert rows == [50]  # the first tick, cold
 
