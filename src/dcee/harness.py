@@ -173,7 +173,8 @@ class ScenarioConfig:
     """Validated scenario: the merged sections (``data``) and the objects a run
     uses, but no output path.  ``plant`` is the ``LinearPlant`` at its initial
     state (quadratic, with its servo ``gains``) or the ``PvParams`` panel (mppt,
-    with its ``profile`` and initial ``hc`` / ``ic`` tracker states)."""
+    with its ``profile``).  ``config_from_dict`` checks the hc / ic tracker
+    settings; the loop builds the trackers' starting states from them."""
 
     kind: str
     data: dict
@@ -185,8 +186,6 @@ class ScenarioConfig:
     plant: LinearPlant | PvParams
     gains: ServoGains | None = None
     profile: EnvProfile | None = None
-    hc: HcState | None = None
-    ic: IcState | None = None
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -293,7 +292,10 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
                                v_shift=float(rw["v_shift"]))
         if ctl["algo"] not in ("dcee", "hc", "ic"):
             raise ConfigError("controller.algo must be dcee, hc or ic")
-        _positive(ctl["u_max"], "controller.u_max")
+        for name in ("u_max", "hc_step", "ic_step"):
+            _positive(ctl[name], f"controller.{name}")
+        if not 0 <= float(ctl["ic_deadband"]) < np.inf:
+            raise ConfigError("controller.ic_deadband must be finite and nonnegative")
         lo, hi = model.y_range
         vlo, vhi = (float(v) for v in ctl["v_limits"])
         if vlo < 0 or not lo <= vlo < vhi <= hi:
@@ -305,10 +307,7 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         d["plant"]["n_cells"] = _integer(d["plant"]["n_cells"], "plant.n_cells")
         params, profile = PvParams(**d["plant"]), EnvProfile(**d["profile"])
         params.check_temperatures(v for _, v in profile.temperature)
-        built = dict(plant=params, profile=profile,
-                     hc=HcState(step=float(ctl["hc_step"])),
-                     ic=IcState(step=float(ctl["ic_step"]),
-                                deadband=float(ctl["ic_deadband"])))
+        built = dict(plant=params, profile=profile)
 
     n = _integer(ens["n"], "ensemble.n")
     low = _checked_args(n, ens["prior_low"], ens["prior_high"], ens["rate"])[0]
@@ -411,16 +410,25 @@ class _Servo:
 
 class _Panel:
     """The PV panel; its voltage (S, 1) is both its state x and the
-    reference.  hc and ic keep one tracker state per seed."""
+    reference.  hc and ic keep one tracker state per seed; ``__init__``
+    picks the run's tracker once."""
 
     tail, row = (), ("v", "u", "i", "p")
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
         ctl = cfg.section("controller")
-        self.params, self.algo, self.u_max = cfg.plant, ctl["algo"], float(ctl["u_max"])
+        self.params, self.u_max = cfg.plant, float(ctl["u_max"])
         self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
         self.x = self.ref = np.full((n_seeds, 1), float(ctl["v_init"]))
-        self.trackers = [cfg.hc if self.algo == "hc" else cfg.ic] * n_seeds
+        # hc reads the observed power, ic the voltage and current; a closure over
+        # self would be a cycle that keeps each finished panel until a full gc
+        if ctl["algo"] == "hc":
+            start = HcState(step=float(ctl["hc_step"]))
+            self.steps = lambda pv, j_obs: map(hc_step, pv.trackers, j_obs.tolist())
+        else:
+            start = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
+            self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x[:, 0].tolist(), pv.i.tolist())
+        self.trackers = [start] * n_seeds
         # one oracle solve per distinct (irradiance, temperature) of the run
         self.env = [profile_eval(cfg.profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
         oracle = {cond: mpp_oracle(cfg.plant, *cond) for cond in dict.fromkeys(self.env)}
@@ -435,11 +443,7 @@ class _Panel:
 
     def track(self, j_obs: np.ndarray) -> np.ndarray:
         """The hc or ic increment of every seed, (S, 1)."""
-        if self.algo == "hc":
-            steps = map(hc_step, self.trackers, j_obs.tolist())
-        else:
-            steps = map(ic_step, self.trackers, self.x[:, 0].tolist(), self.i.tolist())
-        inc, self.trackers = zip(*steps)
+        inc, self.trackers = zip(*self.steps(self, j_obs))
         return np.array(inc)[:, None]
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcee import HcState, IcState, hc_step, ic_step
 from dcee.pv import PvParams, mpp_oracle, pv_current
@@ -109,3 +111,17 @@ def test_ic_reaches_hold_and_stays_on_frozen_curve():
         v += dv
     assert held_at is not None
     assert abs(v - v_star) < 5.0 * 0.1
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v_prev=_finite, i_prev=_finite, v_now=st.floats(min_value=0.0, allow_infinity=False),
+       i_now=_finite, step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       deadband=st.floats(min_value=0.0, allow_infinity=False))
+def test_ic_step_moves_by_one_step_or_holds(v_prev, i_prev, v_now, i_now, step, deadband):
+    st_prev = IcState(v_prev=v_prev, i_prev=i_prev, step=step, deadband=deadband)
+    dv, st_next = ic_step(st_prev, v_now, i_now)
+    assert dv in (0.0, step, -step)
+    assert st_next == IcState(v_prev=v_now, i_prev=i_now, step=step, deadband=deadband)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import gc
 import importlib
 import importlib.util
 import json
@@ -371,6 +372,11 @@ def _two_entry_prior(d):
     ("quadratic-linear", lambda d: d["run"].update(out="trace.csv")),
     ("quadratic-linear", lambda d: d["reward"].update(theta_true=[float("nan")])),
     ("quadratic-linear", lambda d: d["reward"].update(theta_true=[float("inf")])),
+    ("mppt", lambda d: d["controller"].update(ic_step=0.0)),
+    ("mppt", lambda d: d["controller"].update(ic_step=float("inf"))),
+    ("mppt", lambda d: d["controller"].update(ic_step=float("nan"))),
+    ("mppt", lambda d: d["controller"].update(hc_step=float("inf"))),
+    ("mppt", lambda d: d["controller"].update(ic_deadband=float("inf"))),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -381,7 +387,8 @@ def _two_entry_prior(d):
         "r_sh-below-v_oc-over-i_sc", "no-photocurrent-at-35-degC", "theta_floor-null",
         "n-fraction", "n-bool", "seed-fraction", "horizon-fraction", "degree-fraction",
         "n_cells-fraction", "v_limits-negative", "run-out", "theta_true-nan",
-        "theta_true-inf"])
+        "theta_true-inf", "ic_step-0", "ic_step-inf", "ic_step-nan", "hc_step-inf",
+        "ic_deadband-inf"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)
@@ -420,6 +427,29 @@ def test_integer_keys_take_integral_floats():
     cfg = config_from_dict(d)
     assert (cfg.seed, cfg.horizon, cfg.model.dim, cfg.plant.n_cells) == (3, 20, 6, 72)
     assert run_scenario(cfg).n_rows == 21
+
+
+@pytest.mark.parametrize("kind, algo", [
+    ("quadratic-linear", None), ("mppt", "dcee"), ("mppt", "hc"), ("mppt", "ic"),
+])
+def test_a_run_leaves_no_reference_cycles(kind, algo):
+    # a finished run's plant (its env list, oracle columns and tracker states)
+    # must go with its last reference; in a cycle it waits for a full gc, so
+    # many short runs in one process pile up in memory
+    d = builtin_config(kind)
+    d["run"].pop("duration", None)
+    d["run"]["horizon"] = 20
+    if algo:
+        d["controller"]["algo"] = algo
+    cfg = config_from_dict(d)
+    run_scenario(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rate, command", [
@@ -754,6 +784,20 @@ def test_cli_mppt_algo_override(tmp_path):
     assert rc == 0
     tr = read_trace_csv(out_path)
     assert "theta_mean_0" not in tr.columns  # baseline trace has no ensemble
+
+
+def test_cli_ic_with_zero_deadband_runs(tmp_path, capsys):
+    # the first +step is clipped at v_limits, so the second tick sees dV = 0,
+    # which a zero deadband must count as small rather than divide by
+    d = json.loads((REPO / "configs" / "mppt.json").read_text())
+    d["controller"].update(algo="ic", ic_deadband=0.0, v_init=42.0)
+    d["run"] = {"horizon": 20, "dt": 0.001, "seed": 1}
+    cfg_path = tmp_path / "ic0.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "ic0.csv"
+    assert cli_main(["mppt", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_trace_csv(out).n_rows == 21
 
 
 def test_cli_out_ending_in_gp_keeps_the_trace(tmp_path, capsys):
