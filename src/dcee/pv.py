@@ -25,9 +25,11 @@ the model's ``warm_start`` scope, which the tick loop holds open for one
 run, each call instead starts from the roots of the last two calls,
 extrapolated one call ahead, and refines them by Newton steps, one or two
 in the shipped run, since the estimates barely move from one tick to the
-next; a row the steps do not settle goes back to the eigenvalues.
-The scope's memory is dropped when it closes, so every call outside a
-run, and the first call of every run, is cold.
+next; a row the steps do not settle goes back to the eigenvalues.  A row
+that repeats the same row of the last call bit for bit is not solved: it
+gets its last optimum, and its roots do not advance.  The scope's memory
+is dropped when it closes, so every call outside a run, and the first
+call of every run, is cold.
 """
 
 from __future__ import annotations
@@ -392,11 +394,15 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     gradient needs no extra optimum-map solves.
 
     While a ``warm_start()`` scope is open, each optimum-map call starts
-    from the derivative roots z_k of the previous call, extrapolated to
-    2 z_k - z_(k-1) when the call before had the same row count (see
-    ``_poly_argmax_batch``); a call with another row count starts cold.
-    The roots are dropped when the scope closes, also on an exception,
-    and a nested scope starts empty and hands the outer one back its own.
+    each row from its derivative roots z_k of the last call that solved
+    it, extrapolated to 2 z_k - z_(k-1) when a call before had solved it
+    too (see ``_poly_argmax_batch``).  A row bit-identical to the same row
+    of the last call returns its last optimum and keeps its roots; only
+    the other rows are solved, so when every row repeats nothing is.  A
+    call with another row count than the last starts cold and reuses
+    nothing.  The rows, optima and roots are dropped when the scope
+    closes, also on an exception, and a nested scope starts empty and
+    hands the outer one back its own.
     """
     if degree < 2:
         raise ValueError("polynomial degree must be at least 2")
@@ -418,23 +424,39 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     j = np.arange(degree + 1.0)  # floats, as an int power is cast on every call
     j_less, j_slope, j_curv = np.maximum(j - 1, 0), j[1:, None], (j[2:] * j[1:-1])[:, None]
 
-    warm = None  # while a warm_start scope is open: [last call's roots, the call's before]
+    # while a warm_start scope is open: the last call's rows and optima, and per
+    # row its last solved roots and the start of its next solve
+    warm = None
 
     def opt_batch(thetas):
         finite = np.isfinite(thetas)
         if np.count_nonzero(finite) != finite.size:
             raise DomainError("polynomial coefficients must be finite")
-        last, before = warm or (None, None)
-        start = 2.0 * last - before if before is not None and before.shape == last.shape else last
-        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, start)
-        if warm:
-            warm[:] = roots, warm[0]
-        return optima
+        if warm is None:
+            return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
+        rows, optima, last, ahead = warm
+        thetas = np.array(thetas, dtype=float, order="C")  # kept as the next call's rows
+        if rows is None or rows.shape != thetas.shape:
+            optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
+            warm[:] = thetas, optima, roots, roots.copy()  # apart: rows write them one by one
+            return optima.copy()
+        # bit by bit, so that a repeated row gets exactly what solving it again would
+        new = np.logical_or.reduce(thetas.view(np.uint64) != rows.view(np.uint64), axis=1)
+        moved = np.count_nonzero(new)
+        if moved == new.size:
+            optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, ahead)
+            warm[1:] = optima, roots, 2.0 * roots - last
+        elif moved:  # only the rows that moved are solved, and only their roots advance
+            found, roots = _poly_argmax_batch(thetas[new], s_lo, s_hi, v_scale, v_shift,
+                                              ahead[new])
+            optima[new], ahead[new], last[new] = found, 2.0 * roots - last[new], roots
+        warm[0] = thetas
+        return optima.copy()
 
     @contextlib.contextmanager
     def warm_start():
         nonlocal warm
-        outer, warm = warm, [None, None]
+        outer, warm = warm, [None] * 4
         try:
             yield
         finally:

@@ -63,9 +63,10 @@ class RewardModel:
         () -> context manager.  One simulation run holds it open around
         its tick loop; inside it ``optimum_map_batch`` may start each solve
         from earlier calls (pv-poly: the last two calls' roots), so its
-        results can differ from a cold call's in the last bits.
-        Nothing is kept once it closes.  The default, for maps that keep
-        nothing, is ``contextlib.nullcontext``.
+        results can differ from a cold call's in the last bits.  There a
+        row repeated from the last call returns its last optimum and does
+        not advance its start.  Nothing is kept once it closes.  The
+        default, for maps that keep nothing, is ``contextlib.nullcontext``.
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]

@@ -28,12 +28,12 @@ GOLDEN = {
     "quadratic-seed7": "9bbdbc426b965749901cb888216608d6edf22dc908cd3f2692101e1537de8e48",
     "mppt-hc": "0d8f8dca9c147afba2aa6bba4886715481adcdb5c2a6aeec99ce508208995471",
     "mppt-ic": "a70d26be21b02f749e34e80445281e75dc16617d932776caf18594ec47a671b3",
-    "mppt-dcee": "7ba2e2ed5aba24c4f682577b80770df3b10652d2503a0e75c7def0a6ffb99ff0",
+    "mppt-dcee": "60578ac718ecd2391e8d21227d97f90591fc468ba87b890482192f6a8c74e93f",
 }
 SWEEP = "ddb4eec2bd79037b62b49f9c081df5e7dc6f75a7169654bf24abbf359647aff3"
 CSV_BYTES = {
     "mppt-hc": "129f020fcbd428d0e2e8e9b8ae901e025ace862d2e2a31792163e6fb67016a6b",
-    "mppt-dcee": "c9e1455cafeb6bcf3d11fab59b29a5d609f34cb90e81dbab596a7c4d90adde92",
+    "mppt-dcee": "05b7ded3dfd8f254853cdd650ff3d02ed62dd4b9b2772b518f3570693048511e",
     "quadratic-50-ticks": "a96a0074a3823c1fdf2dc562403f7312aca814622581339ea417ebbc6f0e842c",
 }
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from dcee import (DomainError, EnvProfile, PvParams, mpp_oracle, open_circuit_voltage,
-                  profile_eval, pv_current, pv_poly_reward)
+                  profile_eval, pv, pv_current, pv_poly_reward)
 from dcee.pv import _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
@@ -364,21 +364,98 @@ def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
         np.testing.assert_array_equal(roots[rows], alone[1])
 
 
-def test_warm_map_with_another_row_count_starts_cold():
-    # the previous call's roots fit only a call with its row count; a call
-    # with fewer or more rows gives the bits of a cold call
+def _warm_blocks(seed):
+    """The shipped model, 50 prior draws A, and A drifted by 1e-6 relative (B)."""
+    model, low, high = _shipped_model_and_prior()
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(low, high, size=(50, 6))
+    return model, a, a * (1.0 + 1e-6 * rng.standard_normal(a.shape))
+
+
+def _solved_rows(monkeypatch):
+    """Spy on ``_poly_argmax_batch``: the list of the row counts it solves."""
+    argmax, solved = pv._poly_argmax_batch, []
+
+    def spy(thetas, *args):
+        solved.append(len(thetas))
+        return argmax(thetas, *args)
+
+    monkeypatch.setattr(pv, "_poly_argmax_batch", spy)
+    return solved
+
+
+def test_warm_map_with_another_row_count_starts_cold(monkeypatch):
+    # the previous call's roots and optima fit only a call with its row
+    # count; a call with fewer or more rows, even rows that repeat the last
+    # call's bits, is solved and gives the bits of a cold call
     from dcee import builtin_config
     prior = builtin_config("mppt")["ensemble"]
     rng = np.random.default_rng(5)
     thetas = rng.uniform(prior["prior_low"], prior["prior_high"], size=(100, 6))
     moved = thetas * (1.0 + 1e-4 * rng.standard_normal(thetas.shape))
     model = pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0)
+    solved = _solved_rows(monkeypatch)
     with model.warm_start():
         model.optimum_map_batch(thetas)
         fewer = model.optimum_map_batch(moved[:50])
         more = model.optimum_map_batch(moved)
+        repeated = model.optimum_map_batch(moved[:25])
+    assert solved == [100, 50, 100, 25]
     np.testing.assert_array_equal(fewer, model.optimum_map_batch(moved[:50]))
     np.testing.assert_array_equal(more, model.optimum_map_batch(moved))
+    np.testing.assert_array_equal(repeated, model.optimum_map_batch(moved[:25]))
+
+
+def test_warm_map_repeated_call_leaves_the_next_call_as_it_was():
+    # the calls A, A, B give B the bits that A, B give: the repeat of A
+    # advances no root history (a first call P gives A a history, from
+    # which B starts extrapolated)
+    model, a, b = _warm_blocks(11)
+    p = 2.0 * a - b
+    with model.warm_start():
+        for thetas in (p, a, a):
+            model.optimum_map_batch(thetas)
+        after_repeat = model.optimum_map_batch(b)
+    with model.warm_start():
+        for thetas in (p, a):
+            model.optimum_map_batch(thetas)
+        direct = model.optimum_map_batch(b)
+    np.testing.assert_array_equal(after_repeat, direct)
+
+
+def test_warm_map_repeated_call_returns_the_last_optimum_unsolved(monkeypatch):
+    model, a, b = _warm_blocks(12)
+    solved = _solved_rows(monkeypatch)
+    with model.warm_start():
+        model.optimum_map_batch(b)
+        first = model.optimum_map_batch(a)
+        again = model.optimum_map_batch(a.copy())
+        np.testing.assert_array_equal(again, first)
+        again[:] = np.nan  # each call's array is its caller's own
+        np.testing.assert_array_equal(model.optimum_map_batch(a), first)
+    assert solved == [50, 50]
+
+
+def test_warm_map_partly_repeated_block_solves_only_the_rows_that_moved(monkeypatch):
+    # rows 0-24 repeat A's bits in the second call: they get A's optima, and
+    # their history does not advance, so the third call gives them the bits
+    # of a scope that never saw the second call
+    model, a, b = _warm_blocks(13)
+    mixed = np.vstack([a[:25], b[25:]])
+    c = b * (1.0 + 1e-6 * np.random.default_rng(14).standard_normal(b.shape))
+    solved = _solved_rows(monkeypatch)
+    with model.warm_start():
+        first = model.optimum_map_batch(a)
+        second = model.optimum_map_batch(mixed)
+        third = model.optimum_map_batch(c)
+    assert solved == [50, 25, 50]
+    np.testing.assert_array_equal(second[:25], first[:25])
+    with model.warm_start():
+        model.optimum_map_batch(a)
+        np.testing.assert_array_equal(third[:25], model.optimum_map_batch(c)[:25])
+    with model.warm_start():  # the moved rows have the history of rows that moved
+        model.optimum_map_batch(a)
+        np.testing.assert_array_equal(second[25:], model.optimum_map_batch(b)[25:])
 
 
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
