@@ -24,15 +24,16 @@ down ``exploit_grad`` plus the closed-form exploration gradient (or by
 the hc / ic increment).  A dual tick whose outputs, observations,
 references and estimates before ``adapt`` repeat those of the last
 computed tick bit for bit is not computed again: that tick's ``adapt``
-changed nothing, and the optimum map returns a repeated row's last
-optimum, so the tick would give the same bits.  It takes over the last
-computed tick's estimates, increment and recorded columns; the shipped
-noise-free mppt run does so on up to a third of its ticks, once it
-rests.  All that differs between the kinds sits in the plant, ``_Servo``
-or ``_Panel``: ``observe`` gives the outputs and rewards, ``step`` moves
-the reference ``ref`` by an increment and returns the tick's ``row`` and
-``tail`` columns, and ``shared`` holds the columns all seeds share.  A
-seed's trace is the same whatever else shares its batch.
+changed nothing, and ``RewardModel.warm_start`` requires the optimum map
+to give a repeated row its last optimum, so the tick would give the same
+bits.  It takes over the last computed tick's estimates, increment and
+recorded columns; the shipped noise-free mppt run does so on up to a
+third of its ticks, once it rests.  All that differs between the kinds
+sits in the plant, ``_Servo`` or ``_Panel``: ``observe`` gives the
+outputs and rewards, ``step`` moves the reference ``ref`` by an
+increment and returns the tick's ``row`` and ``tail`` columns, and
+``shared`` holds the columns all seeds share.  A seed's trace is the
+same whatever else shares its batch.
 
 A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
 turns a seed's slice of it into a ``Trace``, as it does for the partial
@@ -502,7 +503,8 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             _run(cfg, seeds[:i])
         return NumericalError(f"{what} at step {k}", step=k, trace=trace(i, n_rows))
 
-    # the last computed dual tick's inputs, then its ens, inc and learn_row
+    # the last computed dual tick's inputs, then its ens, inc and learn_row; a
+    # repeat is skipped exactly only as RewardModel.warm_start requires
     computed = None
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():

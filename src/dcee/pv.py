@@ -427,6 +427,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     # while a warm_start scope is open: the last call's rows and optima, and per
     # row its last solved roots and the start of its next solve
     warm = None
+    row = np.dtype((np.void, 8 * (degree + 1)))  # a row of coefficients as one item
 
     def opt_batch(thetas):
         finite = np.isfinite(thetas)
@@ -435,22 +436,25 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         if warm is None:
             return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
         rows, optima, last, ahead = warm
-        thetas = np.array(thetas, dtype=float, order="C")  # kept as the next call's rows
+        thetas = np.ascontiguousarray(thetas, dtype=float)  # rows compared as bytes below
         if rows is None or rows.shape != thetas.shape:
             optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
-            warm[:] = thetas, optima, roots, roots.copy()  # apart: rows write them one by one
+            # copies: the caller owns thetas, and later calls write the rest row by
+            # row; complex, as a batch whose eigenvalues are all real gives real
+            # roots; one column per row, the layout the solver works in
+            roots = roots.T.astype(complex, order="C")
+            warm[:] = thetas.copy(), optima, roots, roots.copy()
             return optima.copy()
         # bit by bit, so that a repeated row gets exactly what solving it again would
-        new = np.logical_or.reduce(thetas.view(np.uint64) != rows.view(np.uint64), axis=1)
+        new = (thetas.view(row) != rows.view(row))[:, 0]
         moved = np.count_nonzero(new)
-        if moved == new.size:
-            optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, ahead)
-            warm[1:] = optima, roots, 2.0 * roots - last
-        elif moved:  # only the rows that moved are solved, and only their roots advance
-            found, roots = _poly_argmax_batch(thetas[new], s_lo, s_hi, v_scale, v_shift,
-                                              ahead[new])
-            optima[new], ahead[new], last[new] = found, 2.0 * roots - last[new], roots
-        warm[0] = thetas
+        if moved:  # only the rows that moved are solved and advance
+            sel = slice(None) if moved == new.size else new  # a slice copies no rows
+            found, roots = _poly_argmax_batch(thetas[sel], s_lo, s_hi, v_scale, v_shift,
+                                              ahead[:, sel].T)
+            roots = roots.T
+            optima[sel], ahead[:, sel], last[:, sel] = found, 2.0 * roots - last[:, sel], roots
+            np.copyto(rows, thetas)
         return optima.copy()
 
     @contextlib.contextmanager

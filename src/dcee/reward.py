@@ -63,10 +63,14 @@ class RewardModel:
         () -> context manager.  One simulation run holds it open around
         its tick loop; inside it ``optimum_map_batch`` may start each solve
         from earlier calls (pv-poly: the last two calls' roots), so its
-        results can differ from a cold call's in the last bits.  There a
-        row repeated from the last call returns its last optimum and does
-        not advance its start.  Nothing is kept once it closes.  The
-        default, for maps that keep nothing, is ``contextlib.nullcontext``.
+        results can differ from a cold call's in the last bits.  Any map
+        that keeps state there must give a row that repeats the same row
+        of its last call bit for bit that call's optimum for it, and leave
+        that row's state as it was: the tick loop relies on this to skip a
+        tick that repeats the last computed one (see ``harness``), and
+        without it a seed's trace would depend on its batch.  Nothing is
+        kept once it closes.  The default, for maps that keep nothing, is
+        ``contextlib.nullcontext``.
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]

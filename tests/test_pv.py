@@ -458,6 +458,23 @@ def test_warm_map_partly_repeated_block_solves_only_the_rows_that_moved(monkeypa
         np.testing.assert_array_equal(second[25:], model.optimum_map_batch(b)[25:])
 
 
+def test_warm_map_partly_repeated_block_after_all_real_roots():
+    # a cold call whose derivative roots are all real (every row of a
+    # quadratic) gets a real array of roots back from the eigenvalues; a
+    # later call that solves only the moved row still gives it the bits it
+    # gets when every row moves
+    model = pv_poly_reward(2, (-1.0, 1.0))
+    a = np.array([[0.0, 1.0, -1.0], [0.5, -0.3, -2.0]])
+    b = a * (1.0 + 1e-6)
+    with model.warm_start():
+        model.optimum_map_batch(a)
+        part = model.optimum_map_batch(np.vstack([a[:1], b[1:]]))
+    with model.warm_start():
+        model.optimum_map_batch(a)
+        whole = model.optimum_map_batch(b)
+    np.testing.assert_array_equal(part[1], whole[1])
+
+
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
     # every tick after the first refines the roots of the ticks before, over
     # the whole shipped horizon; the spy counts the rows sent to the
