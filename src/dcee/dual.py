@@ -11,9 +11,9 @@ with the belief and the exploration gradient ``r_var_grad`` both from
 ``ensemble.predict(ens, dev, y, model)``, which computes them from one
 optimum-map solve given the deviations from the ensemble's ``moments``.
 ``explore_grad(y, ens, model)`` takes a central finite difference of the
-predicted spread at one output, with the fixed step ``FD_EPS``; no
-control loop calls it, it is the reference the closed form is tested
-against.
+predicted spread at the one output of an unbatched ensemble, with the
+fixed step ``FD_EPS``, and returns it 0-d, the belief's shape; no control
+loop calls it, it is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -49,29 +49,29 @@ def exploit_grad(y, r_mean) -> np.ndarray:
 
 
 def explore_grad(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
-    """Finite-difference gradient of the predicted-optima spread at y, as a
-    one-element array.
+    """Finite-difference gradient of the predicted-optima spread at y, 0-d.
 
-    The reference for the closed-form ``predict(...).r_var_grad``: it
-    differences the spread ``predict(...).r_var`` and reads no jacobian.
-    An unbatched ensemble has one scalar output, so y is one value.  The
+    The reference for the closed-form ``predict(...).r_var_grad``, of the
+    same shape: it differences the spread ``predict(...).r_var`` and reads
+    no jacobian.  An unbatched ensemble has one scalar output, so y is one
+    value, a scalar or a one-element sequence.  The
     difference is central whenever both probe points stay inside the
     model's admissible interval; at the boundary it falls back to
     one-sided and a warning is logged.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = float(np.reshape(y, ()))
     lo, hi = model.y_range
     dev = moments(ens.thetas)[1]
     up, dn = y + FD_EPS, y - FD_EPS
-    if up[0] <= hi and dn[0] >= lo:
+    if up <= hi and dn >= lo:
         hi_pt, lo_pt, width = up, dn, 2.0 * FD_EPS
     else:
         logger.warning("explore gradient at y=%g clips the admissible range; "
-                       "using one-sided difference", y[0])
-        hi_pt, lo_pt = (y, dn) if dn[0] >= lo else (up, y)
+                       "using one-sided difference", y)
+        hi_pt, lo_pt = (y, dn) if dn >= lo else (up, y)
         width = FD_EPS
-    return np.atleast_1d((predict(ens, dev, hi_pt, model).r_var
-                          - predict(ens, dev, lo_pt, model).r_var) / width)
+    return (predict(ens, dev, hi_pt, model).r_var
+            - predict(ens, dev, lo_pt, model).r_var) / width
 
 
 def contraction_check(delta: float) -> bool:

@@ -20,7 +20,7 @@ Every op takes a batch of independent ensembles: ``thetas`` of shape
 (S, N, m) with one output per batch entry, ``y`` of shape (S,), and
 reduces over the estimator axis only, so an entry's numbers do not
 depend on what else shares the batch.  A single ensemble is the
-unbatched (N, m) case with a one-element ``y``.
+unbatched (N, m) case with a one-element ``y`` and a 0-d belief.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ class Ensemble(NamedTuple):
 class BeliefStats(NamedTuple):
     """Sample statistics of an estimator set.
 
-    r_mean     : (..., 1) average predicted optimum
-    r_var      : (...) spread of the predicted optima (exploration term)
-    r_var_grad : (..., 1) closed-form d r_var / d y_cand from ``predict``;
+    r_mean     : average predicted optimum
+    r_var      : spread of the predicted optima (exploration term)
+    r_var_grad : closed-form d r_var / d y_cand from ``predict``;
                  None from ``stats``
 
-    The leading axes are the batch axes of the ensemble (none for one).
+    Each has the ensemble's batch shape ``thetas.shape[:-2]``, one value
+    per batch entry: (S,) for a batch, 0-d for one ensemble.
     """
 
     r_mean: np.ndarray
@@ -74,16 +75,18 @@ class BeliefStats(NamedTuple):
 
 def _checked_args(n: int, prior_low, prior_high, rates):
     """The bounds and rates as float arrays if n >= 1, the bounds are finite with
-    prior_low <= prior_high and ``rates`` is one finite positive learning rate
-    or one per estimator, else a ``ValueError``; the scenario config checks by it too."""
+    prior_low <= prior_high and a finite width, and ``rates`` is one finite positive
+    learning rate or one per estimator, else a ``ValueError``; the config checks by it too."""
     if n < 1:
         raise ValueError("ensemble size must be at least 1")
     low = np.atleast_1d(np.asarray(prior_low, dtype=float))
     high = np.atleast_1d(np.asarray(prior_high, dtype=float))
     if low.shape != high.shape or low.size == 0:
         raise ValueError("prior bounds must be non-empty and of equal dimension")
-    if not np.all(np.isfinite(low) & np.isfinite(high) & (low <= high)):
-        raise ValueError("prior bounds must be finite with prior_low <= prior_high")
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite width needs finite bounds
+        width = high - low
+    if not np.all(np.isfinite(width) & (width >= 0)):
+        raise ValueError("prior bounds need prior_low <= prior_high and a finite width")
     rates = np.asarray(rates, dtype=float)
     if rates.shape not in ((), (n,)) or not np.all((rates > 0) & (rates < np.inf)):
         raise ValueError("need one finite positive learning rate, or one per estimator")
@@ -155,14 +158,14 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
-    """Current belief statistics of the ensemble."""
+    """Current belief statistics of the ensemble, of its batch shape."""
     r = model.optimum_map_batch(_rows(ens.thetas)).reshape(ens.thetas.shape[:-1])
-    r_mean = _mean(r, -1, keepdims=True)
-    return BeliefStats(r_mean, _mean((r - r_mean) ** 2, -1))
+    r_mean = _mean(r, -1)
+    return BeliefStats(r_mean, _mean((r - r_mean[..., None]) ** 2, -1))
 
 
 def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> BeliefStats:
-    """Belief statistics after a hypothetical observation at y_cand.
+    """Belief statistics, of the batch shape, after a hypothetical observation at y_cand.
 
     The observation is the noise-free reward the mean estimate implies, so
     ``adapt``'s residual becomes a_i = phi.d_i, where ``dev`` holds the
@@ -180,14 +183,14 @@ def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> Belie
     rows = _rows(pred)
     optima = model.optimum_map_batch(rows)
     r = optima.reshape(pred.shape[:-1])
-    r_mean = _mean(r, -1, keepdims=True)
-    centred = r - r_mean
+    r_mean = _mean(r, -1)
+    centred = r - r_mean[..., None]
 
     dpred = -(ens.rates[:, None] * (dphi[..., None, :] * along
                                     + phi_row * (dev @ dphi[..., :, None])))
-    dr = np.einsum("nqm,nm->nq", model.optimum_jacobian(rows, optima), _rows(dpred))
+    dr = np.einsum("nm,nm->n", model.optimum_jacobian(rows, optima), _rows(dpred))
     return BeliefStats(r_mean, _mean(centred ** 2, -1),
-                       2.0 * _mean(centred * dr.reshape(r.shape), -1, keepdims=True))
+                       2.0 * _mean(centred * dr.reshape(r.shape), -1))
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

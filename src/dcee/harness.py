@@ -388,7 +388,7 @@ def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
 
 class _Servo:
     """The linear plant under the servo law u = -Kx + (G + K Psi) xi, with
-    one state x (S, n, 1) and one reference xi (S, 1) per seed."""
+    one state x (S, n, 1) and one reference xi, ``ref`` (S,), per seed."""
 
     shared, tail = {}, ("err_track",)
 
@@ -397,7 +397,7 @@ class _Servo:
         self.feed, self.neg_K = gains.G + gains.K @ gains.Psi, -gains.K
         self.theta_true = np.asarray(cfg.section("reward")["theta_true"], dtype=float)
         self.x = np.tile(cfg.plant.x[:, None], (n_seeds, 1, 1))
-        self.ref = np.tile(cfg.section("controller")["xi0"], (n_seeds, 1)).astype(float)
+        self.ref = np.repeat(np.asarray(cfg.section("controller")["xi0"], dtype=float), n_seeds)
         self.row = (*(f"x{i}" for i in range(cfg.plant.n)), "y", "xi", "u")
 
     def observe(self, k: int, noise: np.ndarray):
@@ -405,19 +405,19 @@ class _Servo:
         return y, self.model.known_basis(y) + self.model.unknown_basis(y) @ self.theta_true + noise
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:
-        x, xi, (lo, hi) = self.x, self.ref[:, 0], self.model.y_range
+        x, xi, (lo, hi) = self.x, self.ref, self.model.y_range
         if last:
             u = np.zeros((len(x), 1, 1))
         else:
             self.ref = np.minimum(np.maximum(self.ref + inc, lo), hi)
-            u = self.neg_K @ x + self.feed * self.ref[:, None]
+            u = self.neg_K @ x + self.feed * self.ref[:, None, None]
             self.x = self.plant.A @ x + self.plant.B @ u
         return (*x[:, :, 0].T, self.y, xi, u[:, 0, 0], self.y - xi)
 
 
 class _Panel:
-    """The PV panel; its voltage (S, 1) is both its state x and the
-    reference.  hc and ic keep one tracker state per seed; ``__init__``
+    """The PV panel; its voltage (S,) is both its state x and the
+    reference ``ref``.  hc and ic keep one tracker state per seed; ``__init__``
     picks the run's tracker once."""
 
     tail, row = (), ("v", "u", "i", "p")
@@ -426,7 +426,7 @@ class _Panel:
         ctl = cfg.section("controller")
         self.params, self.u_max = cfg.plant, float(ctl["u_max"])
         self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
-        self.x = self.ref = np.full((n_seeds, 1), float(ctl["v_init"]))
+        self.x = self.ref = np.full(n_seeds, float(ctl["v_init"]))
         # hc reads the observed power, ic the voltage and current; a closure over
         # self would be a cycle that keeps each finished panel until a full gc
         if ctl["algo"] == "hc":
@@ -434,7 +434,7 @@ class _Panel:
             self.steps = lambda pv, j_obs: map(hc_step, pv.trackers, j_obs.tolist())
         else:
             start = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
-            self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x[:, 0].tolist(), pv.i.tolist())
+            self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x.tolist(), pv.i.tolist())
         self.trackers = [start] * n_seeds
         # one oracle solve per distinct (irradiance, temperature) of the run
         self.env = [profile_eval(cfg.profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
@@ -443,22 +443,22 @@ class _Panel:
                                np.array([(*cond, *oracle[cond]) for cond in self.env]).T))
 
     def observe(self, k: int, noise: np.ndarray):
-        v = self.x[:, 0]
+        v = self.x
         self.i = pv_current(self.params, v, *self.env[k])
         self.p = v * self.i
         return v, self.p + noise
 
     def track(self, j_obs: np.ndarray) -> np.ndarray:
-        """The hc or ic increment of every seed, (S, 1)."""
+        """The hc or ic increment of every seed, (S,)."""
         inc, self.trackers = zip(*self.steps(self, j_obs))
-        return np.array(inc)[:, None]
+        return np.array(inc)
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:
         v = self.x
         u = np.zeros_like(v) if last else np.minimum(np.maximum(inc, -self.u_max), self.u_max)
         if not last:
             self.x = self.ref = np.minimum(np.maximum(v + u, self.v_lo), self.v_hi)
-        return v[:, 0], u[:, 0], self.i, self.p
+        return v, u, self.i, self.p
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -528,8 +528,8 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                     ps = predict(ens, dev, plant.ref, model)
                     g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
                     inc = -delta * (g_exploit + g_explore)
-                    learn_row = (*centre[:, 0].T, *th_std.T, ps.r_mean[:, 0], ps.r_var,
-                                 np.abs(g_exploit[:, 0]), np.abs(g_explore[:, 0]))
+                    learn_row = (*centre[:, 0].T, *th_std.T, ps.r_mean, ps.r_var,
+                                 np.abs(g_exploit), np.abs(g_explore))
                     computed = seen, (ens, inc, learn_row)
             else:
                 inc, learn_row = plant.track(j_obs), ()

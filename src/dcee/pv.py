@@ -329,19 +329,19 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
     the one with the largest Horner value wins.  Every candidate is a
     point of the interval, so the real part of a complex stationary point
     cannot beat the maximum, which is an endpoint or a real one.
-    Stationary points are the roots of the derivative.  Cold, they are
-    batched companion eigenvalues.  Given ``start``, (N, degree - 1)
-    complex roots near those of the derivatives (such as a previous call's
-    for nearby polynomials), they are refined from there by Newton steps
-    (``_newton``), and only the rows it refuses go to the eigenvalues.
-    Rows whose leading derivative coefficient is (numerically) zero use
-    np.roots; only a batch with such rows splits its columns, the others
-    keep the solver's roots as they are.  A ``start`` of another shape is
-    ignored, and without ``start`` the result does not depend on any
-    earlier call.  No row's result depends on the other rows.  Returns the
-    maximisers mapped to s * scale + shift, (N, 1), and the derivative
-    roots, (N, degree - 1), NaN in the np.roots rows.  The polynomial
-    degree must be at least 2.
+    Stationary points are the roots of the derivative, one column per
+    polynomial, the layout of ``_newton`` and ``_companion_roots``.  Cold,
+    they are batched companion eigenvalues.  Given ``start``,
+    (degree - 1, N) complex roots near those of the derivatives (such as a
+    previous call's for nearby polynomials), they are refined from there
+    by Newton steps (``_newton``), and only the polynomials it refuses go
+    to the eigenvalues.  Rows whose leading derivative coefficient is
+    (numerically) zero use np.roots; only a batch with such rows splits
+    its columns, the others keep the solver's roots as they are.  Without
+    ``start`` the result does not depend on any earlier call.  No row's
+    result depends on the other rows.  Returns the maximisers mapped to
+    s * scale + shift, (N,), and the derivative roots, (degree - 1, N),
+    NaN in the np.roots columns.  The polynomial degree must be at least 2.
     """
     # one column per polynomial, so each operation runs along the batch
     coef = np.asarray(thetas, dtype=float).T
@@ -354,8 +354,8 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
     every = np.count_nonzero(ok) == n
     cols = slice(None) if every else ok
     monic = deriv[:, cols] / deriv[-1, cols]
-    if start is not None and start.shape == (n, deg):
-        found, fine = _newton(monic, start.T[:, cols])
+    if start is not None:
+        found, fine = _newton(monic, start[:, cols])
         if np.count_nonzero(fine) != fine.size:
             found[:, ~fine] = _companion_roots(monic[:, ~fine])
     else:
@@ -365,7 +365,7 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
         roots[:, ok] = found
     cand = np.empty((m, n))  # the two endpoints, then the deg roots
     cand[0], cand[1] = s_lo, s_hi
-    # fmax sends the np.roots rows' NaN to s_lo
+    # fmax sends the np.roots columns' NaN to s_lo
     np.minimum(np.fmax(roots.real, s_lo), s_hi, out=cand[2:])
     if not every:
         for idx in np.flatnonzero(~ok):
@@ -380,7 +380,7 @@ def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: floa
         vals *= cand
     vals += coef[0]
     best = cand[vals.argmax(axis=0), np.arange(n)]
-    return best[:, None] * scale + shift, roots.T
+    return best * scale + shift, roots
 
 
 def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
@@ -440,10 +440,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         if rows is None or rows.shape != thetas.shape:
             optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
             # copies: the caller owns thetas, and later calls write the rest row by
-            # row; complex, as a batch whose eigenvalues are all real gives real
-            # roots; one column per row, the layout the solver works in
-            roots = roots.T.astype(complex, order="C")
-            warm[:] = thetas.copy(), optima, roots, roots.copy()
+            # row; complex, as a batch whose eigenvalues are all real gives real roots
+            warm[:] = thetas.copy(), optima, roots.astype(complex), roots.astype(complex)
             return optima.copy()
         # bit by bit, so that a repeated row gets exactly what solving it again would
         new = (thetas.view(row) != rows.view(row))[:, 0]
@@ -451,8 +449,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         if moved:  # only the rows that moved are solved and advance
             sel = slice(None) if moved == new.size else new  # a slice copies no rows
             found, roots = _poly_argmax_batch(thetas[sel], s_lo, s_hi, v_scale, v_shift,
-                                              ahead[:, sel].T)
-            roots = roots.T
+                                              ahead[:, sel])
             optima[sel], ahead[:, sel], last[:, sel] = found, 2.0 * roots - last[:, sel], roots
             np.copyto(rows, thetas)
         return optima.copy()
@@ -474,19 +471,18 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         s = (np.asarray(y, dtype=float) - v_shift) / v_scale
         return j * s[..., None] ** j_less / v_scale
 
-    def dopt(thetas, optima):
-        # implicit function theorem on p'(s) = 0 at an interior maximum:
+    def dopt(thetas, v):
+        # implicit function theorem on p'(s) = 0 at an interior maximum v:
         # ds/dtheta_j = -j s^(j-1) / p''(s); an endpoint maximum stays put
         # one column per row, so each operation runs along the batch
-        v = optima[:, 0]
         pw = np.empty((degree, v.size))  # s^0 .. s^(degree - 1), as np.vander makes them
         pw[0] = 1.0
         pw[1:] = (v - v_shift) / v_scale
         np.multiply.accumulate(pw, out=pw)
         curv = np.add.reduce(j_curv * thetas.T[2:] * pw[:-1])
         interior = (v > v_lo) & (v < v_hi) & (curv < 0.0)
-        jac = np.zeros((v.size, 1, degree + 1))
-        np.divide(-v_scale * (j_slope * pw), curv, out=jac[:, 0, 1:].T, where=interior)
+        jac = np.zeros((v.size, degree + 1))
+        np.divide(-v_scale * (j_slope * pw), curv, out=jac[:, 1:].T, where=interior)
         return jac
 
     return RewardModel(

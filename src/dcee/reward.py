@@ -48,13 +48,13 @@ class RewardModel:
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     optimum_map_batch : callable
-        (N, dim) parameter vectors -> (N, 1) maximising outputs, the
+        (N, dim) parameter vectors -> (N,) maximising outputs, the
         model's only optimum map; a single vector is a batch of one row.
     basis_jacobian : callable
         outputs y -> d(unknown_basis)/dy, shape y.shape + (dim,).
     optimum_jacobian : callable
-        (thetas (N, dim), optima (N, 1)) -> d(optimum)/dtheta per row,
-        shape (N, 1, dim).  ``optima`` must be what ``optimum_map_batch``
+        (thetas (N, dim), optima (N,)) -> d(optimum)/dtheta per row,
+        shape (N, dim).  ``optima`` must be what ``optimum_map_batch``
         returned for ``thetas``; the jacobian reuses it instead of solving
         again.  Where the map pins an optimum (the quadratic model's
         parameter floor) the jacobian is zero, so a pinned estimator adds
@@ -128,14 +128,14 @@ def quadratic_reward(known_gain: float = 2.0,
         return -(y * y)[..., None]
 
     def opt_batch(thetas):
-        return half_gain / np.maximum(thetas, theta_floor)
+        return half_gain / np.maximum(thetas[:, 0], theta_floor)
 
     def dphi(y):
         return (-2.0 * np.asarray(y, dtype=float))[..., None]
 
     def dopt(thetas, optima):
-        jac = np.zeros((len(thetas), 1, 1))
-        np.divide(-optima, thetas, out=jac[:, :, 0], where=thetas > theta_floor)
+        jac = np.zeros(thetas.shape)
+        np.divide(-optima, thetas[:, 0], out=jac[:, 0], where=thetas[:, 0] > theta_floor)
         return jac
 
     return RewardModel(

@@ -94,8 +94,8 @@ def test_criterion_5_variance_decomposition():
         y = rng.uniform(-5.0, 5.0)
         s = stats(ens, model)
         r = model.optimum_map_batch(ens.thetas)
-        lhs = float(np.mean(np.sum((y - r) ** 2, axis=1)))
-        rhs = (y - s.r_mean[0]) ** 2 + s.r_var
+        lhs = float(np.mean((y - r) ** 2))
+        rhs = (y - s.r_mean) ** 2 + s.r_var
         worst = max(worst, abs(lhs - rhs))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
@@ -113,8 +113,8 @@ def test_criterion_6_exploration_gradient_cross_check():
         ens = Ensemble(thetas=rng.uniform(0.3, 15.0, (n, 1)),
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
-        fd = explore_grad([y], ens, model)[0]
-        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
+        fd = explore_grad([y], ens, model)
+        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad
         rel = abs(fd - an) / max(abs(an), abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

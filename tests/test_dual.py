@@ -37,7 +37,7 @@ def test_exploit_grad_rejects_mismatch():
 def test_explore_grad_zero_for_collapsed_ensemble():
     model = quadratic_reward()
     g = explore_grad([1.0], collapsed(1.0), model)
-    assert g[0] == 0.0
+    assert g == 0.0
 
 
 def test_explore_grad_analytic_matches_fd_two_point():
@@ -45,7 +45,7 @@ def test_explore_grad_analytic_matches_fd_two_point():
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.005))
     fd = explore_grad([1.0], ens, model)
     an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
-    assert abs(fd[0] - an[0]) <= 1e-5 * max(abs(an[0]), 1e-12)
+    assert abs(fd - an) <= 1e-5 * max(abs(an), 1e-12)
 
 
 def test_explore_grad_analytic_matches_fd_randomized():
@@ -56,8 +56,8 @@ def test_explore_grad_analytic_matches_fd_randomized():
         ens = Ensemble(thetas=rng.uniform(0.3, 15.0, (n, 1)),
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
-        fd = explore_grad([y], ens, model)[0]
-        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
+        fd = explore_grad([y], ens, model)
+        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
@@ -68,8 +68,8 @@ def test_explore_grad_analytic_ignores_estimators_at_the_floor():
     # quotient about four digits
     model = quadratic_reward(theta_floor=1e-6)
     ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
-    fd = explore_grad([1.0], ens, model)[0]
-    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad[0]
+    fd = explore_grad([1.0], ens, model)
+    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
     assert abs(fd - an) <= 1e-3 * abs(an)
 
 
@@ -81,8 +81,8 @@ def test_explore_pushes_away_from_uninformative_origin():
     p0 = predict(ens, moments(ens.thetas)[1], [0.0], model).r_var
     p_off = predict(ens, moments(ens.thetas)[1], [0.5], model).r_var
     assert p0 > p_off
-    assert explore_grad([0.1], ens, model)[0] < 0  # descent moves +
-    assert explore_grad([-0.1], ens, model)[0] > 0  # descent moves -
+    assert explore_grad([0.1], ens, model) < 0  # descent moves +
+    assert explore_grad([-0.1], ens, model) > 0  # descent moves -
 
 
 @pytest.mark.parametrize("y", [4.0, -4.0], ids=["upper", "lower"])
@@ -97,8 +97,8 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
     dev = moments(ens.thetas)[1]
     expected = (predict(ens, dev, hi_pt, model).r_var
                 - predict(ens, dev, lo_pt, model).r_var) / FD_EPS
-    assert np.isfinite(g[0])
-    assert g[0] == expected
+    assert np.isfinite(g)
+    assert g == expected
     assert any("one-sided" in rec.message for rec in caplog.records)
 
 
@@ -137,11 +137,11 @@ def test_dcee_step_increment_identity():
     rng_init = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
     ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
-    xi = tr.column("xi")[:1]
+    xi = tr.column("xi")[0]
     ps = predict(ens, moments(ens.thetas)[1], xi, model)
     moved = xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad)
-    assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad[0])
-    assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)[0]
+    assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad)
+    assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)
 
 
 def test_dcee_step_solves_the_optimum_map_once(monkeypatch):

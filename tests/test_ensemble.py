@@ -9,17 +9,16 @@ from dcee.ensemble import _step
 from dcee.reward import RewardModel
 
 
-def identity_model(dim=1):
-    """Reward with unit regressor and identity optimum map (test double)."""
+def identity_model():
+    """Reward with one parameter, unit regressor and identity optimum map (test double)."""
     return RewardModel(
         known_basis=lambda y: np.zeros(np.shape(y)),
-        unknown_basis=lambda y: np.ones(np.shape(y) + (dim,)),
-        dim=dim,
+        unknown_basis=lambda y: np.ones(np.shape(y) + (1,)),
+        dim=1,
         y_range=(-1.0, 1.0),
-        optimum_map_batch=lambda ths: np.asarray(ths, dtype=float),
-        basis_jacobian=lambda y: np.zeros(np.shape(y) + (dim,)),
-        optimum_jacobian=lambda ths, r: np.broadcast_to(np.eye(dim),
-                                                         (len(ths), dim, dim)),
+        optimum_map_batch=lambda ths: np.asarray(ths, dtype=float)[:, 0],
+        basis_jacobian=lambda y: np.zeros(np.shape(y) + (1,)),
+        optimum_jacobian=lambda ths, r: np.ones((len(ths), 1)),
     )
 
 
@@ -56,9 +55,9 @@ def test_init_rejects_bad_arguments():
     for rate in (np.nan, np.inf, 0.0, [0.1, np.nan], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
         with pytest.raises(ValueError, match="learning rate"):
             init_ensemble(2, [0.0], [1.0], rate, rng)
-    # finite bounds with low <= high
+    # finite bounds with low <= high and a finite width
     for low, high in (([0.0], [np.inf]), ([-np.inf], [1.0]), ([np.nan], [1.0]),
-                      ([0.0], [np.nan]), ([0.0, 0.0], [1.0, -np.inf])):
+                      ([0.0], [np.nan]), ([0.0, 0.0], [1.0, -np.inf]), ([-1e308], [1e308])):
         with pytest.raises(ValueError, match="prior bounds"):
             init_ensemble(2, low, high, 0.1, rng)
 
@@ -109,7 +108,7 @@ def test_stats_two_point_example():
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.1))
     s = stats(ens, model)
     # the identity optimum map makes r_mean the parameter mean
-    assert s.r_mean[0] == pytest.approx(1.0)
+    assert s.r_mean == pytest.approx(1.0)
     assert s.r_var == pytest.approx(0.25)
 
 
@@ -141,7 +140,7 @@ def test_predict_is_identity_for_collapsed_ensemble():
     ens = Ensemble(thetas=np.full((5, 1), 1.0), rates=np.full(5, 0.005))
     cur = stats(ens, model)
     pred = predict(ens, moments(ens.thetas)[1], [1.5], model)
-    assert pred.r_mean[0] == cur.r_mean[0]
+    assert pred.r_mean == cur.r_mean
     assert pred.r_var == cur.r_var == 0.0
 
 
@@ -149,7 +148,7 @@ def test_predict_gradient_matches_hand_derivation():
     ens = Ensemble(thetas=np.array([[0.5], [2.0]]), rates=np.full(2, 0.1))
     assert stats(ens, quadratic_reward()).r_var_grad is None
     # a constant regressor carries no information about where to probe
-    assert predict(ens, moments(ens.thetas)[1], [0.5], identity_model()).r_var_grad[0] == 0.0
+    assert predict(ens, moments(ens.thetas)[1], [0.5], identity_model()).r_var_grad == 0.0
     # quadratic, phi = -y^2: theta_i' = theta_i - eta y^4 d_i and r_i = 1/theta_i'
     model = quadratic_reward()
     y = 0.7
@@ -159,7 +158,7 @@ def test_predict_gradient_matches_hand_derivation():
     r = 1.0 / pred
     dr = -dpred / pred ** 2
     expect = 2.0 * np.mean((r - r.mean()) * dr)
-    got = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad[0]
+    got = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -170,7 +169,7 @@ def test_predict_zero_regressor_changes_nothing():
     cur = stats(ens, model)
     pred = predict(ens, moments(ens.thetas)[1], [0.0], model)
     assert pred.r_var == pytest.approx(cur.r_var, rel=1e-14)
-    assert pred.r_mean[0] == pytest.approx(cur.r_mean[0], rel=1e-14)
+    assert pred.r_mean == pytest.approx(cur.r_mean, rel=1e-14)
     phi = model.unknown_basis(0.0)
     dev = moments(ens.thetas)[1]
     assert np.array_equal(_step(ens, dev @ phi[:, None], phi[None, :]), ens.thetas)
@@ -224,8 +223,8 @@ def test_variance_decomposition_identity():
         y = rng.uniform(-5.0, 5.0)
         s = stats(ens, model)
         r = model.optimum_map_batch(ens.thetas)
-        lhs = np.mean(np.sum((y - r) ** 2, axis=1))
-        rhs = (y - s.r_mean[0]) ** 2 + s.r_var
+        lhs = np.mean((y - r) ** 2)
+        rhs = (y - s.r_mean) ** 2 + s.r_var
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-12
 
@@ -281,6 +280,11 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
     moved = adapt(batch, y, j, model)
     centre, dev = moments(moved.thetas)
     belief = predict(moved, dev, y, model)
+    # one value per row from the map, one per batch entry in the belief
+    optima = model.optimum_map_batch(alone[0].thetas)
+    assert optima.shape == (30,)
+    assert model.optimum_jacobian(alone[0].thetas, optima).shape == (30, model.dim)
+    assert belief.r_mean.shape == belief.r_var.shape == belief.r_var_grad.shape == (4,)
     for i, ens in enumerate(alone):
         ens = adapt(ens, [y[i]], j[i], model)
         assert np.array_equal(moved.thetas[i], ens.thetas)
@@ -289,6 +293,7 @@ def test_batched_ops_match_each_ensemble_alone(model, low, high):
         assert np.array_equal(dev[i], one_dev)
         assert np.array_equal(spread(dev)[i], spread(one_dev))
         one = predict(ens, one_dev, [y[i]], model)
+        assert np.shape(one.r_mean) == np.shape(one.r_var) == np.shape(one.r_var_grad) == ()
         assert np.array_equal(belief.r_mean[i], one.r_mean)
         assert belief.r_var[i] == one.r_var
         assert np.array_equal(belief.r_var_grad[i], one.r_var_grad)

@@ -399,6 +399,8 @@ def _two_entry_prior(d):
     ("mppt", lambda d: d["controller"].update(ic_step=float("nan"))),
     ("mppt", lambda d: d["controller"].update(hc_step=float("inf"))),
     ("mppt", lambda d: d["controller"].update(ic_deadband=float("inf"))),
+    ("quadratic-linear", lambda d: d["ensemble"].update(prior_low=[-1e308], prior_high=[1e308])),
+    ("mppt", lambda d: d["ensemble"].update(prior_low=[-1e308] * 6, prior_high=[1e308] * 6)),
 ], ids=["negative-rate", "prior-low-above-high", "negative-r_s", "rank-deficient-B",
         "unstable-poles", "wrong-pole-count", "two-input-B-without-K",
         "xi0-outside-y_range", "degree-1", "v_scale-0", "hc_step-0",
@@ -410,7 +412,7 @@ def _two_entry_prior(d):
         "n-fraction", "n-bool", "seed-fraction", "horizon-fraction", "degree-fraction",
         "n_cells-fraction", "v_limits-negative", "run-out", "theta_true-nan",
         "theta_true-inf", "ic_step-0", "ic_step-inf", "ic_step-nan", "hc_step-inf",
-        "ic_deadband-inf"])
+        "ic_deadband-inf", "prior-width-overflow", "prior-width-overflow-mppt"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, kind, mutate):
     d = builtin_config(kind)
     mutate(d)

@@ -25,7 +25,7 @@ MODEL = pv_poly_reward(degree=5, v_range=(2.0, 43.0), v_scale=22.0, v_shift=22.0
        s_lo=st.floats(-2.0, 0.0), width=st.floats(0.1, 3.0))
 def test_poly_argmax_never_below_grid_maximum(thetas, s_lo, width):
     s_hi = s_lo + width
-    got = _poly_argmax_batch(thetas, s_lo, s_hi, 1.0)[0][:, 0]
+    got = _poly_argmax_batch(thetas, s_lo, s_hi, 1.0)[0]
     grid = np.linspace(s_lo, s_hi, 20_001)
     for th, s in zip(thetas, got):
         assert s_lo <= s <= s_hi
@@ -42,8 +42,8 @@ def test_pv_poly_closed_form_gradient_matches_fd(seed, n, v):
     # the bound absorbs finite-difference cancellation at tiny gradients
     rng = np.random.default_rng(seed)
     ens = init_ensemble(n, PRIOR_LOW, PRIOR_HIGH, rng.uniform(0.01, 0.2, n), rng)
-    fd = explore_grad([v], ens, MODEL)[0]
-    an = predict(ens, moments(ens.thetas)[1], [v], MODEL).r_var_grad[0]
+    fd = explore_grad([v], ens, MODEL)
+    an = predict(ens, moments(ens.thetas)[1], [v], MODEL).r_var_grad
     assert abs(fd - an) <= 1e-5 * (abs(an) + 1e-3)
 
 
@@ -67,8 +67,8 @@ def test_warm_poly_argmax_matches_cold(seed, m, n, drift, resize, s_lo, width):
             elif k:
                 thetas = thetas * (1.0 + drift * rng.uniform(-1.0, 1.0, (n, m)))
             batch = np.vstack([thetas, thetas[:1]]) if k == resize else thetas
-            warm = model.optimum_map_batch(batch)[:, 0]
-            cold = _poly_argmax_batch(batch, s_lo, s_hi, 1.0)[0][:, 0]
+            warm = model.optimum_map_batch(batch)
+            cold = _poly_argmax_batch(batch, s_lo, s_hi, 1.0)[0]
             if k == resize:  # another row count starts cold
                 assert np.array_equal(warm, cold)
             for th, s, s_cold in zip(batch, warm, cold):
@@ -95,11 +95,11 @@ def test_warm_refined_roots_match_the_eigenvalues(seed, n, drift):
         deriv = thetas[:, 1:] * np.arange(1.0, 6.0)
         monic = (deriv / deriv[:, -1:]).T
         start = last if before is None else 2.0 * last - before
-        found, fine = _newton(monic, start.T)
+        found, fine = _newton(monic, start)
         eig = _companion_roots(monic)
         for row in np.flatnonzero(fine):
             gap = np.abs(found[:, row, None] - eig[None, :, row])
             bound = 1e-10 * (1.0 + np.abs(eig[:, row]))
             assert np.all(gap.min(axis=1) <= bound[gap.argmin(axis=1)])
             assert np.all(gap.min(axis=0) <= bound)
-        last, before = np.where(fine, found, eig).T, last
+        last, before = np.where(fine, found, eig), last

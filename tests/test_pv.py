@@ -306,7 +306,7 @@ def test_poly_argmax_matches_brute_force():
     grid = np.linspace(s_lo, s_hi, 20_001)
     for _ in range(200):
         th = rng.uniform(-50.0, 50.0, size=6)
-        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0][0, 0]
+        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0][0]
         vals = np.polyval(th[::-1], grid)
         best = vals.max()
         at_got = np.polyval(th[::-1], (got - 22.0) / 22.0)
@@ -321,10 +321,10 @@ def test_warm_start_refuses_two_roots_collapsed_onto_one():
     roots = np.array([0.1, 0.98619106, 0.98647133])
     deriv = -np.poly(roots)[::-1]
     thetas = np.concatenate([[0.0], deriv / np.arange(1, 5)])[None, :]
-    start = np.array([[0.98619106, 0.98647133, 0.98647133 + 1e-13j]])
+    start = np.array([0.98619106, 0.98647133, 0.98647133 + 1e-13j])[:, None]
     cold, cold_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0)
     warm, warm_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0, 0.0, start)
-    assert warm[0, 0] == cold[0, 0] == pytest.approx(0.1)
+    assert warm[0] == cold[0] == pytest.approx(0.1)
     np.testing.assert_array_equal(warm_roots, cold_roots)
 
 
@@ -336,8 +336,8 @@ def test_warm_start_refuses_a_root_started_where_the_slope_vanishes():
     cold, cold_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0)
     for start in ([0.0, 0.0], [0.0, 0.9]):
         warm, warm_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0, 0.0,
-                                              np.array([start], dtype=complex))
-        assert warm[0, 0] == cold[0, 0] == -1.0
+                                              np.array(start, dtype=complex)[:, None])
+        assert warm[0] == cold[0] == -1.0
         np.testing.assert_array_equal(warm_roots, cold_roots)
 
 
@@ -356,12 +356,12 @@ def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
         blocks.append(thetas)
         starts.append(_poly_argmax_batch(moved, -1.0, 1.0, 22.0, 22.0)[1])
     optima, roots = _poly_argmax_batch(np.vstack(blocks), -1.0, 1.0, 22.0, 22.0,
-                                       np.vstack(starts))
+                                       np.hstack(starts))
     for b, (thetas, start) in enumerate(zip(blocks, starts)):
         alone = _poly_argmax_batch(thetas, -1.0, 1.0, 22.0, 22.0, start)
         rows = slice(50 * b, 50 * (b + 1))
         np.testing.assert_array_equal(optima[rows], alone[0])
-        np.testing.assert_array_equal(roots[rows], alone[1])
+        np.testing.assert_array_equal(roots[:, rows], alone[1])
 
 
 def _warm_blocks(seed):
@@ -502,7 +502,7 @@ def test_pv_poly_reward_optimum_matches_fit(params):
     power = grid * pv_current(params, grid, **REF)
     coef = np.polyfit((grid - 22.0) / 22.0, power, 5)[::-1]
     v_star, _ = mpp_oracle(params, **REF)
-    assert abs(model.optimum_map_batch(coef[None, :])[0, 0] - v_star) < 0.5
+    assert abs(model.optimum_map_batch(coef[None, :])[0] - v_star) < 0.5
 
 
 def _shipped_model_and_prior():
@@ -526,14 +526,14 @@ def test_pv_poly_optimum_jacobian_matches_difference():
     thetas = np.random.default_rng(4).uniform(low, high, size=(40, 6))
     optima = model.optimum_map_batch(thetas)
     jac = model.optimum_jacobian(thetas, optima)
-    assert jac.shape == (40, 1, 6)
+    assert jac.shape == (40, 6)
     h = 1e-6
     for j in range(6):
         step = np.zeros(6)
         step[j] = h
         fd = (model.optimum_map_batch(thetas + step)
               - model.optimum_map_batch(thetas - step)) / (2 * h)
-        np.testing.assert_allclose(jac[:, :, j], fd, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(jac[:, j], fd, rtol=1e-5, atol=1e-8)
 
 
 def test_pv_poly_optimum_jacobian_zero_at_endpoint_maximum():
@@ -546,10 +546,10 @@ def test_pv_poly_optimum_jacobian_zero_at_endpoint_maximum():
         0.5 * (low + high),                 # interior maximum, p'' < 0
     ])
     optima = model.optimum_map_batch(thetas)
-    assert optima[0, 0] == 43.0 and optima[1, 0] == 2.0 and optima[3, 0] == 22.0
+    assert optima[0] == 43.0 and optima[1] == 2.0 and optima[3] == 22.0
     jac = model.optimum_jacobian(thetas, optima)
     assert np.all(jac[:4] == 0.0)
-    assert np.all(jac[4, 0, 1:] != 0.0) and jac[4, 0, 0] == 0.0
+    assert np.all(jac[4, 1:] != 0.0) and jac[4, 0] == 0.0
 
 
 def test_pv_poly_optimum_jacobian_rows_do_not_depend_on_their_batch():

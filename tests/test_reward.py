@@ -14,7 +14,7 @@ def model():
 
 def optimum(model, theta):
     """The optimum map at one parameter value, a batch of one row."""
-    return model.optimum_map_batch(np.array([[theta]], dtype=float))[0, 0]
+    return model.optimum_map_batch(np.array([[theta]], dtype=float))[0]
 
 
 def reward(model, theta, y):
@@ -89,16 +89,16 @@ def test_floored_optimum_map_and_jacobian(theta):
     r = model.optimum_map_batch(thetas)
     jac = model.optimum_jacobian(thetas, r)
     if theta <= floor:
-        assert r[0, 0] == gain / (2.0 * floor)
-        assert jac[0, 0, 0] == 0.0
+        assert r[0] == gain / (2.0 * floor)
+        assert jac[0, 0] == 0.0
     else:
-        assert r[0, 0] == gain / (2.0 * theta)
-        assert jac[0, 0, 0] == -r[0, 0] / theta
+        assert r[0] == gain / (2.0 * theta)
+        assert jac[0, 0] == -r[0] / theta
     # a single row and the ensemble statistics see the same floored map
     ens = Ensemble(thetas=np.array([[theta], [0.5], [2.0]]), rates=np.full(3, 0.1))
     optima = [optimum(model, row[0]) for row in ens.thetas]
-    assert optima[0] == r[0, 0]
-    assert stats(ens, model).r_mean[0] == np.mean(optima)
+    assert optima[0] == r[0]
+    assert stats(ens, model).r_mean == np.mean(optima)
 
 
 def test_optimum_is_global_maximum_on_grid(model):

@@ -192,9 +192,9 @@ def _servo_loop_columns(d: dict, horizon: int) -> dict:
         ps = predict(ens, moments(ens.thetas)[1], xi, model)
         for name, value in (("y", y), ("xi", xi[0]), ("x0", x[0]), ("x1", x[1]),
                             ("theta_mean_0", ens.thetas.mean(axis=0)[0]),
-                            ("grad_explore_norm", abs(ps.r_var_grad[0]))):
+                            ("grad_explore_norm", abs(ps.r_var_grad))):
             cols[name].append(value)
-        xi = np.clip(xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad), -4.0, 4.0)
+        xi = np.clip(xi - 0.5 * (exploit_grad(xi[0], ps.r_mean) + ps.r_var_grad), -4.0, 4.0)
         u = -(gains.K @ x) + feed @ xi
         cols["u"].append(u[0])
         x = A @ x + B @ u
