@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, NumericalError
 from .harness import (compare, emit_csv, load_config, render_comparison,
                       run_scenario, write_plot_script)
 
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, DomainError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -8,7 +8,12 @@ class ConfigError(ValueError):
 
 
 class DomainError(ValueError):
-    """The polynomial optimum map was given non-finite coefficients."""
+    """The polynomial optimum map was given non-finite coefficients; ``rows``
+    marks the rows it refused."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class RegulationError(ValueError):

@@ -57,7 +57,7 @@ import numpy as np
 # stays a harness attribute because the benchmark's tracer patches it on this module
 from .dual import contraction_check, exploit_grad, explore_grad  # noqa: F401
 from .ensemble import Ensemble, _checked_args, adapt, init_ensemble, moments, predict, spread
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError
 from .mppt_baselines import HcState, IcState, hc_step, ic_step
 from .pv import EnvProfile, PvParams, mpp_oracle, profile_eval, pv_current, pv_poly_reward
 from .reward import NoiseSpec, RewardModel, quadratic_reward, sample_noise
@@ -93,86 +93,13 @@ _OPTIONAL = {
 
 
 def builtin_config(kind: str) -> dict:
-    """Fresh default scenario dictionary for the given kind."""
-    if kind == "quadratic-linear":
-        return {
-            "kind": "quadratic-linear",
-            "plant": {
-                "A": [[0.0, 1.0], [2.0, 1.0]],
-                "B": [[1.0], [1.0]],
-                "C": [[0.0, 1.0]],
-                # start at an informative operating point: the regressor
-                # vanishes at y = 0, so a cold start there learns nothing
-                "x0": [1.2, 3.6],
-            },
-            "reward": {
-                "known_gain": 2.0,
-                "theta_true": [1.0],
-                "y_range": [-4.0, 4.0],
-                "theta_floor": 1e-6,
-            },
-            "ensemble": {
-                "n": 100,
-                "prior_low": [0.0],
-                "prior_high": [20.0],
-                "rate": 0.005,
-            },
-            "controller": {
-                "delta": 0.5,
-                "poles": [0.4, 0.7],
-                "xi0": [3.6],
-            },
-            "noise": {"variance": 2.0},
-            "run": {"horizon": 5000, "dt": 1.0, "seed": 1},
-        }
-    if kind == "mppt":
-        return {
-            "kind": "mppt",
-            "plant": {
-                "i_sc_ref": 5.4,
-                "v_oc_ref": 44.0,
-                "n_cells": 72,
-                "ideality": 1.3,
-                "r_s": 0.5,
-                "r_sh": 400.0,
-                "temp_coeff_i": 0.003,
-                "temp_coeff_v": -0.16,
-            },
-            "profile": {
-                "irradiance": [[0.0, 600.0], [0.3, 1000.0], [0.6, 1000.0],
-                               [0.9, 700.0], [1.2, 700.0], [1.2, 950.0],
-                               [2.0, 950.0]],
-                "temperature": [[0.0, 25.0], [1.0, 35.0]],
-            },
-            "reward": {
-                "degree": 5,
-                "v_range": [2.0, 43.0],
-                "v_scale": 22.0,
-                "v_shift": 22.0,
-            },
-            # commissioning prior: a +/-15% box around the degree-5 fit of
-            # the reference-conditions power curve (datasheet anchoring);
-            # adaptation tracks the moving environment from there
-            "ensemble": {
-                "n": 50,
-                "prior_low": [88.9, 83.8, 12.1, 35.2, -151.1, -218.4],
-                "prior_high": [143.8, 137.0, 39.8, 71.2, -94.3, -144.0],
-                "rate": 0.1,
-            },
-            "controller": {
-                "algo": "dcee",
-                "delta": 0.5,
-                "u_max": 2.0,
-                "v_init": 16.0,
-                "v_limits": [4.0, 42.0],
-                "hc_step": 1.6,
-                "ic_step": 0.1,
-                "ic_deadband": 0.02,
-            },
-            "noise": {"variance": 0.0},
-            "run": {"duration": 2.0, "dt": 0.001, "seed": 1},
-        }
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+    """A fresh copy of the shipped scenario of the kind, ``scenarios/<kind>.json``
+    in this package (``configs/`` at the top of the source tree links there)."""
+    if not isinstance(kind, str) or kind not in _OPTIONAL:
+        raise ConfigError(f"scenario kind must be one of {sorted(_OPTIONAL)}, got {kind!r}")
+    name = kind.replace("-", "_") + ".json"
+    with open(os.path.join(os.path.dirname(__file__), "scenarios", name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @dataclass
@@ -216,15 +143,12 @@ def _check_keys(kind, section, given, allowed):
 def config_from_dict(d: dict) -> ScenarioConfig:
     """Validate a scenario dictionary by building what its run needs.
 
-    Unset keys take the built-in defaults.  A value that fails to convert,
-    or that a constructor rejects, is a ``ConfigError``.
+    Unset keys take the values of the kind's shipped scenario.  A value that
+    fails to convert, or that a constructor rejects, is a ``ConfigError``.
     """
     if not isinstance(d, dict):
         raise ConfigError("scenario config must be a JSON object")
     kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in _OPTIONAL:
-        raise ConfigError(f"scenario kind must be one of {sorted(_OPTIONAL)}, "
-                          f"got {kind!r}")
     merged = builtin_config(kind)
     _check_keys(kind, "<top level>", d.keys(), set(merged))
 
@@ -489,6 +413,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     n_tick = len(written) - len(shared)
     data = np.empty((len(written), len(seeds), len(k_col)))
     data[n_tick:] = np.array([*shared.values()], dtype=float)[:, None]
+    learned = data[n_tick - len(learn):n_tick]  # what the estimators record
     ens, noise = _start(cfg, seeds)
 
     def trace(i: int, n_rows: int) -> Trace:
@@ -511,7 +436,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
         for k in range(len(k_col)):
             y, j_obs = plant.observe(k, noise[:, k])
             if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
-                raise fail(np.isfinite(j_obs), k, k, "estimator ensemble diverged")
+                raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
             if dual:
                 # y first: a moving run differs there and compares nothing else
                 seen = (y, j_obs, plant.ref, ens.thetas)
@@ -520,21 +445,22 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 else:
                     ens = adapt(ens, y, j_obs, model)
                     centre, dev = moments(ens.thetas)
-                    th_std = spread(dev)
-                    # a finite spread needs finite estimates and a finite mean
-                    if not _all_finite(th_std):
-                        raise fail(np.isfinite(th_std).all(axis=1), k, k,
-                                   "estimator ensemble diverged")
-                    ps = predict(ens, dev, plant.ref, model)
+                    try:
+                        ps = predict(ens, dev, plant.ref, model)
+                    except DomainError as exc:  # the map refuses non-finite predicted estimates
+                        raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
+                                   "estimator ensemble diverged") from None
                     g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
                     inc = -delta * (g_exploit + g_explore)
-                    learn_row = (*centre[:, 0].T, *th_std.T, ps.r_mean, ps.r_var,
+                    learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
                                  np.abs(g_exploit), np.abs(g_explore))
                     computed = seen, (ens, inc, learn_row)
             else:
                 inc, learn_row = plant.track(j_obs), ()
             data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
-            # a non-finite increment makes the state non-finite
+            if learn and not _all_finite(learned[:, :, k]):
+                raise fail(np.isfinite(learned[:, :, k]).all(axis=0), k, k,
+                           "estimator ensemble diverged")
             if not _all_finite(plant.x):
                 raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
                            "state became non-finite")

@@ -253,9 +253,7 @@ def _interp_linear(ts, vs, t):
         return vs[0]
     if i >= len(ts) - 1:
         return vs[-1]
-    t0, t1 = ts[i], ts[i + 1]
-    if t1 == t0:
-        return vs[i + 1]
+    t0, t1 = ts[i], ts[i + 1]  # t0 <= t < t1: bisect_right passes over equal knots
     w = (t - t0) / (t1 - t0)
     return (1.0 - w) * vs[i] + w * vs[i + 1]
 
@@ -432,7 +430,8 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     def opt_batch(thetas):
         finite = np.isfinite(thetas)
         if np.count_nonzero(finite) != finite.size:
-            raise DomainError("polynomial coefficients must be finite")
+            raise DomainError("polynomial coefficients must be finite",
+                              rows=~finite.all(axis=1))
         if warm is None:
             return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
         rows, optima, last, ahead = warm

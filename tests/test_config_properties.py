@@ -1,9 +1,9 @@
 """Property tests of scenario validation against mutated built-in configs.
 
 A config is either rejected with ``ConfigError`` or accepted; an accepted
-one runs a few ticks to completion or stops with ``NumericalError`` /
-``DomainError``.  Every single mutation is checked in turn; hypothesis
-(derandomised, so every run draws the same examples) combines two.
+one runs a few ticks to completion or stops with ``NumericalError``.  Every
+single mutation is checked in turn; hypothesis (derandomised, so every run
+draws the same examples) combines two.
 """
 
 import dataclasses
@@ -13,8 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcee import (ConfigError, DomainError, NumericalError, builtin_config,
-                  config_from_dict, run_scenario)
+from dcee import ConfigError, NumericalError, builtin_config, config_from_dict, run_scenario
 
 # (kind, algo) pairs; the algo override picks the mppt tracker
 VARIANTS = [("quadratic-linear", None), ("mppt", "dcee"), ("mppt", "hc"), ("mppt", "ic")]
@@ -73,7 +72,7 @@ def _rejected_or_runs(d) -> None:
     try:
         with np.errstate(all="ignore"):
             trace = run_scenario(cfg)
-    except (NumericalError, DomainError):
+    except NumericalError:
         return
     assert trace.n_rows == cfg.horizon + 1
 

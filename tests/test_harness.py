@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import functools
 import gc
@@ -7,6 +8,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -280,24 +282,53 @@ def test_seeds_given_in_code_are_integers_too():
     assert cfg.with_updates(seed=3.0).seed == 3 and len(run_seeds(cfg, [2.0])) == 1
 
 
-@pytest.mark.parametrize("kind, rate, variance, horizon, seeds", [
-    pytest.param("quadratic-linear", 0.02, 2.0, 300, [1, 5, 6], id="seeds0"),
-    pytest.param("quadratic-linear", 0.02, 2.0, 300, [5, 2], id="seeds1"),
-    pytest.param("quadratic-linear", 0.02, 2.0, 300, [3, 6], id="seeds2"),
-    pytest.param("mppt", 3.0, 0.0, 600, [4, 1, 2], id="mppt"),
-    pytest.param("mppt", 4.0, 1.0, 400, [3, 0], id="mppt-after-a-cut"),
+# the estimates stay finite at step 0 but the predicted ones overflow: the
+# pv-poly map refuses them, the quadratic gradient turns NaN
+_MPPT_MID = [116.35, 110.4, 25.95, 53.2, -122.7, -181.2]  # the shipped prior box's midpoint
+PREDICTED_OVERFLOW = {
+    "mppt": {"ensemble": dict(prior_low=[m - 1e-3 for m in _MPPT_MID],
+                              prior_high=[m + 1e-3 for m in _MPPT_MID], rate=1e156)},
+    "quadratic-linear": {"ensemble": dict(prior_low=[0.999], prior_high=[1.001], rate=1e154),
+                         "noise": {"variance": 0.0}},
+}
+
+
+def _updated(kind, sections):
+    d = builtin_config(kind)
+    for name, body in sections.items():
+        d[name].update(body)
+    return d
+
+
+def _rate(rate, variance):
+    return {"ensemble": {"rate": rate}, "noise": {"variance": variance}}
+
+
+@pytest.mark.parametrize("kind, sections, horizon, seeds", [
+    pytest.param("quadratic-linear", _rate(0.02, 2.0), 300, [1, 5, 6], id="seeds0"),
+    pytest.param("quadratic-linear", _rate(0.02, 2.0), 300, [5, 2], id="seeds1"),
+    pytest.param("quadratic-linear", _rate(0.02, 2.0), 300, [3, 6], id="seeds2"),
+    pytest.param("mppt", _rate(3.0, 0.0), 600, [4, 1, 2], id="mppt"),
+    pytest.param("mppt", _rate(4.0, 1.0), 400, [3, 0], id="mppt-after-a-cut"),
+    pytest.param("mppt", PREDICTED_OVERFLOW["mppt"], 50, [2, 1], id="mppt-predicted-overflow"),
+    pytest.param("quadratic-linear", PREDICTED_OVERFLOW["quadratic-linear"], 50, [2, 1],
+                 id="quadratic-predicted-overflow"),
+    pytest.param("mppt", {"ensemble": dict(prior_low=[m - 1.0 for m in _MPPT_MID],
+                                           prior_high=[m + 1.0 for m in _MPPT_MID],
+                                           rate=3e153)}, 50, [3, 0],
+                 id="mppt-refused-after-a-cut"),
 ])
-def test_run_seeds_reports_the_first_failing_seed_in_list_order(kind, rate, variance,
-                                                                horizon, seeds):
+def test_run_seeds_reports_the_first_failing_seed_in_list_order(kind, sections, horizon, seeds):
     # quadratic at rate 0.02: seeds 2, 5 and 6 diverge at steps 259, 267 and
     # 249 and seeds 1 and 3 do not.  mppt at rate 3.0: every seed diverges
     # at step 502; at rate 4.0 with noise, seed 0 at step 317 and seed 3 at
     # step 318, so after seed 0 fails seed 3 runs again alone and its step
     # 318 is the failure reported.  The error is the one running the seeds
-    # in turn meets first, also when a later seed diverges earlier
-    d = builtin_config(kind)
-    d["ensemble"]["rate"] = rate
-    d["noise"]["variance"] = variance
+    # in turn meets first, also when a later seed diverges earlier.  The
+    # predicted overflow fails every seed at step 0.  Over the wider prior at
+    # rate 3e153 seed 0's estimates overflow at step 0, while seed 3's survive
+    # it and its predicted ones are refused by the optimum map at step 1
+    d = _updated(kind, sections)
     d["run"].pop("duration", None)
     d["run"]["horizon"] = horizon
     cfg = config_from_dict(d)
@@ -476,25 +507,30 @@ def test_a_run_leaves_no_reference_cycles(kind, algo):
         gc.enable()
 
 
-@pytest.mark.parametrize("rate, command", [
-    pytest.param(5.0, ["run"], id="5.0"),
-    pytest.param(50.0, ["run"], id="50.0"),
-    pytest.param(5.0, ["mppt", "--algo", "dcee"], id="5.0-mppt-dcee"),
-    pytest.param(50.0, ["mppt", "--algo", "dcee"], id="50.0-mppt-dcee"),
+@pytest.mark.parametrize("kind, sections, command, at_once", [
+    pytest.param("mppt", _rate(5.0, 0.0), ["run"], False, id="5.0"),
+    pytest.param("mppt", _rate(50.0, 0.0), ["run"], False, id="50.0"),
+    pytest.param("mppt", _rate(5.0, 0.0), ["mppt", "--algo", "dcee"], False, id="5.0-mppt-dcee"),
+    pytest.param("mppt", _rate(50.0, 0.0), ["mppt", "--algo", "dcee"], False,
+                 id="50.0-mppt-dcee"),
+    pytest.param("mppt", PREDICTED_OVERFLOW["mppt"], ["mppt"], True,
+                 id="mppt-predicted-overflow"),
+    pytest.param("quadratic-linear", PREDICTED_OVERFLOW["quadratic-linear"], ["run"], True,
+                 id="quadratic-predicted-overflow"),
 ])
-def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, rate,
-                                                             command):
-    d = builtin_config("mppt")
-    d["ensemble"]["rate"] = rate
+def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, kind, sections,
+                                                             command, at_once):
     cfg_path = tmp_path / "diverge.json"
-    cfg_path.write_text(json.dumps(d))
+    cfg_path.write_text(json.dumps(_updated(kind, sections)))
     out = tmp_path / "diverge.csv"
     with np.errstate(all="ignore"):
         rc = cli_main([*command, "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3
-    assert "estimator ensemble diverged" in capsys.readouterr().err
+    step = int(re.search(r"estimator ensemble diverged at step (\d+)$",
+                         capsys.readouterr().err.strip()).group(1))
+    # the rows before the failing step; at step 0 the header alone
     tr = read_trace_csv(out)
-    assert 0 < tr.n_rows < 2001
+    assert tr.n_rows == step < 2001 and (step == 0) == at_once
     for col in tr.columns:
         assert np.all(np.isfinite(tr.values[col])), col
 
@@ -512,6 +548,21 @@ def test_mppt_profile_temperature_outside_diode_model_exits_2(tmp_path, capsys, 
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "at 35.0 degC" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x0, what, n_rows", [
+    # y = 1e200: the reward's y * y overflows before any estimate exists
+    pytest.param([1e200, 1e200], "reward observation became non-finite", 0, id="observation"),
+    # y = 0 is finite, but A x overflows: the row of step 0 is complete
+    pytest.param([1e308, 0.0], "state became non-finite", 1, id="state"),
+])
+def test_quadratic_plant_overflow_names_what_went_non_finite(x0, what, n_rows):
+    d = builtin_config("quadratic-linear")
+    d["plant"]["x0"] = x0
+    with pytest.raises(NumericalError, match=f"^{what} at step 0$") as err, \
+            np.errstate(all="ignore"):
+        run_scenario(config_from_dict(d))
+    assert err.value.step == 0 and err.value.trace.n_rows == n_rows
 
 
 def test_quadratic_estimator_divergence_stops_before_non_finite_rows(monkeypatch):
@@ -706,11 +757,31 @@ def test_compare_rejects_inconsistent_scenarios():
         compare([a, b])
 
 
-def test_shipped_configs_match_builtin():
-    for kind, name in [("quadratic-linear", "quadratic_linear"),
-                       ("mppt", "mppt")]:
-        with open(REPO / "configs" / f"{name}.json") as fh:
-            assert json.load(fh) == builtin_config(kind)
+def test_builtin_config_returns_an_independent_dict_on_every_call():
+    for kind in ("quadratic-linear", "mppt"):
+        first = builtin_config(kind)
+        pristine = copy.deepcopy(first)
+        first["kind"] = "changed"
+        first["plant"].clear()
+        first["ensemble"]["prior_low"].append(0.0)
+        assert builtin_config(kind) == pristine
+
+
+@pytest.mark.parametrize("kind", ["unknown", "quadratic_linear", "", None, ["mppt"]])
+def test_builtin_config_refuses_an_unknown_kind(kind):
+    with pytest.raises(ConfigError, match="scenario kind must be one of"):
+        builtin_config(kind)
+
+
+def test_configs_dir_links_to_the_package_scenarios():
+    # one copy of each shipped scenario: configs/ at the top of the tree is a
+    # link to the package data that builtin_config reads
+    scenarios = Path(harness.__file__).resolve().parent / "scenarios"
+    assert (REPO / "configs").is_symlink()
+    for kind, name in [("quadratic-linear", "quadratic_linear"), ("mppt", "mppt")]:
+        path = REPO / "configs" / f"{name}.json"
+        assert path.resolve() == scenarios / f"{name}.json"
+        assert json.loads(path.read_text()) == builtin_config(kind)
 
 
 def test_load_config_reads_shipped_files():
@@ -797,12 +868,34 @@ def test_cli_gains_and_exit_codes(tmp_path, capsys):
             assert "configuration error" in capsys.readouterr().err
     # i/o error category
     assert cli_main(["gains", "--config", str(tmp_path / "missing.json")]) == 4
-    # wrong scenario kind for compare and for mppt, with or without --algo
+    # wrong scenario kind for compare, gains and mppt, with or without --algo
     quadratic = str(REPO / "configs" / "quadratic_linear.json")
     assert cli_main(["compare", "--config", quadratic]) == 2
+    assert cli_main(["gains", "--config", str(REPO / "configs" / "mppt.json")]) == 2
+    assert "gains requires a quadratic-linear scenario" in capsys.readouterr().err
     for extra in ([], ["--algo", "hc"]):
         assert cli_main(["mppt", "--config", quadratic, *extra]) == 2
         assert "mppt requires an mppt scenario" in capsys.readouterr().err
+
+
+def test_cli_compare_writes_the_ranked_table(tmp_path, capsys):
+    d = builtin_config("mppt")
+    del d["run"]["duration"]
+    d["run"]["horizon"] = 60
+    cfg_path = tmp_path / "m.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "table.csv"
+    assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert f"comparison written to {out}" in capsys.readouterr().out
+    cfg = config_from_dict(d)
+    ranked = compare([cfg.with_updates(algo=a) for a in ("dcee", "hc", "ic")])
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["algo", "efficiency", "energy_extracted", "energy_max", "power_loss",
+                      "steady_state_band"]
+    assert [(label, *map(float, cells)) for label, *cells in rows] == [
+        (label, met.efficiency, met.energy_extracted, met.energy_max, met.power_loss,
+         met.steady_state_band) for label, met in ranked]
 
 
 def test_cli_run_writes_trace(tmp_path, capsys):

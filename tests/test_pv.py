@@ -579,8 +579,9 @@ def test_pv_poly_optimum_map_rejects_non_finite_coefficients(bad):
     model, low, high = _shipped_model_and_prior()
     thetas = np.random.default_rng(9).uniform(low, high, size=(50, 6))
     thetas[17, 3] = bad
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         model.optimum_map_batch(thetas)
+    assert np.flatnonzero(err.value.rows).tolist() == [17]  # the refused rows
     with model.warm_start():
         model.optimum_map_batch(np.where(np.isfinite(thetas), thetas, 0.0))
         with pytest.raises(DomainError):  # a warm call, started from those roots
