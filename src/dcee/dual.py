@@ -8,8 +8,9 @@ the spread of the predicted optima (exploration).  The control loop in
     y' = y - delta * (exploit_grad(y, r_mean) + r_var_grad),
 
 with the belief and the exploration gradient ``r_var_grad`` both from
-``ensemble.predict(ens, dev, y, model)``, which computes them from one
-optimum-map solve given the deviations from the ensemble's ``moments``.
+``ensemble.predict(ens, dev, phi, dphi, model)``, which computes them from
+one optimum-map solve given the deviations from the ensemble's ``moments``
+and the regressor and its derivative at y.
 ``explore_grad(y, ens, model)`` takes a central finite difference of the
 predicted spread at the one output of an unbatched ensemble, with the
 fixed step ``FD_EPS``, and returns it 0-d, the belief's shape; no control
@@ -70,8 +71,9 @@ def explore_grad(y, ens: Ensemble, model: RewardModel) -> np.ndarray:
                        "using one-sided difference", y)
         hi_pt, lo_pt = (y, dn) if dn >= lo else (up, y)
         width = FD_EPS
-    return (predict(ens, dev, hi_pt, model).r_var
-            - predict(ens, dev, lo_pt, model).r_var) / width
+    r_var = [predict(ens, dev, model.unknown_basis(pt), model.basis_jacobian(pt), model).r_var
+             for pt in (hi_pt, lo_pt)]
+    return (r_var[0] - r_var[1]) / width
 
 
 def contraction_check(delta: float) -> bool:

@@ -7,20 +7,25 @@ current belief is.  An ``Ensemble`` is the plain pair of estimates and
 rates, checked once where ``init_ensemble`` draws it.  ``adapt``
 consumes a real observation and returns the next pair; ``moments`` gives
 the mean estimate and every estimate's deviation from it, once per tick.
-``predict(ens, dev, y, model)`` applies the same update, ``_step``, to
-the noise-free reward the mean implies: the residual is then each
-deviation along the regressor, a product taken once.  It gives the
-one-step-ahead belief and its exploration gradient in closed form from
-one optimum-map solve, to which an optimum the model's map pins adds
-nothing.  Finite differences of the predicted spread
-(``dual.explore_grad``) are the reference the closed form is tested
-against.
+``predict(ens, dev, phi, dphi, model)`` applies the same update,
+``_step``, to the noise-free reward the mean implies: the residual is
+then each deviation along the regressor, a product taken once.  It gives
+the one-step-ahead belief and its exploration gradient in closed form
+from one optimum-map solve, to which an optimum the model's map pins adds
+nothing, and takes r_var and the gradient's sum in one reduction.  Both
+ops take the model's bases at their point, not the point: the caller
+evaluates the regressor once per point and hands it to each op that
+needs it (the harness loop shares it with the observation, and between
+``adapt`` and ``predict`` where the output is the reference).  Finite
+differences of the predicted spread (``dual.explore_grad``) are the
+reference the closed form is tested against.
 
 Every op takes a batch of independent ensembles: ``thetas`` of shape
-(S, N, m) with one output per batch entry, ``y`` of shape (S,), and
-reduces over the estimator axis only, so an entry's numbers do not
-depend on what else shares the batch.  A single ensemble is the
-unbatched (N, m) case with a one-element ``y`` and a 0-d belief.
+(S, N, m) with one point per batch entry, the bases of shape (S, m) and
+(S,), and reduces over the estimator axis only, so an entry's numbers do
+not depend on what else shares the batch.  A single ensemble is the
+unbatched (N, m) case with bases at one point, (m,) and 0-d, and a 0-d
+belief.
 """
 
 from __future__ import annotations
@@ -101,11 +106,6 @@ def init_ensemble(n: int, prior_low, prior_high, rates,
     return Ensemble(rng.uniform(low, high, size=(n, low.size)), np.full(n, rates))
 
 
-def _outputs(ens: Ensemble, y) -> np.ndarray:
-    """One scalar output per batch entry, shape thetas.shape[:-2]."""
-    return np.asarray(y, dtype=float).reshape(ens.thetas.shape[:-2])
-
-
 def _mean(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """``a.mean(axis)``, the same sum and division, without its call overhead."""
     return np.add.reduce(a, axis=axis, keepdims=keepdims) / a.shape[axis]
@@ -134,20 +134,19 @@ def _step(ens: Ensemble, resid: np.ndarray, phi_row: np.ndarray) -> np.ndarray:
     return ens.thetas - (ens.rates[:, None] * resid) * phi_row
 
 
-def adapt(ens: Ensemble, y_prev, j_obs, model: RewardModel) -> Ensemble:
+def adapt(ens: Ensemble, phi: np.ndarray, known, j_obs) -> Ensemble:
     """Gradient-descent regression step on one reward observation per entry.
 
-    The known offset is subtracted from the observation so the residual
+    ``phi`` and ``known`` are the model's bases at the outputs where ``j_obs``
+    was observed, the regressor (..., m) and the known offset, of the batch
+    shape.  The offset is subtracted from the observation so the residual
     compares the unknown part of the reward only:
 
         theta_i' = theta_i - eta_i * phi * (phi . theta_i - (j_obs - known))
+
+    The observation must be finite; the caller checks it.
     """
-    finite = np.isfinite(j_obs)
-    if np.count_nonzero(finite) != finite.size:
-        raise ValueError("reward observation must be finite")
-    y = _outputs(ens, y_prev)
-    phi = model.unknown_basis(y)
-    target = np.asarray(j_obs - model.known_basis(y))[..., None, None]
+    target = np.asarray(j_obs - known)[..., None, None]
     return Ensemble(_step(ens, ens.thetas @ phi[..., :, None] - target, phi[..., None, :]),
                     ens.rates)
 
@@ -164,9 +163,12 @@ def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
     return BeliefStats(r_mean, _mean((r - r_mean[..., None]) ** 2, -1))
 
 
-def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> BeliefStats:
+def predict(ens: Ensemble, dev: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
+            model: RewardModel) -> BeliefStats:
     """Belief statistics, of the batch shape, after a hypothetical observation at y_cand.
 
+    ``phi`` and ``dphi`` are the regressor and its derivative at y_cand,
+    ``model.unknown_basis`` and ``model.basis_jacobian`` there, (..., m).
     The observation is the noise-free reward the mean estimate implies, so
     ``adapt``'s residual becomes a_i = phi.d_i, where ``dev`` holds the
     deviations d_i = theta_i - mean from ``moments``; the product is taken
@@ -175,9 +177,8 @@ def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> Belie
     gradient ``r_var_grad`` = d r_var / d y_cand by the chain rule through
     the optimum jacobian; r_mean drops out since the r_i - r_mean sum to
     zero.  A pinned optimum has a zero jacobian and adds nothing to it.
+    r_var and the gradient's sum are taken by one reduction.
     """
-    y = _outputs(ens, y_cand)
-    phi, dphi = model.unknown_basis(y), model.basis_jacobian(y)
     phi_row, along = phi[..., None, :], dev @ phi[..., :, None]
     pred = _step(ens, along, phi_row)
     rows = _rows(pred)
@@ -186,11 +187,15 @@ def predict(ens: Ensemble, dev: np.ndarray, y_cand, model: RewardModel) -> Belie
     r_mean = _mean(r, -1)
     centred = r - r_mean[..., None]
 
-    dpred = -(ens.rates[:, None] * (dphi[..., None, :] * along
-                                    + phi_row * (dev @ dphi[..., :, None])))
+    # minus d pred / d y_cand: the sign goes into the gradient's factor, -2
+    dpred = ens.rates[:, None] * (dphi[..., None, :] * along
+                                  + phi_row * (dev @ dphi[..., :, None]))
     dr = np.einsum("nm,nm->n", model.optimum_jacobian(rows, optima), _rows(dpred))
-    return BeliefStats(r_mean, _mean(centred ** 2, -1),
-                       2.0 * _mean(centred * dr.reshape(r.shape), -1))
+    terms = np.empty((2, *r.shape))
+    np.multiply(centred, centred, out=terms[0])
+    np.multiply(centred, dr.reshape(r.shape), out=terms[1])
+    var, grad = _mean(terms, -1)
+    return BeliefStats(r_mean, var, -2.0 * grad)
 
 
 def mse_bound(rate: float, regressor_bound: float, noise_var: float,

@@ -21,7 +21,10 @@ ops' seed axis (``run_seeds``; ``run_scenario`` is a batch of one):
 ``adapt`` to the observation, take the estimates' ``moments`` once,
 ``predict`` from them the belief at the plant's reference, then step it
 down ``exploit_grad`` plus the closed-form exploration gradient (or by
-the hc / ic increment).  A dual tick whose outputs, observations,
+the hc / ic increment).  The plant's ``bases`` hands the ops the model's
+bases, evaluated once per tick point: the servo's regressor at the
+output is the one its observation took, and the panel's output is its
+reference, so one regressor serves ``adapt`` and ``predict``.  A dual tick whose outputs, observations,
 references and estimates before ``adapt`` repeat those of the last
 computed tick bit for bit is not computed again: that tick's ``adapt``
 changed nothing, and ``RewardModel.warm_start`` requires the optimum map
@@ -30,7 +33,7 @@ bits.  It takes over the last computed tick's estimates, increment and
 recorded columns; the shipped noise-free mppt run does so on up to a
 third of its ticks, once it rests.  All that differs between the kinds
 sits in the plant, ``_Servo`` or ``_Panel``: ``observe`` gives the
-outputs and rewards, ``step`` moves the reference ``ref`` by an
+outputs and rewards, ``bases`` the ops' bases, ``step`` moves the reference ``ref`` by an
 increment and returns the tick's ``row`` and ``tail`` columns, and
 ``shared`` holds the columns all seeds share.  A seed's trace is the
 same whatever else shares its batch.
@@ -83,6 +86,11 @@ __all__ = [
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _INT_COLUMNS = {"k", "contraction_ok"}
+
+# the largest run a config may ask for: a run holds its whole trace, and the
+# panel its profile, for every tick
+MAX_TICKS = 1_000_000
+MAX_ESTIMATORS = 100_000
 
 # the only keys a scenario may set that have no built-in default; every
 # other allowed key is a key of builtin_config
@@ -194,8 +202,9 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         horizon = int(round(float(run["duration"]) / dt))
     else:
         horizon = _integer(run["horizon"], "run.horizon")
-    if horizon < 0:
-        raise ConfigError("run horizon (or duration) must be nonnegative")
+    if not 0 <= horizon <= MAX_TICKS:
+        raise ConfigError(f"run horizon (or duration / dt) must be nonnegative and at most "
+                          f"{MAX_TICKS} ticks, got {horizon}")
     seed = _integer(run["seed"], "run.seed")
     if seed < 0:
         raise ConfigError("run.seed must be nonnegative")
@@ -241,6 +250,8 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         built = dict(plant=params, profile=profile)
 
     n = _integer(ens["n"], "ensemble.n")
+    if n > MAX_ESTIMATORS:
+        raise ConfigError(f"ensemble.n must be at most {MAX_ESTIMATORS}, got {n}")
     low = _checked_args(n, ens["prior_low"], ens["prior_high"], ens["rate"])[0]
     if low.shape != (model.dim,):
         raise ConfigError(f"ensemble prior bounds need {model.dim} entries each "
@@ -326,7 +337,13 @@ class _Servo:
 
     def observe(self, k: int, noise: np.ndarray):
         y = self.y = (self.plant.C @ self.x)[:, 0, 0]
-        return y, self.model.known_basis(y) + self.model.unknown_basis(y) @ self.theta_true + noise
+        self.at_y = phi, known = self.model.unknown_basis(y), self.model.known_basis(y)
+        return y, known + phi @ self.theta_true + noise
+
+    def bases(self) -> tuple:
+        """The regressor and the known offset at the output observed last, taken
+        there once for the reward, then the regressor and its derivative at ``ref``."""
+        return (*self.at_y, self.model.unknown_basis(self.ref), self.model.basis_jacobian(self.ref))
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:
         x, xi, (lo, hi) = self.x, self.ref, self.model.y_range
@@ -348,7 +365,7 @@ class _Panel:
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
         ctl = cfg.section("controller")
-        self.params, self.u_max = cfg.plant, float(ctl["u_max"])
+        self.params, self.model, self.u_max = cfg.plant, cfg.model, float(ctl["u_max"])
         self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
         self.x = self.ref = np.full(n_seeds, float(ctl["v_init"]))
         # hc reads the observed power, ic the voltage and current; a closure over
@@ -371,6 +388,12 @@ class _Panel:
         self.i = pv_current(self.params, v, *self.env[k])
         self.p = v * self.i
         return v, self.p + noise
+
+    def bases(self) -> tuple:
+        """As ``_Servo.bases``; the output is the reference, so one regressor serves both."""
+        v, model = self.x, self.model
+        phi = model.unknown_basis(v)
+        return phi, model.known_basis(v), phi, model.basis_jacobian(v)
 
     def track(self, j_obs: np.ndarray) -> np.ndarray:
         """The hc or ic increment of every seed, (S,)."""
@@ -395,10 +418,13 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     return _run(config, [config.seed])[0]
 
 
+@np.errstate(all="ignore")  # the loop's checks report what turns non-finite, not numpy
 def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     """Run every seed in one tick loop over a batch of ensembles and plants.
     When seeds go non-finite, the seeds before the first of them run again on
-    their own, then the first's error is raised with its rows so far; no file is written."""
+    their own, then the first's error is raised with its rows so far; no file is
+    written.  numpy's floating-point warnings are off throughout, the panel's
+    oracle solves included."""
     plant = (_Servo if cfg.kind == "quadratic-linear" else _Panel)(cfg, len(seeds))
     model, ctl = cfg.model, cfg.section("controller")
     delta, dual = float(ctl["delta"]), ctl.get("algo", "dcee") == "dcee"
@@ -439,14 +465,17 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
             if dual:
                 # y first: a moving run differs there and compares nothing else
-                seen = (y, j_obs, plant.ref, ens.thetas)
-                if computed and all(a.tobytes() == b.tobytes() for a, b in zip(seen, computed[0])):
-                    ens, inc, learn_row = computed[1]
+                if computed and y.tobytes() == computed[0].tobytes() and all(
+                        a.tobytes() == b.tobytes()
+                        for a, b in zip((j_obs, plant.ref, ens.thetas), computed[1:4])):
+                    ens, inc, learn_row = computed[4:]
                 else:
-                    ens = adapt(ens, y, j_obs, model)
+                    seen = (y, j_obs, plant.ref, ens.thetas)
+                    phi, known, phi_ref, dphi_ref = plant.bases()
+                    ens = adapt(ens, phi, known, j_obs)
                     centre, dev = moments(ens.thetas)
                     try:
-                        ps = predict(ens, dev, plant.ref, model)
+                        ps = predict(ens, dev, phi_ref, dphi_ref, model)
                     except DomainError as exc:  # the map refuses non-finite predicted estimates
                         raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
                                    "estimator ensemble diverged") from None
@@ -454,7 +483,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                     inc = -delta * (g_exploit + g_explore)
                     learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
                                  np.abs(g_exploit), np.abs(g_explore))
-                    computed = seen, (ens, inc, learn_row)
+                    computed = (*seen, ens, inc, learn_row)
             else:
                 inc, learn_row = plant.track(j_obs), ()
             data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)

