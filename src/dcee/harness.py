@@ -24,19 +24,27 @@ down ``exploit_grad`` plus the closed-form exploration gradient (or by
 the hc / ic increment).  The plant's ``bases`` hands the ops the model's
 bases, evaluated once per tick point: the servo's regressor at the
 output is the one its observation took, and the panel's output is its
-reference, so one regressor serves ``adapt`` and ``predict``.  A dual tick whose outputs, observations,
-references and estimates before ``adapt`` repeat those of the last
-computed tick bit for bit is not computed again: that tick's ``adapt``
-changed nothing, and ``RewardModel.warm_start`` requires the optimum map
-to give a repeated row its last optimum, so the tick would give the same
-bits.  It takes over the last computed tick's estimates, increment and
-recorded columns; the shipped noise-free mppt run does so on up to a
-third of its ticks, once it rests.  All that differs between the kinds
-sits in the plant, ``_Servo`` or ``_Panel``: ``observe`` gives the
-outputs and rewards, ``bases`` the ops' bases, ``step`` moves the reference ``ref`` by an
-increment and returns the tick's ``row`` and ``tail`` columns, and
-``shared`` holds the columns all seeds share.  A seed's trace is the
-same whatever else shares its batch.
+reference, so one regressor serves ``adapt`` and ``predict``.
+
+A tick is a function of the state it starts from (the plant's, the hc / ic
+trackers' and the estimates) and of its inputs (the noise, and the panel's
+environment).  A tick that leaves its state as it found it is a fixed
+point: every later tick whose inputs repeat its own bit for bit gives its
+row again, and ``RewardModel.warm_start`` requires the optimum map to give
+a repeated row its last optimum, so the estimates' columns repeat too.  The
+loop then copies the tick's row up to the first tick whose inputs differ,
+or up to the last tick, which applies no control and is always computed,
+and goes on from there.  The shipped noise-free mppt run rests like this
+on about a quarter of its ticks under dcee, and ic holds still on most of
+its ticks; hc never rests, nor does a noisy run.  A seed's trace is the same
+whatever else shares its batch, which rests only when all its seeds do.
+
+All that differs between the kinds sits in the plant, ``_Servo`` or
+``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
+``step`` moves the reference ``ref`` by an increment and returns the
+tick's ``row`` and ``tail`` columns, ``state`` is what a tick starts from
+besides x and the estimates, ``inputs`` are the environment's columns, and
+``shared`` holds the columns all seeds share.
 
 A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
 turns a seed's slice of it into a ``Trace``, as it does for the partial
@@ -199,7 +207,11 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
     dt = float(run["dt"])
     _positive(dt, "run.dt")
     if "duration" in run:
-        horizon = int(round(float(run["duration"]) / dt))
+        ticks = float(run["duration"]) / dt
+        if not np.isfinite(ticks):
+            raise ConfigError(f"run.duration / run.dt must be a finite number of ticks, "
+                              f"got {ticks}")
+        horizon = int(round(ticks))
     else:
         horizon = _integer(run["horizon"], "run.horizon")
     if not 0 <= horizon <= MAX_TICKS:
@@ -325,7 +337,7 @@ class _Servo:
     """The linear plant under the servo law u = -Kx + (G + K Psi) xi, with
     one state x (S, n, 1) and one reference xi, ``ref`` (S,), per seed."""
 
-    shared, tail = {}, ("err_track",)
+    shared, tail, inputs = {}, ("err_track",), ()
 
     def __init__(self, cfg: ScenarioConfig, n_seeds: int):
         self.plant, self.model, gains = cfg.plant, cfg.model, cfg.gains
@@ -335,10 +347,14 @@ class _Servo:
         self.ref = np.repeat(np.asarray(cfg.section("controller")["xi0"], dtype=float), n_seeds)
         self.row = (*(f"x{i}" for i in range(cfg.plant.n)), "y", "xi", "u")
 
-    def observe(self, k: int, noise: np.ndarray):
+    def observe(self, k: int, noise: np.ndarray) -> np.ndarray:
         y = self.y = (self.plant.C @ self.x)[:, 0, 0]
         self.at_y = phi, known = self.model.unknown_basis(y), self.model.known_basis(y)
-        return y, known + phi @ self.theta_true + noise
+        return known + phi @ self.theta_true + noise
+
+    def state(self) -> bytes:
+        """What a tick starts from besides x and the estimates: the reference."""
+        return self.ref.tobytes()
 
     def bases(self) -> tuple:
         """The regressor and the known offset at the output observed last, taken
@@ -382,12 +398,20 @@ class _Panel:
         oracle = {cond: mpp_oracle(cfg.plant, *cond) for cond in dict.fromkeys(self.env)}
         self.shared = dict(zip(("irradiance", "temperature", "v_mpp_oracle", "p_max_oracle"),
                                np.array([(*cond, *oracle[cond]) for cond in self.env]).T))
+        self.inputs = (self.shared["irradiance"], self.shared["temperature"])
 
-    def observe(self, k: int, noise: np.ndarray):
+    def observe(self, k: int, noise: np.ndarray) -> np.ndarray:
         v = self.x
         self.i = pv_current(self.params, v, *self.env[k])
         self.p = v * self.i
-        return v, self.p + noise
+        return self.p + noise
+
+    def state(self) -> list:
+        """What a tick starts from besides x (the reference) and the estimates:
+        the trackers.  Their floats enter the increments only through comparisons
+        and differences, which a zero's sign does not change, so equal records
+        give equal ticks."""
+        return self.trackers
 
     def bases(self) -> tuple:
         """As ``_Servo.bases``; the output is the reference, so one regressor serves both."""
@@ -454,36 +478,44 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             _run(cfg, seeds[:i])
         return NumericalError(f"{what} at step {k}", step=k, trace=trace(i, n_rows))
 
-    # the last computed dual tick's inputs, then its ens, inc and learn_row; a
-    # repeat is skipped exactly only as RewardModel.warm_start requires
-    computed = None
+    # the bits of every tick's inputs, one row per seed or environment column
+    inputs = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
+
+    def rest_end(k: int) -> int:
+        """The first tick after k whose inputs differ from k's bit for bit, or
+        the last tick; scanned in doubling windows, so that a rest costs in
+        proportion to its length."""
+        start, width = k + 1, 16
+        while start < cfg.horizon:
+            stop = min(start + width, cfg.horizon)
+            moved = np.logical_or.reduce([(a[:, start:stop] != a[:, k, None]).any(axis=0)
+                                          for a in inputs])
+            if moved.any():
+                return start + int(moved.argmax())
+            start, width = stop, 2 * width
+        return cfg.horizon
+
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():
-        for k in range(len(k_col)):
-            y, j_obs = plant.observe(k, noise[:, k])
+        k = 0
+        while k <= cfg.horizon:
+            x, held, thetas = plant.x, plant.state(), ens.thetas
+            j_obs = plant.observe(k, noise[:, k])
             if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
                 raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
             if dual:
-                # y first: a moving run differs there and compares nothing else
-                if computed and y.tobytes() == computed[0].tobytes() and all(
-                        a.tobytes() == b.tobytes()
-                        for a, b in zip((j_obs, plant.ref, ens.thetas), computed[1:4])):
-                    ens, inc, learn_row = computed[4:]
-                else:
-                    seen = (y, j_obs, plant.ref, ens.thetas)
-                    phi, known, phi_ref, dphi_ref = plant.bases()
-                    ens = adapt(ens, phi, known, j_obs)
-                    centre, dev = moments(ens.thetas)
-                    try:
-                        ps = predict(ens, dev, phi_ref, dphi_ref, model)
-                    except DomainError as exc:  # the map refuses non-finite predicted estimates
-                        raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
-                                   "estimator ensemble diverged") from None
-                    g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
-                    inc = -delta * (g_exploit + g_explore)
-                    learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
-                                 np.abs(g_exploit), np.abs(g_explore))
-                    computed = (*seen, ens, inc, learn_row)
+                phi, known, phi_ref, dphi_ref = plant.bases()
+                ens = adapt(ens, phi, known, j_obs)
+                centre, dev = moments(ens.thetas)
+                try:
+                    ps = predict(ens, dev, phi_ref, dphi_ref, model)
+                except DomainError as exc:  # the map refuses non-finite predicted estimates
+                    raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
+                               "estimator ensemble diverged") from None
+                g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
+                inc = -delta * (g_exploit + g_explore)
+                learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
+                             np.abs(g_exploit), np.abs(g_explore))
             else:
                 inc, learn_row = plant.track(j_obs), ()
             data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
@@ -493,6 +525,15 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             if not _all_finite(plant.x):
                 raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
                            "state became non-finite")
+            # a tick that left its state as it found it gives its row again until
+            # an input moves; x first, where a moving tick differs
+            if (k < cfg.horizon and plant.x.tobytes() == x.tobytes() and plant.state() == held
+                    and ens.thetas.tobytes() == thetas.tobytes()):
+                end = rest_end(k)
+                data[:n_tick, :, k + 1:end] = data[:n_tick, :, k, None]
+                k = end
+            else:
+                k += 1
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
 

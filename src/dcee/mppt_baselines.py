@@ -59,6 +59,9 @@ def ic_step(state: IcState, v_now: float, i_now: float) -> tuple[float, IcState]
       * otherwise compare dI/dV with -I/V inside the deadband: equal
         means the power slope is zero (hold), larger means the operating
         point sits left of the maximum (+step), smaller means right (-step).
+
+    A hold at v = 0 logs a warning on each call; the run's loop calls once
+    per stretch of a hold that it fast-forwards, not once per tick.
     """
     eps = state.deadband
     new_state = IcState(v_now, i_now, state.step, eps)

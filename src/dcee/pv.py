@@ -91,10 +91,12 @@ class PvParams:
 
         It needs a positive photocurrent and a positive, finite saturation
         current (hence a positive open-circuit voltage); without them the
-        current or the maximum power point is not a number.
+        current or the maximum power point is not a number.  numpy's
+        floating-point warnings are off: what overflows fails the check.
         """
         for temp in temperatures:
-            _, i_ph, i_0 = _thermal(self, self.g_ref, temp)
+            with np.errstate(all="ignore"):
+                _, i_ph, i_0 = _thermal(self, self.g_ref, temp)
             if not (i_ph > 0 and 0 < i_0 < math.inf):
                 raise ValueError(f"at {temp} degC the panel has no positive photocurrent "
                                  "and saturation current")
@@ -396,7 +398,9 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     it, extrapolated to 2 z_k - z_(k-1) when a call before had solved it
     too (see ``_poly_argmax_batch``).  A row bit-identical to the same row
     of the last call returns its last optimum and keeps its roots; only
-    the other rows are solved, so when every row repeats nothing is.  A
+    the other rows are solved, so when every row repeats nothing is.  So
+    ticking through a fixed point gives the bits of the tick loop's
+    fast-forward over it, whatever the other rows of the batch do.  A
     call with another row count than the last starts cold and reuses
     nothing.  The rows, optima and roots are dropped when the scope
     closes, also on an exception, and a nested scope starts empty and

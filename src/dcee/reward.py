@@ -66,11 +66,11 @@ class RewardModel:
         results can differ from a cold call's in the last bits.  Any map
         that keeps state there must give a row that repeats the same row
         of its last call bit for bit that call's optimum for it, and leave
-        that row's state as it was: the tick loop relies on this to skip a
-        tick that repeats the last computed one (see ``harness``), and
-        without it a seed's trace would depend on its batch.  Nothing is
-        kept once it closes.  The default, for maps that keep nothing, is
-        ``contextlib.nullcontext``.
+        that row's state as it was: the tick loop relies on this when it
+        copies the row of a tick at a fixed point instead of computing the
+        ticks that repeat it (see ``harness``), and without it a seed's
+        trace would depend on its batch.  Nothing is kept once it closes.
+        The default, for maps that keep nothing, is ``contextlib.nullcontext``.
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]

@@ -1,4 +1,5 @@
-"""Test helpers: the ensemble ops at outputs y, and the reference ``predict``.
+"""Test helpers: the ensemble ops at outputs y, the reference ``predict``,
+and a plain hc / ic loop.
 
 ``adapt`` and ``predict`` take the model's bases at the tick point, as the
 loop evaluates them once per point; ``adapt_at`` and ``predict_at`` evaluate
@@ -6,13 +7,18 @@ them at y first, one output per batch entry (a one-element y for an
 unbatched ensemble).  ``reference_predict`` is ``predict`` as it was before
 its two spread sums became one reduction: it evaluates the bases itself,
 keeps the sign in the derivative of the predicted estimates and reduces
-r_var and the gradient's sum separately.
+r_var and the gradient's sum separately.  ``reference_tracker_run`` runs
+an mppt config's hc or ic tracker one tick after another, computing every
+tick, as the run would without its fast-forward over fixed points.
 """
 
 import numpy as np
 
 from dcee import adapt, predict
 from dcee.ensemble import BeliefStats, _mean, _rows, _step
+from dcee.mppt_baselines import HcState, IcState, hc_step, ic_step
+from dcee.pv import mpp_oracle, profile_eval, pv_current
+from dcee.reward import sample_noise
 
 
 def bases(ens, y, model):
@@ -47,3 +53,35 @@ def reference_predict(ens, dev, y_cand, model) -> BeliefStats:
     dr = np.einsum("nm,nm->n", model.optimum_jacobian(rows, optima), _rows(dpred))
     return BeliefStats(r_mean, _mean(centred ** 2, -1),
                        2.0 * _mean(centred * dr.reshape(r.shape), -1))
+
+
+def reference_tracker_run(cfg) -> dict:
+    """The columns of an hc or ic run of the mppt config at its seed, each tick
+    computed: observe the panel, step the tracker, clip, record."""
+    ctl = cfg.section("controller")
+    u_max, (lo, hi) = float(ctl["u_max"]), (float(v) for v in ctl["v_limits"])
+    noise = sample_noise(cfg.noise, np.random.default_rng(
+        np.random.SeedSequence(cfg.seed).spawn(2)[1]), cfg.horizon + 1)
+    if ctl["algo"] == "hc":
+        state = HcState(step=float(ctl["hc_step"]))
+    else:
+        state = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
+    names = ("k", "t", "v", "u", "i", "p", "j_obs",
+             "irradiance", "temperature", "v_mpp_oracle", "p_max_oracle")
+    rows, v = [], np.array([float(ctl["v_init"])])
+    for k in range(cfg.horizon + 1):
+        env = profile_eval(cfg.profile, k * cfg.dt)
+        i = pv_current(cfg.plant, v, *env)
+        p = v * i
+        j_obs = p + noise[k]
+        if ctl["algo"] == "hc":
+            inc, state = hc_step(state, float(j_obs[0]))
+        else:
+            inc, state = ic_step(state, float(v[0]), float(i[0]))
+        last = k == cfg.horizon
+        u = np.zeros(1) if last else np.minimum(np.maximum(np.array([inc]), -u_max), u_max)
+        rows.append((k, k * cfg.dt, v[0], u[0], i[0], p[0], j_obs[0],
+                     *env, *mpp_oracle(cfg.plant, *env)))
+        if not last:
+            v = np.minimum(np.maximum(v + u, lo), hi)
+    return dict(zip(names, np.array(rows).T))

@@ -27,6 +27,7 @@ import dcee
 from dcee import harness, pv
 from dcee.cli import main as cli_main
 from dcee.harness import write_plot_script
+from reference import reference_tracker_run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -94,6 +95,31 @@ def test_run_sizes_above_the_bounds_are_refused(kind, section, key, value):
              "duration": harness.MAX_TICKS * float(d["run"]["dt"])}
     d[section][key] = bound[key]
     assert config_from_dict(d).horizon <= harness.MAX_TICKS
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration", 1e308), ("duration", float("inf")), ("duration", float("nan")),
+    ("dt", 1e-320),  # 2 s / 1e-320 s overflows
+])
+def test_a_duration_of_no_finite_tick_count_is_refused(key, value):
+    # refused by name, before the tick count is rounded to an integer
+    d = builtin_config("mppt")
+    d["run"][key] = value
+    with pytest.raises(ConfigError, match=r"run\.duration"):
+        config_from_dict(d)
+
+
+def test_a_panel_that_overflows_is_refused_without_a_warning(tmp_path, capsys):
+    # the saturation current's expm1 overflows; under the suite's
+    # filterwarnings = error a numpy warning would escape as an exception
+    d = builtin_config("mppt")
+    d["plant"]["v_oc_ref"] = 4.4e31
+    with pytest.raises(ConfigError, match="saturation current"):
+        config_from_dict(d)
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["mppt", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_mppt_validation_rules():
@@ -242,18 +268,46 @@ def test_run_seeds_matches_single_runs_in_seed_order():
             assert np.array_equal(tr.values[col], ref.values[col])
 
 
-def test_resting_seeds_trace_does_not_depend_on_their_batch():
-    # the noise-free shipped run comes to rest on an exact fixed point, where
-    # a tick repeats the last computed one bit for bit and is not computed
-    # again; seed 12345 keeps one estimator in a period-2 cycle of its last
-    # bits, so in this batch the optimum map gets blocks whose rows only
-    # partly repeat, and each seed must still get the bits of its run alone
-    cfg = config_from_dict(builtin_config("mppt"))
-    seeds = [1, 12345, 7]
-    for seed, tr in zip(seeds, run_seeds(cfg, seeds)):
-        ref = run_scenario(cfg.with_updates(seed=seed))
-        for col in ref.columns:
-            assert np.array_equal(tr.values[col], ref.values[col]), (seed, col)
+def _computed_ticks(monkeypatch) -> list:
+    """The ticks the loop computes from here on, one entry per observation."""
+    ticks, observe = [], harness._Panel.observe
+
+    def counted(panel, k, noise):
+        ticks.append(k)
+        return observe(panel, k, noise)
+
+    monkeypatch.setattr(harness._Panel, "observe", counted)
+    return ticks
+
+
+def test_resting_seeds_trace_does_not_depend_on_their_batch(monkeypatch):
+    # the noise-free run comes to rest on an exact fixed point, from which a
+    # seed alone fast-forwards to the next change of input; seed 12345 keeps
+    # one estimator in a period-2 cycle of its last bits, so in this batch
+    # every tick of the rest is computed, and the optimum map gets blocks
+    # whose rows only partly repeat; each seed must still get the bits of
+    # its run alone.  With the irradiance stepped from 950 to 1000 W/m2 at
+    # t = 1.7 s, seed 1 alone rests, resumes at the step and rests again
+    ticks, step, seeds = _computed_ticks(monkeypatch), 1700, [1, 12345, 7]
+    for stepped in (False, True):
+        d = builtin_config("mppt")
+        if stepped:
+            d["profile"]["irradiance"][-1:] = [[1.7, 950.0], [1.7, 1000.0], [2.0, 1000.0]]
+        cfg = config_from_dict(d)
+        ticks.clear()
+        batch = run_seeds(cfg, seeds)
+        computed = {"batch": set(ticks)}
+        for seed, tr in zip(seeds, batch):
+            ticks.clear()
+            ref = run_scenario(cfg.with_updates(seed=seed))
+            for col in ref.columns:
+                assert np.array_equal(tr.values[col], ref.values[col]), (stepped, seed, col)
+            computed[seed] = set(ticks)
+        # the batch computes every tick from 1200; seed 1 alone rests before
+        # the step and at the end
+        assert set(range(1200, cfg.horizon + 1)) <= computed["batch"]
+        rested = set(range(cfg.horizon + 1)) - computed[1]
+        assert {step - 1, cfg.horizon - 1} <= rested and (step in computed[1]) == stepped
 
 
 def _noisy_mppt(algo):
@@ -639,12 +693,18 @@ def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
     assert solved == [50] * 31
 
 
-@pytest.mark.parametrize("kind, computed", [("mppt", 1385), ("quadratic-linear", 5001)])
-def test_a_tick_that_repeats_the_last_computed_one_is_not_computed(monkeypatch, kind,
-                                                                    computed):
-    # the shipped mppt-dcee run (seed 1) repeats 616 of its 2001 ticks bit
-    # for bit once it rests; the noisy quadratic run never repeats a tick
-    calls = {"adapt": 0, "predict": 0}
+@pytest.mark.parametrize("kind, algo, ticks, computed", [
+    ("mppt", "dcee", 1398, 1398),
+    ("mppt", "ic", 840, 0),
+    ("mppt", "hc", 2001, 0),
+    ("quadratic-linear", None, 0, 5001),
+])
+def test_a_run_fast_forwards_over_its_fixed_points(monkeypatch, kind, algo, ticks, computed):
+    # the loop ticks once per panel observation (one pv_current call) and a
+    # dual tick adapts and predicts once; the shipped mppt run (seed 1) rests
+    # under dcee and ic holds on most of its ticks, while hc never rests and
+    # the noisy quadratic run never repeats its inputs
+    calls = {"pv_current": 0, "adapt": 0, "predict": 0}
 
     def counted(name):
         call = getattr(harness, name)
@@ -656,9 +716,39 @@ def test_a_tick_that_repeats_the_last_computed_one_is_not_computed(monkeypatch, 
 
     for name in calls:
         monkeypatch.setattr(harness, name, counted(name))
-    cfg = config_from_dict(builtin_config(kind))
+    d = builtin_config(kind)
+    if algo:
+        d["controller"]["algo"] = algo
+    cfg = config_from_dict(d)
     assert run_scenario(cfg).n_rows == cfg.horizon + 1
-    assert calls == {"adapt": computed, "predict": computed}
+    assert calls == {"pv_current": ticks, "adapt": computed, "predict": computed}
+
+
+_PROFILES = {
+    "held": {"irradiance": [[0.0, 800.0]], "temperature": [[0.0, 25.0]]},
+    "step": {"irradiance": [[0.0, 600.0], [1.0, 600.0], [1.0, 900.0]],
+             "temperature": [[0.0, 25.0], [1.5, 30.0]]},
+    "ramp": {"irradiance": [[0.0, 400.0], [2.0, 1000.0]], "temperature": [[0.0, 25.0]]},
+}
+
+
+@pytest.mark.parametrize("profile", ["shipped", "clipped", *_PROFILES])
+@pytest.mark.parametrize("algo", ["hc", "ic"])
+def test_tracker_runs_give_the_bits_of_a_plain_tick_loop(algo, profile):
+    # the fast-forward over fixed points changes no bit of any column.
+    # "clipped" caps the voltage below the MPP: ic's step there leaves v as it
+    # was but not its tracker, and the tick after it holds with u = 0
+    d = builtin_config("mppt")
+    d["controller"]["algo"] = algo
+    if profile == "clipped":
+        d["controller"]["v_limits"] = [4.0, 20.0]
+    elif profile != "shipped":
+        d["profile"] = _PROFILES[profile]
+    cfg = config_from_dict(d)
+    tr, ref = run_scenario(cfg), reference_tracker_run(cfg)
+    assert set(ref) <= set(tr.columns)
+    for name, col in ref.items():
+        assert tr.column(name).astype(float).tobytes() == col.tobytes(), name
 
 
 @pytest.mark.parametrize("kind, horizon, per_tick", [("quadratic-linear", 300, 2), ("mppt", None, 1)])
