@@ -393,12 +393,21 @@ class _Panel:
             start = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
             self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x.tolist(), pv.i.tolist())
         self.trackers = [start] * n_seeds
-        # one oracle solve per distinct (irradiance, temperature) of the run
-        self.env = [profile_eval(cfg.profile, k * cfg.dt) for k in range(cfg.horizon + 1)]
-        oracle = {cond: mpp_oracle(cfg.plant, *cond) for cond in dict.fromkeys(self.env)}
-        self.shared = dict(zip(("irradiance", "temperature", "v_mpp_oracle", "p_max_oracle"),
-                               np.array([(*cond, *oracle[cond]) for cond in self.env]).T))
-        self.inputs = (self.shared["irradiance"], self.shared["temperature"])
+        # the environment of every tick in one profile evaluation, and the oracle of
+        # every distinct (irradiance, temperature) of the run in one batched solve
+        irr, temp = self.inputs = profile_eval(cfg.profile, np.arange(cfg.horizon + 1) * cfg.dt)
+        self.env = list(zip(irr.tolist(), temp.tolist()))
+        index = {}  # condition -> its place in the solve, in order of first tick
+        at = [index.setdefault(cond, len(index)) for cond in self.env]
+        v_mpp, p_max = mpp_oracle(cfg.plant, *np.array(list(index)).T)
+        finite = np.isfinite(v_mpp) & np.isfinite(p_max)
+        if np.count_nonzero(finite) < finite.size:
+            first = int(np.argmin(finite))  # conditions are numbered by their first tick
+            g, temp_c = list(index)[first]
+            raise ConfigError(f"profile: the panel has no finite maximum power point at "
+                              f"t = {at.index(first) * cfg.dt} s ({g} W/m^2, {temp_c} degC)")
+        self.shared = {"irradiance": irr, "temperature": temp,
+                       "v_mpp_oracle": v_mpp[at], "p_max_oracle": p_max[at]}
 
     def observe(self, k: int, noise: np.ndarray) -> np.ndarray:
         v = self.x

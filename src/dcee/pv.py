@@ -12,7 +12,8 @@ config inputs approximating a ~175 W, 72-cell module.
 
 The current and the open-circuit voltage are the Lambert-W closed forms
 of that equation and take arrays of voltages and conditions; the maximum
-power point of one condition is a bracketed Newton solve on dP/dV.
+power points of an array of conditions are one bracketed Newton solve on
+dP/dV, in which each condition steps and stops on its own.
 Their Wright omega function comes from ``scipy.special``, imported by
 the first diode evaluation rather than with this module: it takes most
 of ``import dcee``, and a quadratic run never evaluates the diode.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +127,9 @@ class EnvProfile:
                 raise ValueError("profile breakpoints must be time-sorted")
         if any(v < 0 for _, v in self.irradiance):
             raise ValueError("irradiance must be nonnegative")
-        # (times, values) of each channel, the lists profile_eval searches
-        self._knots = [tuple(map(list, zip(*pts))) for pts in (self.irradiance, self.temperature)]
+        # (times, values) of each channel, the arrays profile_eval searches
+        self._knots = [tuple(map(np.array, zip(*pts)))
+                       for pts in (self.irradiance, self.temperature)]
 
 
 def _thermal(params: PvParams, irradiance, temperature):
@@ -209,55 +210,77 @@ def open_circuit_voltage(params: PvParams, irradiance, temperature):
     return float(v_oc) if v_oc.ndim == 0 else v_oc
 
 
-def mpp_oracle(params: PvParams, irradiance: float, temperature: float) -> tuple[float, float]:
-    """Maximum power point (v_star, p_star) at one operating condition.
+def mpp_oracle(params: PvParams, irradiance, temperature):
+    """Maximum power point (v_star, p_star) at each operating condition;
+    the arguments broadcast.
 
     P(V) = V I(V) is strictly concave on [0, V_oc]: implicit
     differentiation of the diode equation gives I' = -g / (1 + r_s g) < 0
     and I'' < 0.  So dP/dV = I + V I' has one root there, found by Newton
     steps from V_oc inside a shrinking bracket, bisecting whenever Newton
-    would leave it.  A dark panel gives (0.0, 0.0).
+    would leave it.  Each condition stops at its own first step below
+    1e-13 of its bracket's top, or after 100 steps, so its result does not
+    depend on the other conditions of the call.  A dark panel gives
+    (0.0, 0.0); scalar arguments give a tuple of floats, others two arrays.
     """
-    a, i_ph, i_0 = _thermal(params, float(irradiance), float(temperature))
-    if not i_ph > 0:
-        return 0.0, 0.0
-    lo, hi = 0.0, float(_open_circuit(params, i_ph, a, i_0))
-    v = hi
+    g_in, t_in = np.broadcast_arrays(np.asarray(irradiance, dtype=float),
+                                     np.asarray(temperature, dtype=float))
+    a, i_ph, i_0 = _thermal(params, g_in.ravel(), t_in.ravel())
+    v_star, p_star = np.zeros(g_in.size), np.zeros(g_in.size)
+    lit = np.flatnonzero(i_ph > 0)
+    lit_cond = i_ph, a, i_0 = i_ph[lit], a[lit], i_0[lit]  # in _diode's order
+    lo, hi = np.zeros(lit.size), _open_circuit(params, i_ph, a, i_0)
+    v, at = hi, lit  # the conditions still stepping and where their results go
     for _ in range(100):  # bisection alone would take about 50 steps
         cur, g = _diode(params, v, i_ph, a, i_0)
         q = 1.0 + params.r_s * g
         slope = -g / q
-        curv = -(g - 1.0 / params.r_sh) / (a * q ** 3)
+        # float_power is libm's pow, as a scalar ** is; power's vector loop can
+        # round q ** 3 one ulp apart from it
+        curv = -(g - 1.0 / params.r_sh) / (a * np.float_power(q, 3.0))
         dp = cur + v * slope
-        if dp > 0:
-            lo = v
-        elif dp < 0:
-            hi = v
+        lo, hi = np.where(dp > 0, v, lo), np.where(dp < 0, v, hi)
         newton = v - dp / (2.0 * slope + v * curv)
-        nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        nxt = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
         step, v = nxt - v, nxt
-        if not abs(step) > 1e-13 * hi:
-            break
-    return float(v), float(v * max(_diode(params, v, i_ph, a, i_0)[0], 0.0))
+        moving = np.abs(step) > 1e-13 * hi
+        if np.count_nonzero(moving) < moving.size:
+            v_star[at[~moving]] = v[~moving]
+            v, lo, hi, a, i_ph, i_0, at = (x[moving] for x in (v, lo, hi, a, i_ph, i_0, at))
+            if not at.size:
+                break
+    v_star[at] = v
+    v = v_star[lit]
+    cur = _diode(params, v, *lit_cond)[0]
+    p_star[lit] = v * np.where(cur < 0.0, 0.0, cur)  # max(cur, 0.0): a NaN or -0.0 stays
+    if g_in.ndim == 0:
+        return float(v_star[0]), float(p_star[0])
+    return v_star.reshape(g_in.shape), p_star.reshape(g_in.shape)
 
 
-def profile_eval(profile: EnvProfile, t: float) -> tuple[float, float]:
-    """(irradiance, temperature) at time t, right-continuous at breakpoints."""
-    if t < 0:
+def profile_eval(profile: EnvProfile, t):
+    """(irradiance, temperature) at time t, right-continuous at breakpoints.
+
+    t may be an array of times, which gives two arrays of its shape; a
+    scalar t gives a tuple of floats.  Irradiance is interpolated as
+    (1 - w) v0 + w v1 between the breakpoints around t.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(~(t >= 0.0)):  # a NaN time is refused too
         raise ValueError("time must be nonnegative")
     (ts, vs), (temp_ts, temp_vs) = profile._knots
-    return _interp_linear(ts, vs, t), temp_vs[max(bisect_right(temp_ts, t) - 1, 0)]
-
-
-def _interp_linear(ts, vs, t):
-    i = bisect_right(ts, t) - 1
-    if i < 0:
-        return vs[0]
-    if i >= len(ts) - 1:
-        return vs[-1]
-    t0, t1 = ts[i], ts[i + 1]  # t0 <= t < t1: bisect_right passes over equal knots
-    w = (t - t0) / (t1 - t0)
-    return (1.0 - w) * vs[i] + w * vs[i + 1]
+    # the knots up to t; searchsorted's right side passes over equal knots,
+    # so t0 <= t < t1 between them
+    n = np.searchsorted(ts, t, side="right")
+    i0, i1 = np.maximum(n - 1, 0), np.minimum(n, ts.size - 1)
+    t0, t1 = ts[i0], ts[i1]
+    # outside the knots i0 = i1 and w = 0 gives the end value as it is
+    w = np.divide(t - t0, t1 - t0, out=np.zeros(t.shape), where=(n > 0) & (n < ts.size))
+    irr = (1.0 - w) * vs[i0] + w * vs[i1]
+    temp = temp_vs[np.maximum(np.searchsorted(temp_ts, t, side="right") - 1, 0)]
+    if t.ndim == 0:
+        return float(irr), float(temp)
+    return irr, temp
 
 
 # of the shipped mppt run's 2000 warm calls (seed 1), from the extrapolated start,

@@ -122,6 +122,24 @@ def test_a_panel_that_overflows_is_refused_without_a_warning(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_a_profile_without_a_finite_maximum_power_point_is_refused(tmp_path, capsys):
+    # at 1e308 W/m^2 the open-circuit voltage overflows: the oracle reads
+    # inf V and NaN W, which no run may write into its trace
+    d = builtin_config("mppt")
+    d["controller"]["algo"] = "hc"
+    d["run"] = {"horizon": 10}
+    d["profile"] = {"irradiance": [[0.0, 800.0], [0.004, 800.0], [0.004, 1e308]],
+                    "temperature": [[0.0, 25.0]]}
+    cfg_path = tmp_path / "bright.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "bright.csv"
+    assert cli_main(["mppt", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "profile" in err and "t = 0.004 s" in err and "1e+308 W/m^2, 25.0 degC" in err
+    assert not out.exists()
+
+
 def test_mppt_validation_rules():
     d = builtin_config("mppt")
     d["controller"]["algo"] = "sweep"

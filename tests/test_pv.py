@@ -190,6 +190,41 @@ def test_mpp_oracle_matches_reference(params, irradiance, temperature):
         assert p_star <= 1e-9
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+CONDITIONS = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1200.0)),
+                                st.floats(-10.0, 60.0)), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(params=st.sampled_from([PvParams(), PvParams(r_s=0.0, r_sh=math.inf),
+                               PvParams(r_s=1.5, r_sh=50.0)]),
+       conditions=CONDITIONS, data=st.data())
+def test_mpp_oracle_batch_gives_each_condition_its_own_bits(params, conditions, data):
+    alone = [mpp_oracle(params, g, temp) for g, temp in conditions]
+    assert all(type(v) is float and type(p) is float for v, p in alone)
+    irradiance, temperature = np.array(conditions).T
+    v_star, p_star = mpp_oracle(params, irradiance, temperature)
+    assert v_star.shape == p_star.shape == irradiance.shape
+    assert (_bits([v_star, p_star]) == _bits(np.array(alone).T)).all()
+    # the batch a condition shares does not change its result
+    order = data.draw(st.permutations(range(len(conditions))))
+    v_mixed, p_mixed = mpp_oracle(params, irradiance[order], temperature[order])
+    assert (_bits([v_mixed, p_mixed]) == _bits([v_star[order], p_star[order]])).all()
+    part = order[:data.draw(st.integers(1, len(conditions)))]
+    v_part, p_part = mpp_oracle(params, irradiance[part], temperature[part])
+    assert (_bits([v_part, p_part]) == _bits([v_star[part], p_star[part]])).all()
+
+
+def test_mpp_oracle_broadcasts_its_arguments(params):
+    v_star, p_star = mpp_oracle(params, [[0.0], [500.0], [1000.0]], [25.0, 35.0])
+    assert v_star.shape == p_star.shape == (3, 2)
+    assert (v_star[0] == 0.0).all() and (p_star[0] == 0.0).all()
+    assert (v_star[2, 0], p_star[2, 0]) == mpp_oracle(params, **REF)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PvParams(i_sc_ref=-1.0)
@@ -261,11 +296,26 @@ def test_profile_eval_matches_array_search():
         irradiance = [[t, v] for t, v in zip(times, rng.uniform(0.0, 1200.0, 8))]
         temperature = [[t, v] for t, v in zip(times[::2], rng.uniform(-10.0, 60.0, 4))]
         profile = EnvProfile(irradiance=irradiance, temperature=temperature)
-        for t in np.concatenate([times, rng.uniform(0.0, 2.5, 50), [0.0, 2.5]]):
+        ts = np.concatenate([times, rng.uniform(0.0, 2.5, 50), [0.0, 2.5]])
+        for t in ts:
             got = profile_eval(profile, float(t))
             want = (_array_eval(profile.irradiance, t, True),
                     _array_eval(profile.temperature, t, False))
             assert got == want  # bit-identical, not approximately equal
+            assert all(type(x) is float for x in got)
+        # the whole time array in one call gives each time's own bits
+        irradiance, temperature = profile_eval(profile, ts)
+        one_by_one = np.array([profile_eval(profile, float(t)) for t in ts]).T
+        assert (_bits([irradiance, temperature]) == _bits(one_by_one)).all()
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan, [0.0, math.nan], [0.1, -1e-300]],
+                         ids=["negative", "nan", "nan-in-array", "negative-in-array"])
+def test_profile_eval_refuses_a_time_that_is_not_nonnegative(t):
+    # a NaN time would otherwise search to the last breakpoint's value
+    profile = EnvProfile(irradiance=[[0.0, 800.0], [1.0, 900.0]], temperature=[[0.0, 25.0]])
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        profile_eval(profile, t)
 
 
 def test_profile_validation():
