@@ -28,16 +28,23 @@ reference, so one regressor serves ``adapt`` and ``predict``.
 
 A tick is a function of the state it starts from (the plant's, the hc / ic
 trackers' and the estimates) and of its inputs (the noise, and the panel's
-environment).  A tick that leaves its state as it found it is a fixed
-point: every later tick whose inputs repeat its own bit for bit gives its
-row again, and ``RewardModel.warm_start`` requires the optimum map to give
-a repeated row its last optimum, so the estimates' columns repeat too.  The
-loop then copies the tick's row up to the first tick whose inputs differ,
-or up to the last tick, which applies no control and is always computed,
-and goes on from there.  The shipped noise-free mppt run rests like this
-on about a quarter of its ticks under dcee, and ic holds still on most of
-its ticks; hc never rests, nor does a noisy run.  A seed's trace is the same
-whatever else shares its batch, which rests only when all its seeds do.
+environment).  When q ticks with the same inputs lead back to the state
+the first of them started from, they form a periodic orbit (q = 1, a tick
+that leaves its state as it found it, is a fixed point): every later tick
+whose inputs repeat theirs bit for bit gives their rows again, in turn.
+The loop then copies whole cycles of those rows up to the first tick whose
+inputs differ, or up to the last tick, which applies no control and is
+always computed, and goes on from there in the state it already holds.
+Tracker ticks look for orbits up to 4 ticks long: hc's steady dither
+v, v + s, v, v - s repeats every 4 ticks (every 3 when a voltage limit
+clips it).  Dual ticks look only for fixed points, as
+``RewardModel.warm_start`` requires the optimum map to give a row its last
+optimum only when the row repeats the previous call, so that the
+estimates' columns repeat too.  The shipped noise-free mppt run rests on
+about a quarter of its ticks under dcee, ic holds still on most of its
+ticks, and hc computes about half of them; a noisy run never rests.  A
+seed's trace is the same whatever else shares its batch, which rests only
+when all its seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
 ``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
@@ -56,10 +63,12 @@ that tick (zero on the terminal row, where no control is applied).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import csv
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +211,7 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+@np.errstate(all="ignore")  # what overflows fails a check: the plant's, the gains', the panel's
 def _build(kind: str, d: dict) -> ScenarioConfig:
     run, rw, ens, ctl = d["run"], d["reward"], d["ensemble"], d["controller"]
     dt = float(run["dt"])
@@ -487,28 +497,36 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             _run(cfg, seeds[:i])
         return NumericalError(f"{what} at step {k}", step=k, trace=trace(i, n_rows))
 
-    # the bits of every tick's inputs, one row per seed or environment column
-    inputs = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
+    def input_changes() -> list[int]:
+        """The ticks whose inputs (the bits of each seed's noise and of the
+        environment) differ from the tick before's, then the last tick, which
+        applies no control and is always computed."""
+        bits = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
+        moved = np.logical_or.reduce([(b[:, 1:] != b[:, :-1]).any(axis=0) for b in bits])
+        return [*(np.flatnonzero(moved) + 1).tolist(), cfg.horizon]
 
-    def rest_end(k: int) -> int:
-        """The first tick after k whose inputs differ from k's bit for bit, or
-        the last tick; scanned in doubling windows, so that a rest costs in
-        proportion to its length."""
-        start, width = k + 1, 16
-        while start < cfg.horizon:
-            stop = min(start + width, cfg.horizon)
-            moved = np.logical_or.reduce([(a[:, start:stop] != a[:, k, None]).any(axis=0)
-                                          for a in inputs])
-            if moved.any():
-                return start + int(moved.argmax())
-            start, width = stop, 2 * width
-        return cfg.horizon
+    def period(start: tuple, span: int) -> int:
+        """The least q <= span such that the tick q - 1 ticks before the last one
+        started from ``start`` and from the estimates now held, or 0."""
+        thetas = ens.thetas.tobytes()
+        for q in range(1, min(len(starts), span) + 1):
+            if starts[-q] == start and estimates[-q].tobytes() == thetas:
+                return q
+        return 0
 
+    # a dual tick rests one tick deep, as the optimum map gives a repeated row its
+    # optimum only from one call back; a tracker's dither repeats every 3 or 4 ticks
+    depth = 1 if dual else 4
+    # the x bytes and plant state, and the estimates, that the last ticks started from
+    starts, estimates = deque(maxlen=depth), deque(maxlen=depth)
+    start = plant.x.tobytes(), plant.state()
+    changes = None  # input_changes(), once a tick repeats a start: a noisy run never does
     # the optimum map may reuse its previous solve from one tick to the next
     with model.warm_start():
         k = 0
         while k <= cfg.horizon:
-            x, held, thetas = plant.x, plant.state(), ens.thetas
+            starts.append(start)
+            estimates.append(ens.thetas)
             j_obs = plant.observe(k, noise[:, k])
             if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
                 raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
@@ -534,15 +552,26 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             if not _all_finite(plant.x):
                 raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
                            "state became non-finite")
-            # a tick that left its state as it found it gives its row again until
-            # an input moves; x first, where a moving tick differs
-            if (k < cfg.horizon and plant.x.tobytes() == x.tobytes() and plant.state() == held
-                    and ens.thetas.tobytes() == thetas.tobytes()):
-                end = rest_end(k)
-                data[:n_tick, :, k + 1:end] = data[:n_tick, :, k, None]
-                k = end
-            else:
-                k += 1
+            # ticks k - q + 1..k that led back to the state they started from give
+            # their rows again, in turn, until an input moves; x first, where a
+            # moving tick differs
+            start = plant.x.tobytes(), plant.state()
+            if k < cfg.horizon and start in starts:
+                # the inputs of ticks first..end - 1 all equal k's
+                changes = changes or input_changes()
+                i = bisect.bisect_right(changes, k)
+                first, end = changes[i - 1] if i else 0, changes[i]
+                q = period(start, k + 1 - first)
+                m = (end - 1 - k) // q if q else 0  # whole cycles before end
+                if m:
+                    stop = k + 1 + m * q
+                    for r in range(q):
+                        data[:n_tick, :, k + 1 + r:stop:q] = data[:n_tick, :, k - q + 1 + r, None]
+                    k = stop - 1
+                    # the stored starts would name ticks that the copy skipped
+                    starts.clear()
+                    estimates.clear()
+            k += 1
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
 

@@ -182,9 +182,15 @@ def pv_current(params: PvParams, v, irradiance, temperature):
     a, i_ph, i_0 = _thermal(params, irradiance, temperature)
     cur = _diode(params, v[0] if one else v, i_ph, a, i_0)[0]
     if isinstance(cur, np.ndarray):
-        return np.where(i_ph > 0, np.maximum(cur, 0.0), 0.0)
-    cur = max(cur, 0.0) if i_ph > 0 else 0.0  # max keeps a NaN or -0.0 as np.maximum does
+        return np.where(i_ph > 0, _clamp(cur), 0.0)
+    cur = max(cur, 0.0) if i_ph > 0 else 0.0  # _clamp's rule: max keeps cur unless 0.0 > cur
     return np.array([cur]) if one else float(cur)
+
+
+def _clamp(cur):
+    """A negative current is 0.0; a NaN or -0.0 stays, so one voltage and many
+    give the same bits."""
+    return np.where(cur < 0.0, 0.0, cur)
 
 
 def _open_circuit(params: PvParams, i_ph, a, i_0):
@@ -252,7 +258,7 @@ def mpp_oracle(params: PvParams, irradiance, temperature):
     v_star[at] = v
     v = v_star[lit]
     cur = _diode(params, v, *lit_cond)[0]
-    p_star[lit] = v * np.where(cur < 0.0, 0.0, cur)  # max(cur, 0.0): a NaN or -0.0 stays
+    p_star[lit] = v * _clamp(cur)
     if g_in.ndim == 0:
         return float(v_star[0]), float(p_star[0])
     return v_star.reshape(g_in.shape), p_star.reshape(g_in.shape)

@@ -69,7 +69,11 @@ class RewardModel:
         that row's state as it was: the tick loop relies on this when it
         copies the row of a tick at a fixed point instead of computing the
         ticks that repeat it (see ``harness``), and without it a seed's
-        trace would depend on its batch.  Nothing is kept once it closes.
+        trace would depend on its batch.  The rule reaches one call back
+        only, so the loop copies a dual tick's row only from a fixed point,
+        never a longer orbit: a row that repeats the call before last may
+        get another optimum than that call gave it.  Nothing is kept once
+        it closes.
         The default, for maps that keep nothing, is ``contextlib.nullcontext``.
     """
 
@@ -92,6 +96,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.variance < math.inf:
             raise ValueError("noise variance must be finite and nonnegative")
+        self.variance = abs(self.variance)  # -0.0 too: numpy refuses its sqrt, -0.0, as a scale
 
 
 def scan_regressor_bound(unknown_basis, y_range) -> float:

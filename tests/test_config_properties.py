@@ -1,14 +1,17 @@
 """Property tests of scenario validation against mutated built-in configs.
 
 A config is either rejected with ``ConfigError`` or accepted; an accepted
-one runs a few ticks to completion or stops with ``NumericalError``.  Every
-single mutation is checked in turn; hypothesis (derandomised, so every run
-draws the same examples) combines two.
+one runs a few ticks to completion, every column of its trace finite, or
+stops with ``NumericalError``.  No numpy warning escapes either way (the
+suite turns warnings into errors).  Every single mutation is checked in
+turn; hypothesis (derandomised, so every run draws the same examples)
+combines two.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,19 @@ def _nan_entry(value):
     return [[math.nan] * len(first) if isinstance(first, list) else math.nan, *value[1:]]
 
 
+def _scaled(factor):
+    """Every number of a value, in its lists and objects too, times factor."""
+    def scale(value):
+        if isinstance(value, list):
+            return [scale(v) for v in value]
+        if isinstance(value, dict):
+            return {key: scale(v) for key, v in value.items()}
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return value
+        return value * factor
+    return scale
+
+
 MUTATIONS = {
     "drop": None,
     "wrong-type": lambda v: "x",
@@ -41,6 +57,9 @@ MUTATIONS = {
     "nan-entry": _nan_entry,
     "too-long": lambda v: v + v[-1:] if isinstance(v, list) else [v, v],
     "too-short": lambda v: v[:-1] if isinstance(v, list) else [],
+    "huge": _scaled(1e30),
+    "huger": _scaled(1e300),
+    "huge-negative": _scaled(-1e30),
 }
 
 
@@ -73,6 +92,8 @@ def _rejected_or_runs(d) -> None:
     except NumericalError:
         return
     assert trace.n_rows == cfg.horizon + 1
+    for name in trace.columns:
+        assert np.all(np.isfinite(trace.column(name))), name
 
 
 def test_every_single_mutation_is_rejected_or_runs():

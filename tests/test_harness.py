@@ -570,6 +570,41 @@ def test_cli_huge_delta_runs_without_a_warning(tmp_path, capsys, kind, command):
     assert capsys.readouterr().err == ""
 
 
+def test_negative_zero_noise_variance_is_zero_variance(tmp_path, capsys):
+    # sqrt(-0.0) is -0.0, a scale numpy's normal refuses
+    out = {}
+    for variance in (-0.0, 0.0):
+        d = builtin_config("mppt")
+        d["noise"]["variance"] = variance
+        cfg_path, out[variance] = tmp_path / f"{variance}.json", tmp_path / f"{variance}.csv"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["mppt", "--algo", "hc", "--config", str(cfg_path),
+                         "--out", str(out[variance])]) == 0
+    assert capsys.readouterr().err == ""
+    assert out[-0.0].read_bytes() == out[0.0].read_bytes()
+
+
+def test_overflowing_pole_placement_is_one_config_error(tmp_path):
+    # the placed poles' characteristic polynomial overflows inside the gain design;
+    # the non-finite gains are refused, with no numpy warning before the message
+    d = builtin_config("quadratic-linear")
+    d["controller"]["poles"] = [p * 1e300 for p in d["controller"]["poles"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            config_from_dict(d)
+    cfg_path = tmp_path / "poles.json"
+    cfg_path.write_text(json.dumps(d))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cli = "import sys; from dcee.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", cli, "run", "--config", str(cfg_path)],
+                         capture_output=True, text=True, cwd=REPO, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 2
+    assert out.stderr.startswith("configuration error") and len(out.stderr.splitlines()) == 1
+
+
 def test_integer_keys_take_integral_floats():
     d = builtin_config("mppt")
     d["ensemble"]["n"], d["reward"]["degree"], d["plant"]["n_cells"] = 5.0, 5.0, 72.0
@@ -711,18 +746,9 @@ def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
     assert solved == [50] * 31
 
 
-@pytest.mark.parametrize("kind, algo, ticks, computed", [
-    ("mppt", "dcee", 1398, 1398),
-    ("mppt", "ic", 840, 0),
-    ("mppt", "hc", 2001, 0),
-    ("quadratic-linear", None, 0, 5001),
-])
-def test_a_run_fast_forwards_over_its_fixed_points(monkeypatch, kind, algo, ticks, computed):
-    # the loop ticks once per panel observation (one pv_current call) and a
-    # dual tick adapts and predicts once; the shipped mppt run (seed 1) rests
-    # under dcee and ic holds on most of its ticks, while hc never rests and
-    # the noisy quadratic run never repeats its inputs
-    calls = {"pv_current": 0, "adapt": 0, "predict": 0}
+def _count_calls(monkeypatch, *names) -> dict:
+    """Calls of the named harness functions from here on, by name."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         call = getattr(harness, name)
@@ -732,8 +758,24 @@ def test_a_run_fast_forwards_over_its_fixed_points(monkeypatch, kind, algo, tick
             return call(*args)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(harness, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("kind, algo, ticks, computed", [
+    ("mppt", "dcee", 1398, 1398),
+    ("mppt", "ic", 840, 0),
+    ("mppt", "hc", 1033, 0),
+    ("quadratic-linear", None, 0, 5001),
+])
+def test_a_run_fast_forwards_over_its_fixed_points(monkeypatch, kind, algo, ticks, computed):
+    # the loop ticks once per panel observation (one pv_current call) and a
+    # dual tick adapts and predicts once; the shipped mppt run (seed 1) rests
+    # under dcee and ic holds on most of its ticks, hc's dither is copied a
+    # whole cycle at a time wherever the environment holds, and the noisy
+    # quadratic run never repeats its inputs
+    calls = _count_calls(monkeypatch, "pv_current", "adapt", "predict")
     d = builtin_config(kind)
     if algo:
         d["controller"]["algo"] = algo
@@ -747,13 +789,37 @@ _PROFILES = {
     "step": {"irradiance": [[0.0, 600.0], [1.0, 600.0], [1.0, 900.0]],
              "temperature": [[0.0, 25.0], [1.5, 30.0]]},
     "ramp": {"irradiance": [[0.0, 400.0], [2.0, 1000.0]], "temperature": [[0.0, 25.0]]},
+    # a long hold that a temperature step crosses: the dither forms again after it
+    "held-temperature-step": {"irradiance": [[0.0, 800.0]],
+                              "temperature": [[0.0, 25.0], [1.0, 35.0]]},
 }
+
+
+@pytest.mark.parametrize("profile, v_limits, period, ticks", [
+    ("held", None, 4, 17),  # v, v + s, v, v - s around the MPP
+    ("held", [4.0, 20.0], 3, 9),  # below the MPP, one step of each three clipped at 20 V
+    ("held-temperature-step", None, 4, 25),  # the dither forms again after the step
+], ids=["interior", "clipped", "temperature-step"])
+def test_hc_dither_under_a_held_environment_is_copied(monkeypatch, profile, v_limits, period,
+                                                      ticks):
+    # the loop finds a dither up to four ticks deep; a rule that looked only at
+    # the last tick would compute all 2001
+    d = builtin_config("mppt")
+    d["controller"]["algo"] = "hc"
+    d["profile"] = _PROFILES[profile]
+    if v_limits:
+        d["controller"]["v_limits"] = v_limits
+    calls = _count_calls(monkeypatch, "pv_current")
+    v = run_scenario(config_from_dict(d)).column("v")[-101:-1]
+    assert calls == {"pv_current": ticks}
+    assert np.array_equal(v[period:], v[:-period])
+    assert all(not np.array_equal(v[q:], v[:-q]) for q in range(1, period))
 
 
 @pytest.mark.parametrize("profile", ["shipped", "clipped", *_PROFILES])
 @pytest.mark.parametrize("algo", ["hc", "ic"])
 def test_tracker_runs_give_the_bits_of_a_plain_tick_loop(algo, profile):
-    # the fast-forward over fixed points changes no bit of any column.
+    # the fast-forward over fixed points and periodic orbits changes no bit of any column.
     # "clipped" caps the voltage below the MPP: ic's step there leaves v as it
     # was but not its tracker, and the tick after it holds with u = 0
     d = builtin_config("mppt")

@@ -104,6 +104,25 @@ def test_negative_voltage_rejected(params):
         pv_current(params, -1.0, **REF)
 
 
+@pytest.mark.parametrize("value", [-0.0, math.nan, -1.0], ids=["negative-zero", "nan", "negative"])
+def test_one_clamp_rule_for_one_voltage_many_and_the_oracle(monkeypatch, params, value):
+    # a negative current is 0.0, and a -0.0 or NaN from the diode passes as it is,
+    # for one voltage, for several, and in the oracle's power at its voltage
+    diode = pv._diode
+
+    def patched(*args):
+        cur, g = diode(*args)
+        return (np.full(cur.shape, value) if isinstance(cur, np.ndarray) else np.float64(value)), g
+
+    monkeypatch.setattr(pv, "_diode", patched)
+    want = np.array([max(value, 0.0)])
+    assert np.array([pv_current(params, 20.0, **REF)]).tobytes() == want.tobytes()
+    assert pv_current(params, [20.0], **REF).tobytes() == want.tobytes()
+    assert pv_current(params, [20.0, 30.0], **REF).tobytes() == np.tile(want, 2).tobytes()
+    v_star, p_star = mpp_oracle(params, **REF)
+    assert np.array([p_star]).tobytes() == (v_star * want).tobytes()
+
+
 def test_power_zero_at_interval_ends(params):
     voc = open_circuit_voltage(params, **REF)
     assert 0.0 * pv_current(params, 0.0, **REF) == 0.0
