@@ -28,23 +28,14 @@ reference, so one regressor serves ``adapt`` and ``predict``.
 
 A tick is a function of the state it starts from (the plant's, the hc / ic
 trackers' and the estimates) and of its inputs (the noise, and the panel's
-environment).  When q ticks with the same inputs lead back to the state
-the first of them started from, they form a periodic orbit (q = 1, a tick
-that leaves its state as it found it, is a fixed point): every later tick
-whose inputs repeat theirs bit for bit gives their rows again, in turn.
-The loop then copies whole cycles of those rows up to the first tick whose
-inputs differ, or up to the last tick, which applies no control and is
-always computed, and goes on from there in the state it already holds.
-Tracker ticks look for orbits up to 4 ticks long: hc's steady dither
-v, v + s, v, v - s repeats every 4 ticks (every 3 when a voltage limit
-clips it).  Dual ticks look only for fixed points, as
-``RewardModel.warm_start`` requires the optimum map to give a row its last
-optimum only when the row repeats the previous call, so that the
-estimates' columns repeat too.  The shipped noise-free mppt run rests on
-about a quarter of its ticks under dcee, ic holds still on most of its
-ticks, and hc computes about half of them; a noisy run never rests.  A
-seed's trace is the same whatever else shares its batch, which rests only
-when all its seeds do.
+environment).  When q <= ``REST_DEPTH`` ticks with the same inputs lead
+back to the state the first of them started from, a periodic orbit (q = 1
+is a fixed point; hc's dither and an estimator cycling with period 2 are
+others), the loop copies whole cycles of their rows up to the first tick
+whose inputs differ, or to the last tick, which is always computed.  A
+dual tick's optimum map goes through the run's ``_MapMemory``, so computed
+ticks of an orbit give the rows of copied ones: a seed's trace is the same
+whatever else shares its batch, which rests only when all its seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
 ``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
@@ -108,6 +99,8 @@ _INT_COLUMNS = {"k", "contraction_ok"}
 # panel its profile, for every tick
 MAX_TICKS = 1_000_000
 MAX_ESTIMATORS = 100_000
+# the longest orbit the loop copies, and the solves of a row the map's memory keeps
+REST_DEPTH = 4
 
 # the only keys a scenario may set that have no built-in default; every
 # other allowed key is a key of builtin_config
@@ -269,6 +262,7 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         d["plant"]["n_cells"] = _integer(d["plant"]["n_cells"], "plant.n_cells")
         params, profile = PvParams(**d["plant"]), EnvProfile(**d["profile"])
         params.check_temperatures(v for _, v in profile.temperature)
+        params.check_conditions(times := np.arange(horizon + 1) * dt, *profile_eval(profile, times))
         built = dict(plant=params, profile=profile)
 
     n = _integer(ens["n"], "ensemble.n")
@@ -456,6 +450,60 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+class _MapMemory:
+    """A run's memory of the optimum map, called in its place: per row, in one ring
+    per seed, the last ``REST_DEPTH`` rows ``optimum_step`` solved, with optima and
+    solver states.  A row bit-equal to one takes those over and changes nothing; the
+    others are solved in one step and written over their seed's oldest entries."""
+
+    def __init__(self, step, n_seeds: int, dim: int):
+        self.step, self.n_seeds, self.slot = step, n_seeds, np.zeros(n_seeds, dtype=int)
+        self.item = np.dtype((np.void, 8 * dim))  # a row of coefficients as one item
+        self.rows = self.last = self.ahead = None  # nothing solved yet
+
+    def _keep(self, sel, rows, optima, last, ahead):
+        """Write the rows ``sel`` just solved (all when None) over their seeds' oldest entries."""
+        seed = 0 if self.n_seeds == 1 else self.seed[self.cols if sel is None else sel]
+        at = self.slot[seed]
+        if sel is None and self.n_seeds == 1:  # one seed writes whole slabs
+            self.rows[at], self.opt[at], self.lasts[at], self.aheads[at] = rows, optima, last, ahead
+        else:
+            sel = self.cols if sel is None else sel
+            self.rows[at, sel], self.opt[at, sel] = rows, optima
+            self.lasts[at, :, sel], self.aheads[at, :, sel] = last.T, ahead.T
+        self.slot[seed] = (at + 1) % REST_DEPTH
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(thetas)
+        if np.count_nonzero(finite) != finite.size:
+            raise DomainError("the optimum map's rows must be finite", rows=~finite.all(axis=1))
+        thetas = np.ascontiguousarray(thetas, dtype=float)  # rows compared as bytes below
+        # bit by bit, after a cheap look for rows whose first coefficient has an entry
+        if (self.rows is not None and np.count_nonzero(self.rows[..., 0] == thetas[:, 0])
+                and np.count_nonzero(hit := thetas.view(self.item)[:, 0] == self.keys)):
+            # every row's entry, then the rows with none solved over theirs
+            at, sel = hit.argmax(axis=0), np.flatnonzero(~hit.any(axis=0))
+            optima = self.opt[at, self.cols]
+            last, ahead = (ring[at, self.axis, self.cols] for ring in (self.lasts, self.aheads))
+            if sel.size:
+                solved = self.step(thetas[sel], self.last[:, sel], self.ahead[:, sel])
+                optima[sel], last[:, sel], ahead[:, sel] = solved
+                self._keep(sel, thetas[sel], *solved)
+            self.last, self.ahead = last, ahead
+            return optima
+        # every row moved, which a slice selects without a copy; the first call is cold
+        optima, self.last, self.ahead = self.step(thetas, self.last, self.ahead)
+        if self.rows is None:
+            n, depth = len(thetas), REST_DEPTH
+            self.rows, self.opt = np.full((depth, *thetas.shape), np.nan), np.empty((depth, n))
+            self.keys = self.rows.view(self.item)[..., 0]  # the rows as items, (depth, n)
+            self.lasts, self.aheads = np.empty((2, depth, *self.last.shape), complex)
+            self.cols, self.axis = np.arange(n), np.arange(len(self.last))[:, None]
+            self.seed = self.cols // (n // self.n_seeds)
+        self._keep(None, thetas, optima, self.last, self.ahead)
+        return optima
+
+
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Simulate one scenario deterministically for its configured seed."""
     return _run(config, [config.seed])[0]
@@ -514,64 +562,61 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 return q
         return 0
 
-    # a dual tick rests one tick deep, as the optimum map gives a repeated row its
-    # optimum only from one call back; a tracker's dither repeats every 3 or 4 ticks
-    depth = 1 if dual else 4
     # the x bytes and plant state, and the estimates, that the last ticks started from
-    starts, estimates = deque(maxlen=depth), deque(maxlen=depth)
+    starts, estimates = deque(maxlen=REST_DEPTH), deque(maxlen=REST_DEPTH)
     start = plant.x.tobytes(), plant.state()
     changes = None  # input_changes(), once a tick repeats a start: a noisy run never does
-    # the optimum map may reuse its previous solve from one tick to the next
-    with model.warm_start():
-        k = 0
-        while k <= cfg.horizon:
-            starts.append(start)
-            estimates.append(ens.thetas)
-            j_obs = plant.observe(k, noise[:, k])
-            if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
-                raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
-            if dual:
-                phi, known, phi_ref, dphi_ref = plant.bases()
-                ens = adapt(ens, phi, known, j_obs)
-                centre, dev = moments(ens.thetas)
-                try:
-                    ps = predict(ens, dev, phi_ref, dphi_ref, model)
-                except DomainError as exc:  # the map refuses non-finite predicted estimates
-                    raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
-                               "estimator ensemble diverged") from None
-                g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
-                inc = -delta * (g_exploit + g_explore)
-                learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
-                             np.abs(g_exploit), np.abs(g_explore))
-            else:
-                inc, learn_row = plant.track(j_obs), ()
-            data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
-            if learn and not _all_finite(learned[:, :, k]):
-                raise fail(np.isfinite(learned[:, :, k]).all(axis=0), k, k,
-                           "estimator ensemble diverged")
-            if not _all_finite(plant.x):
-                raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
-                           "state became non-finite")
-            # ticks k - q + 1..k that led back to the state they started from give
-            # their rows again, in turn, until an input moves; x first, where a
-            # moving tick differs
-            start = plant.x.tobytes(), plant.state()
-            if k < cfg.horizon and start in starts:
-                # the inputs of ticks first..end - 1 all equal k's
-                changes = changes or input_changes()
-                i = bisect.bisect_right(changes, k)
-                first, end = changes[i - 1] if i else 0, changes[i]
-                q = period(start, k + 1 - first)
-                m = (end - 1 - k) // q if q else 0  # whole cycles before end
-                if m:
-                    stop = k + 1 + m * q
-                    for r in range(q):
-                        data[:n_tick, :, k + 1 + r:stop:q] = data[:n_tick, :, k - q + 1 + r, None]
-                    k = stop - 1
-                    # the stored starts would name ticks that the copy skipped
-                    starts.clear()
-                    estimates.clear()
-            k += 1
+    solve = (_MapMemory(model.optimum_step, len(seeds), model.dim) if model.optimum_step
+             else model.optimum_map_batch)
+    k = 0
+    while k <= cfg.horizon:
+        starts.append(start)
+        estimates.append(ens.thetas)
+        j_obs = plant.observe(k, noise[:, k])
+        if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
+            raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
+        if dual:
+            phi, known, phi_ref, dphi_ref = plant.bases()
+            ens = adapt(ens, phi, known, j_obs)
+            centre, dev = moments(ens.thetas)
+            try:
+                ps = predict(ens, dev, phi_ref, dphi_ref, model, solve)
+            except DomainError as exc:  # the map refuses non-finite predicted estimates
+                raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
+                           "estimator ensemble diverged") from None
+            g_exploit, g_explore = exploit_grad(plant.ref, ps.r_mean), ps.r_var_grad
+            inc = -delta * (g_exploit + g_explore)
+            learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
+                         np.abs(g_exploit), np.abs(g_explore))
+        else:
+            inc, learn_row = plant.track(j_obs), ()
+        data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
+        if learn and not _all_finite(learned[:, :, k]):
+            raise fail(np.isfinite(learned[:, :, k]).all(axis=0), k, k,
+                       "estimator ensemble diverged")
+        if not _all_finite(plant.x):
+            raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
+                       "state became non-finite")
+        # ticks k - q + 1..k that led back to the state they started from give
+        # their rows again, in turn, until an input moves; x first, where a
+        # moving tick differs
+        start = plant.x.tobytes(), plant.state()
+        if k < cfg.horizon and start in starts:
+            # the inputs of ticks first..end - 1 all equal k's
+            changes = changes or input_changes()
+            i = bisect.bisect_right(changes, k)
+            first, end = changes[i - 1] if i else 0, changes[i]
+            q = period(start, k + 1 - first)
+            m = (end - 1 - k) // q if q else 0  # whole cycles before end
+            if m:
+                stop = k + 1 + m * q
+                for r in range(q):
+                    data[:n_tick, :, k + 1 + r:stop:q] = data[:n_tick, :, k - q + 1 + r, None]
+                k = stop - 1
+                # the stored starts would name ticks that the copy skipped
+                starts.clear()
+                estimates.clear()
+        k += 1
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
 

@@ -20,22 +20,13 @@ of ``import dcee``, and a quadratic run never evaluates the diode.
 
 The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
-polynomial over the operating band, through the roots of the derivative.
-A call finds those roots cold by companion-matrix eigenvalues.  Inside
-the model's ``warm_start`` scope, which the tick loop holds open for one
-run, each call instead starts from the roots of the last two calls,
-extrapolated one call ahead, and refines them by Newton steps, one or two
-in the shipped run, since the estimates barely move from one tick to the
-next; a row the steps do not settle goes back to the eigenvalues.  A row
-that repeats the same row of the last call bit for bit is not solved: it
-gets its last optimum, and its roots do not advance.  The scope's memory
-is dropped when it closes, so every call outside a run, and the first
-call of every run, is cold.
+polynomial over the operating band, through the roots of the derivative:
+companion-matrix eigenvalues cold, or the model's pure ``optimum_step``,
+Newton steps from a solver state that the run keeps (see ``harness``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -100,6 +91,16 @@ class PvParams:
             if not (i_ph > 0 and 0 < i_0 < math.inf):
                 raise ValueError(f"at {temp} degC the panel has no positive photocurrent "
                                  "and saturation current")
+
+    def check_conditions(self, times, irradiance, temperature) -> None:
+        """Raise ValueError at the first time whose lit condition has a photocurrent outside
+        [1e-6 (I_0 + a / r_sh), 1e6 a / r_s], where the current is rounding noise (README)."""
+        a, i_ph, i_0 = _thermal(self, irradiance, temperature)
+        held = (i_ph <= 0) | (i_ph >= 1e-6 * (i_0 + a / self.r_sh)) & (i_ph * self.r_s <= 1e6 * a)
+        if np.count_nonzero(held) < held.size:
+            k = int(np.argmin(held))
+            raise ValueError(f"profile: the diode model does not resolve the panel's current "
+                             f"at t = {times[k]} s ({irradiance[k]} W/m^2, {temperature[k]} degC)")
 
 
 @dataclass
@@ -422,18 +423,11 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     basis and optimum-map jacobians are closed-form, so the exploration
     gradient needs no extra optimum-map solves.
 
-    While a ``warm_start()`` scope is open, each optimum-map call starts
-    each row from its derivative roots z_k of the last call that solved
-    it, extrapolated to 2 z_k - z_(k-1) when a call before had solved it
-    too (see ``_poly_argmax_batch``).  A row bit-identical to the same row
-    of the last call returns its last optimum and keeps its roots; only
-    the other rows are solved, so when every row repeats nothing is.  So
-    ticking through a fixed point gives the bits of the tick loop's
-    fast-forward over it, whatever the other rows of the batch do.  A
-    call with another row count than the last starts cold and reuses
-    nothing.  The rows, optima and roots are dropped when the scope
-    closes, also on an exception, and a nested scope starts empty and
-    hands the outer one back its own.
+    ``optimum_map_batch`` solves cold; ``optimum_step(thetas, last, ahead)``
+    is cold when ``last`` is None, and otherwise starts each row from
+    ``ahead`` (see ``_poly_argmax_batch``).  It returns the optima, the
+    (complex) roots z_k and the next start 2 z_k - z_(k-1), z_(k-1) = ``last``
+    (z_k itself after a cold solve).  Its rows must be finite.
     """
     if degree < 2:
         raise ValueError("polynomial degree must be at least 2")
@@ -455,45 +449,18 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     j = np.arange(degree + 1.0)  # floats, as an int power is cast on every call
     j_less, j_slope, j_curv = np.maximum(j - 1, 0), j[1:, None], (j[2:] * j[1:-1])[:, None]
 
-    # while a warm_start scope is open: the last call's rows and optima, and per
-    # row its last solved roots and the start of its next solve
-    warm = None
-    row = np.dtype((np.void, 8 * (degree + 1)))  # a row of coefficients as one item
-
     def opt_batch(thetas):
         finite = np.isfinite(thetas)
         if np.count_nonzero(finite) != finite.size:
             raise DomainError("polynomial coefficients must be finite",
                               rows=~finite.all(axis=1))
-        if warm is None:
-            return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
-        rows, optima, last, ahead = warm
-        thetas = np.ascontiguousarray(thetas, dtype=float)  # rows compared as bytes below
-        if rows is None or rows.shape != thetas.shape:
-            optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
-            # copies: the caller owns thetas, and later calls write the rest row by
-            # row; complex, as a batch whose eigenvalues are all real gives real roots
-            warm[:] = thetas.copy(), optima, roots.astype(complex), roots.astype(complex)
-            return optima.copy()
-        # bit by bit, so that a repeated row gets exactly what solving it again would
-        new = (thetas.view(row) != rows.view(row))[:, 0]
-        moved = np.count_nonzero(new)
-        if moved:  # only the rows that moved are solved and advance
-            sel = slice(None) if moved == new.size else new  # a slice copies no rows
-            found, roots = _poly_argmax_batch(thetas[sel], s_lo, s_hi, v_scale, v_shift,
-                                              ahead[:, sel])
-            optima[sel], ahead[:, sel], last[:, sel] = found, 2.0 * roots - last[:, sel], roots
-            np.copyto(rows, thetas)
-        return optima.copy()
+        return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
 
-    @contextlib.contextmanager
-    def warm_start():
-        nonlocal warm
-        outer, warm = warm, [None] * 4
-        try:
-            yield
-        finally:
-            warm = outer
+    def step(thetas, last, ahead):
+        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, ahead)
+        if last is None:  # eigenvalues that are all real come back real
+            return optima, roots.astype(complex), roots.astype(complex)
+        return optima, roots, 2.0 * roots - last
 
     def basis(y):
         s = (np.asarray(y, dtype=float) - v_shift) / v_scale
@@ -525,5 +492,5 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         optimum_map_batch=opt_batch,
         basis_jacobian=dbasis,
         optimum_jacobian=dopt,
-        warm_start=warm_start,
+        optimum_step=step,
     )

@@ -17,11 +17,10 @@ finds the largest ``||phi(y)||`` on it by grid scan.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, ContextManager
+from typing import Callable
 
 import numpy as np
 
@@ -48,33 +47,21 @@ class RewardModel:
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     optimum_map_batch : callable
-        (N, dim) parameter vectors -> (N,) maximising outputs, the
-        model's only optimum map; a single vector is a batch of one row.
+        (N, dim) parameter vectors -> (N,) maximising outputs, solved
+        cold; a single vector is a batch of one row.
     basis_jacobian : callable
         outputs y -> d(unknown_basis)/dy, shape y.shape + (dim,).
     optimum_jacobian : callable
         (thetas (N, dim), optima (N,)) -> d(optimum)/dtheta per row,
-        shape (N, dim).  ``optima`` must be what ``optimum_map_batch``
-        returned for ``thetas``; the jacobian reuses it instead of solving
+        shape (N, dim).  ``optima`` must be what the map returned for
+        ``thetas``; the jacobian reuses it instead of solving
         again.  Where the map pins an optimum (the quadratic model's
         parameter floor) the jacobian is zero, so a pinned estimator adds
         nothing to the exploration gradient.
-    warm_start : callable
-        () -> context manager.  One simulation run holds it open around
-        its tick loop; inside it ``optimum_map_batch`` may start each solve
-        from earlier calls (pv-poly: the last two calls' roots), so its
-        results can differ from a cold call's in the last bits.  Any map
-        that keeps state there must give a row that repeats the same row
-        of its last call bit for bit that call's optimum for it, and leave
-        that row's state as it was: the tick loop relies on this when it
-        copies the row of a tick at a fixed point instead of computing the
-        ticks that repeat it (see ``harness``), and without it a seed's
-        trace would depend on its batch.  The rule reaches one call back
-        only, so the loop copies a dual tick's row only from a fixed point,
-        never a longer orbit: a row that repeats the call before last may
-        get another optimum than that call gave it.  Nothing is kept once
-        it closes.
-        The default, for maps that keep nothing, is ``contextlib.nullcontext``.
+    optimum_step : callable or None
+        The map as a pure function of a solver state, for a run's memory of it
+        (``harness``): (thetas, last, ahead) -> (optima, roots, next start), cold
+        when ``last`` is None; None where the map has no solver state (quadratic).
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]
@@ -84,7 +71,7 @@ class RewardModel:
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     basis_jacobian: Callable[[np.ndarray], np.ndarray]
     optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    warm_start: Callable[[], ContextManager] = contextlib.nullcontext
+    optimum_step: Callable[..., tuple] | None = None
 
 
 @dataclass

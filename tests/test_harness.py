@@ -27,7 +27,7 @@ import dcee
 from dcee import harness, pv
 from dcee.cli import main as cli_main
 from dcee.harness import write_plot_script
-from reference import reference_tracker_run
+from reference import reference_mppt_run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -123,8 +123,9 @@ def test_a_panel_that_overflows_is_refused_without_a_warning(tmp_path, capsys):
 
 
 def test_a_profile_without_a_finite_maximum_power_point_is_refused(tmp_path, capsys):
-    # at 1e308 W/m^2 the open-circuit voltage overflows: the oracle reads
-    # inf V and NaN W, which no run may write into its trace
+    # at 1e308 W/m^2 the open-circuit voltage overflows: the oracle would read
+    # inf V and NaN W, which no run may write into its trace; the config
+    # refuses the photocurrent first (with r_s = 0 the panel refuses the oracle)
     d = builtin_config("mppt")
     d["controller"]["algo"] = "hc"
     d["run"] = {"horizon": 10}
@@ -137,6 +138,37 @@ def test_a_profile_without_a_finite_maximum_power_point_is_refused(tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "profile" in err and "t = 0.004 s" in err and "1e+308 W/m^2, 25.0 degC" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo, plant, irradiance, message", [
+    ("hc", {}, 1e20, "does not resolve the panel's current"),
+    ("dcee", {}, 1e20, "does not resolve the panel's current"),
+    ("hc", {}, 1e30, "does not resolve the panel's current"),
+    ("dcee", {}, 1e30, "does not resolve the panel's current"),
+    ("hc", {"i_sc_ref": 5.4e300}, 600.0, "does not resolve the panel's current"),
+    # with r_s = 0 the current resolves; at 1e308 W/m^2 the oracle overflows
+    ("hc", {"r_s": 0.0}, 1e308, "no finite maximum power point"),
+])
+def test_a_profile_the_diode_model_cannot_resolve_exits_2(tmp_path, capsys, algo, plant,
+                                                          irradiance, message):
+    # these used to run to exit 0: at 1e20 W/m^2 the oracle read 80 V, outside
+    # v_range, and the current a constant 192 A; at 1e30 W/m^2 and with
+    # i_sc_ref = 5.4e300 it read about 1e-28 V
+    d = builtin_config("mppt")
+    d["controller"]["algo"] = algo
+    d["plant"].update(plant)
+    d["run"] = {"horizon": 10}
+    d["profile"] = {"irradiance": [[0.0, 600.0], [0.004, 600.0], [0.004, irradiance]],
+                    "temperature": [[0.0, 25.0]]}
+    cfg_path = tmp_path / "meaningless.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "meaningless.csv"
+    assert cli_main(["mppt", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "profile" in err and message in err
+    t = 0.0 if irradiance == 600.0 else 0.004
+    assert f"t = {t} s ({irradiance} W/m^2, 25.0 degC)" in err
     assert not out.exists()
 
 
@@ -234,15 +266,12 @@ def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate, variance, hori
     # every call after their first
     cold = [i for i, start in enumerate(starts) if start is None]
     assert cold[0] == 0 and [len(seen[i]) for i in cold] == cold_rows
-    # the run's last call solved all its rows; the same rows after the run,
-    # twice, and first in a new scope are solved again, cold
+    # the run's memory went with it: the model's map solves the last call's
+    # rows cold, twice, and gives the bits of a fresh model's map
     thetas, starts[:] = seen[-1], []
     assert len(thetas) == 50
     got = [cfg.model.optimum_map_batch(thetas) for _ in range(2)]
-    with cfg.model.warm_start():
-        got.append(cfg.model.optimum_map_batch(thetas))
-    assert [s is None for s in starts] == [True] * 3
-    assert [len(rows) for rows in seen[-3:]] == [50] * 3
+    assert starts == [None] * 2
     cold = config_from_dict(d).model.optimum_map_batch(thetas)
     for out in got:
         assert np.array_equal(out, cold)
@@ -300,13 +329,14 @@ def _computed_ticks(monkeypatch) -> list:
 
 def test_resting_seeds_trace_does_not_depend_on_their_batch(monkeypatch):
     # the noise-free run comes to rest on an exact fixed point, from which a
-    # seed alone fast-forwards to the next change of input; seed 12345 keeps
-    # one estimator in a period-2 cycle of its last bits, so in this batch
-    # every tick of the rest is computed, and the optimum map gets blocks
-    # whose rows only partly repeat; each seed must still get the bits of
-    # its run alone.  With the irradiance stepped from 950 to 1000 W/m2 at
-    # t = 1.7 s, seed 1 alone rests, resumes at the step and rests again
-    ticks, step, seeds = _computed_ticks(monkeypatch), 1700, [1, 12345, 7]
+    # seed alone fast-forwards to the next change of input; seeds 12345 and 5
+    # keep one estimator in a period-2 cycle of its last bits, which the run
+    # copies too, so the batch rests on the orbit of period 2 its seeds form,
+    # and the optimum map gets blocks whose rows only partly repeat; each seed
+    # must still get the bits of its run alone.  With the irradiance stepped
+    # from 950 to 1000 W/m2 at t = 1.7 s, seed 1 alone rests, resumes at the
+    # step and rests again
+    ticks, step, seeds = _computed_ticks(monkeypatch), 1700, [1, 12345, 7, 5]
     for stepped in (False, True):
         d = builtin_config("mppt")
         if stepped:
@@ -321,9 +351,9 @@ def test_resting_seeds_trace_does_not_depend_on_their_batch(monkeypatch):
             for col in ref.columns:
                 assert np.array_equal(tr.values[col], ref.values[col]), (stepped, seed, col)
             computed[seed] = set(ticks)
-        # the batch computes every tick from 1200; seed 1 alone rests before
-        # the step and at the end
-        assert set(range(1200, cfg.horizon + 1)) <= computed["batch"]
+        # the batch, too, rests on some of ticks 1200..step - 1 (a one-deep rest
+        # computed them all); seed 1 alone rests before the step and at the end
+        assert set(range(1200, step)) - computed["batch"]
         rested = set(range(cfg.horizon + 1)) - computed[1]
         assert {step - 1, cfg.horizon - 1} <= rested and (step in computed[1]) == stepped
 
@@ -728,22 +758,33 @@ def test_design_gains_runs_once_per_validation(tmp_path, monkeypatch):
 
 
 def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
+    # each computed tick hands its rows to the run's memory of the map once,
+    # which solves the rows that moved in one step; a 30-tick run moves every
+    # row on every tick; the shipped run's seed 1, and seed 5, where one
+    # estimator cycles with period 2, rest on about a quarter of their ticks
     solved = []
     build = harness.pv_poly_reward
 
     def counting_model(*args, **kwargs):
         model = build(*args, **kwargs)
-        solve = model.optimum_map_batch
+        step = model.optimum_step
 
-        def counted(thetas):
+        def counted(thetas, last, ahead):
             solved.append(len(thetas))
-            return solve(thetas)
+            return step(thetas, last, ahead)
 
-        return dataclasses.replace(model, optimum_map_batch=counted)
+        return dataclasses.replace(model, optimum_step=counted)
 
     monkeypatch.setattr(harness, "pv_poly_reward", counting_model)
+    calls = _count_calls(monkeypatch, "predict")
     run_scenario(short_mppt(horizon=30))
-    assert solved == [50] * 31
+    assert solved == [50] * 31 and calls["predict"] == 31
+    for seed, computed, steps in ((1, 1398, 1375), (5, 1442, 1414)):
+        solved.clear()
+        calls["predict"] = 0
+        run_scenario(config_from_dict(builtin_config("mppt")).with_updates(seed=seed))
+        assert (calls["predict"], len(solved)) == (computed, steps)
+        assert max(solved) == 50 and min(solved) >= 1
 
 
 def _count_calls(monkeypatch, *names) -> dict:
@@ -829,10 +870,54 @@ def test_tracker_runs_give_the_bits_of_a_plain_tick_loop(algo, profile):
     elif profile != "shipped":
         d["profile"] = _PROFILES[profile]
     cfg = config_from_dict(d)
-    tr, ref = run_scenario(cfg), reference_tracker_run(cfg)
+    tr, ref = run_scenario(cfg), reference_mppt_run(cfg)
     assert set(ref) <= set(tr.columns)
     for name, col in ref.items():
         assert tr.column(name).astype(float).tobytes() == col.tobytes(), name
+
+
+def _dcee_case(horizon=None, variance=None, degree=None) -> "harness.ScenarioConfig":
+    """The shipped mppt dcee scenario, shortened, noisy or of another degree;
+    a degree takes the shipped prior's first bounds, the last repeated."""
+    d = builtin_config("mppt")
+    if horizon is not None:
+        d["run"] = {"horizon": horizon}
+    if variance is not None:
+        d["noise"]["variance"] = variance
+    if degree is not None:
+        d["reward"]["degree"] = degree
+        for key in ("prior_low", "prior_high"):
+            bounds = d["ensemble"][key]
+            d["ensemble"][key] = (bounds + bounds[-1:] * degree)[:degree + 1]
+    return config_from_dict(d)
+
+
+@functools.cache
+def _reference_dcee(case, seed):
+    return reference_mppt_run(_DCEE_CASES[case].with_updates(seed=seed))
+
+
+_DCEE_CASES = {"shipped": _dcee_case(), "noisy": _dcee_case(300, 1.0),
+               "degree-4": _dcee_case(200, degree=4), "degree-6": _dcee_case(200, degree=6)}
+
+
+def test_dcee_runs_match_a_plain_tick_loop(capsys):
+    # the batched loop, its fast-forward over periodic orbits and its memory of
+    # the optimum map keep the tick of a plain per-seed loop on the model's cold
+    # map: the period-2 seed 5, a batch, a noisy run and two other degrees
+    worst = {}
+    for case, seeds in (("shipped", [1]), ("shipped", [5]), ("shipped", [1, 5, 13]),
+                        ("noisy", [1]), ("degree-4", [1]), ("degree-6", [1])):
+        for seed, tr in zip(seeds, run_seeds(_DCEE_CASES[case], seeds)):
+            ref = _reference_dcee(case, seed)
+            assert set(ref) == set(tr.columns)
+            for name, col in ref.items():
+                gap = float(np.max(np.abs(tr.column(name) - col)))
+                worst[name] = max(worst.get(name, 0.0), gap)
+    with capsys.disabled():
+        print("\nlargest deviation from the plain dcee loop per column:",
+              ", ".join(f"{name} {gap:.2g}" for name, gap in worst.items()))
+    assert max(worst.values()) <= 1e-12
 
 
 @pytest.mark.parametrize("kind, horizon, per_tick", [("quadratic-linear", 300, 2), ("mppt", None, 1)])
@@ -1216,9 +1301,12 @@ def test_import_does_not_load_scipy_optimize():
     assert got["ufunc"] and got["same_bits"]
 
 
-def test_benchmark_tracer_names_exist(monkeypatch):
+def test_benchmark_tracer_names_exist(monkeypatch, tmp_path, capsys):
     # perfbench/tracer.py patches these module attributes by name; an import
-    # that looks unused here (explore_grad in harness) is one of them
+    # that looks unused here (explore_grad in harness) is one of them.  Traced
+    # runs, a 20-tick dcee run built under the tracer, a quadratic one (whose
+    # loop calls the tracer's wrapper of the map) and a 20-tick hc run through
+    # the CLI, give the bits of untraced ones
     path = REPO / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -1226,3 +1314,28 @@ def test_benchmark_tracer_names_exist(monkeypatch):
     spec.loader.exec_module(tracer)
     assert [n for n in tracer.HARNESS_NAMES if not hasattr(harness, n)] == []
     assert [n for n in tracer.CLI_NAMES if not hasattr(dcee.cli, n)] == []
+    mppt, quad = builtin_config("mppt"), builtin_config("quadratic-linear")
+    mppt["run"], quad["run"]["horizon"] = {"horizon": 20}, 20
+    hc = dict(mppt, controller={**mppt["controller"], "algo": "hc"})
+    cfg_path = tmp_path / "hc.json"
+    cfg_path.write_text(json.dumps(hc))
+    traces = []
+    for traced in (True, False):
+        spans = tracer.Tracer()
+        if traced:
+            spans.install()
+        try:
+            runs = [harness.run_scenario(harness.config_from_dict(d))
+                    for d in (mppt, quad)]
+            out = tmp_path / f"hc-{traced}.csv"
+            assert dcee.cli.main(["mppt", "--config", str(cfg_path), "--out", str(out)]) == 0
+        finally:
+            spans.restore()
+        names = {name for name, *_ in spans.spans}
+        assert (tracer.OPTIMUM_MAP in names) == traced
+        traces.append((*runs, read_trace_csv(out)))
+    capsys.readouterr()
+    for traced, untraced in zip(*traces):
+        assert traced.columns == untraced.columns
+        for col in traced.columns:
+            assert np.array_equal(traced.values[col], untraced.values[col]), col

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcee import builtin_config, explore_grad, init_ensemble, moments, pv_poly_reward
+from dcee.harness import _MapMemory
 from dcee.pv import _companion_roots, _newton, _poly_argmax_batch
 from reference import predict_at
 
@@ -50,34 +51,37 @@ def test_pv_poly_closed_form_gradient_matches_fd(seed, n, v):
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 7), n=st.integers(1, 6),
-       drift=st.sampled_from([1e-10, 1e-7, 1e-4, None]), resize=st.integers(1, 6),
-       s_lo=st.floats(-2.0, 0.0), width=st.floats(0.1, 3.0))
-def test_warm_poly_argmax_matches_cold(seed, m, n, drift, resize, s_lo, width):
-    # six calls in one warm_start scope: polynomials drifting by a relative
-    # step of ``drift``, as in a run, or unrelated draws (drift None) that
-    # send rows back to the eigenvalues; call ``resize`` gets a row more
+       drift=st.sampled_from([1e-10, 1e-7, 1e-4, None]), repeat=st.integers(1, 5),
+       back=st.integers(1, 4), s_lo=st.floats(-2.0, 0.0), width=st.floats(0.1, 3.0))
+def test_warm_poly_argmax_matches_cold(seed, m, n, drift, repeat, back, s_lo, width):
+    # six calls of one run's memory of the map: polynomials drifting by a
+    # relative step of ``drift``, as in a run, or unrelated draws (drift None)
+    # that send rows back to the eigenvalues; call ``repeat`` repeats the
+    # call ``back`` calls before it and gets its bits
     s_hi = s_lo + width
     model = pv_poly_reward(degree=m - 1, v_range=(s_lo, s_hi))
+    memory = _MapMemory(model.optimum_step, 1, model.dim)
     rng = np.random.default_rng(seed)
     grid = np.linspace(s_lo, s_hi, 20_001)
-    thetas = rng.uniform(-100.0, 100.0, (n, m))
-    with model.warm_start():
-        for k in range(6):
-            if k and drift is None:
-                thetas = rng.uniform(-100.0, 100.0, (n, m))
-            elif k:
-                thetas = thetas * (1.0 + drift * rng.uniform(-1.0, 1.0, (n, m)))
-            batch = np.vstack([thetas, thetas[:1]]) if k == resize else thetas
-            warm = model.optimum_map_batch(batch)
-            cold = _poly_argmax_batch(batch, s_lo, s_hi, 1.0)[0]
-            if k == resize:  # another row count starts cold
-                assert np.array_equal(warm, cold)
-            for th, s, s_cold in zip(batch, warm, cold):
-                assert s_lo <= s <= s_hi
-                best = np.polynomial.polynomial.polyval(grid, th).max()
-                at_s, at_cold = np.polynomial.polynomial.polyval([s, s_cold], th)
-                assert at_s >= best - 1e-9 * max(1.0, abs(best))
-                assert abs(at_s - at_cold) <= 1e-12 * max(1.0, abs(at_cold))
+    thetas, calls = rng.uniform(-100.0, 100.0, (n, m)), []
+    for k in range(6):
+        if k == repeat and back <= k:
+            thetas = calls[k - back][0]
+        elif k and drift is None:
+            thetas = rng.uniform(-100.0, 100.0, (n, m))
+        elif k:
+            thetas = thetas * (1.0 + drift * rng.uniform(-1.0, 1.0, (n, m)))
+        warm = memory(thetas)
+        calls.append((thetas, warm))
+        if k == repeat and back <= k:
+            assert np.array_equal(warm, calls[k - back][1])
+        cold = _poly_argmax_batch(thetas, s_lo, s_hi, 1.0)[0]
+        for th, s, s_cold in zip(thetas, warm, cold):
+            assert s_lo <= s <= s_hi
+            best = np.polynomial.polynomial.polyval(grid, th).max()
+            at_s, at_cold = np.polynomial.polynomial.polyval([s, s_cold], th)
+            assert at_s >= best - 1e-9 * max(1.0, abs(best))
+            assert abs(at_s - at_cold) <= 1e-12 * max(1.0, abs(at_cold))
 
 
 @PROPERTY

@@ -9,6 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from dcee import (DomainError, EnvProfile, PvParams, mpp_oracle, open_circuit_voltage,
                   profile_eval, pv, pv_current, pv_poly_reward)
+from dcee.harness import _MapMemory
 from dcee.pv import _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
@@ -207,6 +208,52 @@ def test_mpp_oracle_matches_reference(params, irradiance, temperature):
         assert _reference_dpdv(params, v_star * (1.0 + 1e-6), irradiance, temperature) < 0.0
     else:
         assert p_star <= 1e-9
+
+
+def _diode_residual(params, g, temp):
+    """The diode equation's relative residual at the oracle's maximum power point,
+    |I_ph - I_0 (e^((V + I r_s) / a) - 1) - (V + I r_s) / r_sh - I| / I_ph, and
+    whether that point lies in (0, V_oc)."""
+    v, _ = mpp_oracle(params, g, temp)
+    a, i_ph, i_0 = _thermal(params, g, temp)
+    i = pv_current(params, v, g, temp)
+    v_j = v + i * params.r_s
+    inside = 0.0 < v < open_circuit_voltage(params, g, temp)
+    return abs(i_ph - i_0 * np.expm1(v_j / a) - v_j / params.r_sh - i) / i_ph, inside
+
+
+def _refused(params, g, temp) -> bool:
+    try:
+        params.check_conditions(np.zeros(1), np.array([g]), np.array([temp]))
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("i_sc_ref, g, refused", [
+    (5.4, 300.0, False), (5.4, 1000.0, False), (5.4, 1e6, False), (5.4, 1e-3, False),
+    (5.4, 1e20, True), (5.4, 1e30, True), (5.4, 1e-300, True), (5.4e300, 600.0, True)])
+def test_refused_conditions_are_where_the_diode_equation_fails(i_sc_ref, g, refused):
+    # the residual is at most 1.8e-16 on the shipped conditions; at 1e20 W/m^2
+    # the current is the difference of two terms near 5e17 A and the residual
+    # is 10; at 1e30 W/m^2, at 1e-300 W/m^2 and with i_sc_ref = 5.4e300 the
+    # oracle falls to a voltage near 0 or on it, outside (0, V_oc)
+    params = PvParams(i_sc_ref=i_sc_ref)
+    with np.errstate(all="ignore"):
+        resid, inside = _diode_residual(params, g, 25.0)
+    assert (not inside or resid > 1e-8) == refused == _refused(params, g, 25.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(params=PANELS, log_g=st.floats(-20.0, 25.0), temperature=st.floats(-10.0, 60.0))
+def test_conditions_the_panel_accepts_solve_the_diode_equation(params, log_g, temperature):
+    # a lit condition inside the bounds of check_conditions has its maximum
+    # power point in (0, V_oc), where the diode equation holds to the
+    # README's relative residual of 1e-8
+    g = 10.0 ** log_g
+    if not _refused(params, g, temperature):
+        resid, inside = _diode_residual(params, g, temperature)
+        assert inside and resid <= 1e-8
 
 
 def _bits(a):
@@ -453,26 +500,30 @@ def _solved_rows(monkeypatch):
     return solved
 
 
-def test_warm_map_with_another_row_count_starts_cold(monkeypatch):
-    # the previous call's roots and optima fit only a call with its row
-    # count; a call with fewer or more rows, even rows that repeat the last
-    # call's bits, is solved and gives the bits of a cold call
-    from dcee import builtin_config
-    prior = builtin_config("mppt")["ensemble"]
-    rng = np.random.default_rng(5)
-    thetas = rng.uniform(prior["prior_low"], prior["prior_high"], size=(100, 6))
-    moved = thetas * (1.0 + 1e-4 * rng.standard_normal(thetas.shape))
-    model = pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0)
-    solved = _solved_rows(monkeypatch)
-    with model.warm_start():
-        model.optimum_map_batch(thetas)
-        fewer = model.optimum_map_batch(moved[:50])
-        more = model.optimum_map_batch(moved)
-        repeated = model.optimum_map_batch(moved[:25])
-    assert solved == [100, 50, 100, 25]
-    np.testing.assert_array_equal(fewer, model.optimum_map_batch(moved[:50]))
-    np.testing.assert_array_equal(more, model.optimum_map_batch(moved))
-    np.testing.assert_array_equal(repeated, model.optimum_map_batch(moved[:25]))
+def _memory(model, n_seeds=1):
+    """A run's memory of the model's optimum map, as the tick loop makes it."""
+    return _MapMemory(model.optimum_step, n_seeds, model.dim)
+
+
+def test_optimum_step_is_pure():
+    # the same rows and state give the same bits whatever was called before,
+    # on this model or a fresh one, and no argument is written to
+    model, a, b = _warm_blocks(10)
+    cold = model.optimum_step(a, None, None)
+    np.testing.assert_array_equal(cold[0], model.optimum_map_batch(a))
+    np.testing.assert_array_equal(cold[2], cold[1])  # a cold solve starts the next from its roots
+    args = (b, cold[1], cold[2])
+    kept = [x.copy() for x in args]
+    first = model.optimum_step(*args)
+    model.optimum_step(2.0 * b - a, *first[1:])
+    _memory(model)(b)
+    for again in (model.optimum_step(*args),
+                  pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0).optimum_step(*args)):
+        for x, y in zip(first, again):
+            np.testing.assert_array_equal(x, y)
+    for x, y in zip(args, kept):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(first[2], 2.0 * first[1] - cold[1])
 
 
 def test_warm_map_repeated_call_leaves_the_next_call_as_it_was():
@@ -481,67 +532,89 @@ def test_warm_map_repeated_call_leaves_the_next_call_as_it_was():
     # which B starts extrapolated)
     model, a, b = _warm_blocks(11)
     p = 2.0 * a - b
-    with model.warm_start():
-        for thetas in (p, a, a):
-            model.optimum_map_batch(thetas)
-        after_repeat = model.optimum_map_batch(b)
-    with model.warm_start():
-        for thetas in (p, a):
-            model.optimum_map_batch(thetas)
-        direct = model.optimum_map_batch(b)
-    np.testing.assert_array_equal(after_repeat, direct)
+    memory, direct = _memory(model), _memory(model)
+    for thetas in (p, a, a):
+        memory(thetas)
+    for thetas in (p, a):
+        direct(thetas)
+    np.testing.assert_array_equal(memory(b), direct(b))
 
 
 def test_warm_map_repeated_call_returns_the_last_optimum_unsolved(monkeypatch):
     model, a, b = _warm_blocks(12)
     solved = _solved_rows(monkeypatch)
-    with model.warm_start():
-        model.optimum_map_batch(b)
-        first = model.optimum_map_batch(a)
-        again = model.optimum_map_batch(a.copy())
-        np.testing.assert_array_equal(again, first)
-        again[:] = np.nan  # each call's array is its caller's own
-        np.testing.assert_array_equal(model.optimum_map_batch(a), first)
+    memory = _memory(model)
+    memory(b)
+    first = memory(a)
+    again = memory(a.copy())
+    np.testing.assert_array_equal(again, first)
+    again[:] = np.nan  # each call's array is its caller's own
+    np.testing.assert_array_equal(memory(a), first)
     assert solved == [50, 50]
 
 
 def test_warm_map_partly_repeated_block_solves_only_the_rows_that_moved(monkeypatch):
     # rows 0-24 repeat A's bits in the second call: they get A's optima, and
     # their history does not advance, so the third call gives them the bits
-    # of a scope that never saw the second call
+    # of a memory that never saw the second call
     model, a, b = _warm_blocks(13)
     mixed = np.vstack([a[:25], b[25:]])
     c = b * (1.0 + 1e-6 * np.random.default_rng(14).standard_normal(b.shape))
     solved = _solved_rows(monkeypatch)
-    with model.warm_start():
-        first = model.optimum_map_batch(a)
-        second = model.optimum_map_batch(mixed)
-        third = model.optimum_map_batch(c)
+    memory = _memory(model)
+    first, second, third = memory(a), memory(mixed), memory(c)
     assert solved == [50, 25, 50]
     np.testing.assert_array_equal(second[:25], first[:25])
-    with model.warm_start():
-        model.optimum_map_batch(a)
-        np.testing.assert_array_equal(third[:25], model.optimum_map_batch(c)[:25])
-    with model.warm_start():  # the moved rows have the history of rows that moved
-        model.optimum_map_batch(a)
-        np.testing.assert_array_equal(second[25:], model.optimum_map_batch(b)[25:])
+    memory = _memory(model)
+    memory(a)
+    np.testing.assert_array_equal(third[:25], memory(c)[:25])
+    memory = _memory(model)  # the moved rows have the history of rows that moved
+    memory(a)
+    np.testing.assert_array_equal(second[25:], memory(b)[25:])
 
 
 def test_warm_map_partly_repeated_block_after_all_real_roots():
-    # a cold call whose derivative roots are all real (every row of a
-    # quadratic) gets a real array of roots back from the eigenvalues; a
-    # later call that solves only the moved row still gives it the bits it
-    # gets when every row moves
+    # a cold solve whose derivative roots are all real (every row of a
+    # quadratic) gets a real array of roots from the eigenvalues, and the step
+    # hands them back complex; a later call that solves only the moved row
+    # still gives it the bits it gets when every row moves
     model = pv_poly_reward(2, (-1.0, 1.0))
     a = np.array([[0.0, 1.0, -1.0], [0.5, -0.3, -2.0]])
     b = a * (1.0 + 1e-6)
-    with model.warm_start():
-        model.optimum_map_batch(a)
-        part = model.optimum_map_batch(np.vstack([a[:1], b[1:]]))
-    with model.warm_start():
-        model.optimum_map_batch(a)
-        whole = model.optimum_map_batch(b)
-    np.testing.assert_array_equal(part[1], whole[1])
+    assert np.isrealobj(pv._poly_argmax_batch(a, -1.0, 1.0, 1.0)[1])
+    _, roots, ahead = model.optimum_step(a, None, None)
+    assert roots.dtype == ahead.dtype == complex
+    part, whole = _memory(model), _memory(model)
+    part(a)
+    whole(a)
+    np.testing.assert_array_equal(part(np.vstack([a[:1], b[1:]]))[1], whole(b)[1])
+
+
+def test_memory_takes_over_rows_solved_two_and_four_calls_back(monkeypatch):
+    # a period-2 cycle A, B, A, B solves each row once; after four solves
+    # A, B, C, D a repeat of A is taken over from four solves back, and the
+    # solve of E that follows replaces A's entry, the oldest, not B's; a
+    # taken-over row also takes over its state: A, B, A, C starts C from A's
+    model, a, b = _warm_blocks(15)
+    rng = np.random.default_rng(16)
+    c, d, e = (b * (1.0 + 1e-6 * rng.standard_normal(b.shape)) for _ in range(3))
+    solved = _solved_rows(monkeypatch)
+    memory = _memory(model)
+    cycle = [memory(x) for x in (a, b, a, b)]
+    assert solved == [50, 50]
+    for x, y in zip(cycle[:2], cycle[2:]):
+        np.testing.assert_array_equal(x, y)
+    solved.clear()
+    memory = _memory(model)
+    out = [memory(x) for x in (a, b, c, d, a, e, b)]
+    assert solved == [50] * 5
+    np.testing.assert_array_equal(out[4], out[0])
+    np.testing.assert_array_equal(out[6], out[1])
+    memory = _memory(model)
+    after_a = model.optimum_step(a, None, None)
+    for x in (a, b, a):
+        memory(x)
+    np.testing.assert_array_equal(memory(c), model.optimum_step(c, *after_a[1:])[0])
 
 
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
@@ -651,7 +724,8 @@ def test_pv_poly_optimum_map_rejects_non_finite_coefficients(bad):
     with pytest.raises(DomainError) as err:
         model.optimum_map_batch(thetas)
     assert np.flatnonzero(err.value.rows).tolist() == [17]  # the refused rows
-    with model.warm_start():
-        model.optimum_map_batch(np.where(np.isfinite(thetas), thetas, 0.0))
-        with pytest.raises(DomainError):  # a warm call, started from those roots
-            model.optimum_map_batch(thetas)
+    memory = _memory(model, n_seeds=2)  # a run's memory refuses them too, from any seed
+    memory(np.where(np.isfinite(thetas), thetas, 0.0))
+    with pytest.raises(DomainError) as err:  # a warm call, started from those roots
+        memory(thetas[::-1])
+    assert np.flatnonzero(err.value.rows).tolist() == [32]
