@@ -33,9 +33,11 @@ back to the state the first of them started from, a periodic orbit (q = 1
 is a fixed point; hc's dither and an estimator cycling with period 2 are
 others), the loop copies whole cycles of their rows up to the first tick
 whose inputs differ, or to the last tick, which is always computed.  A
-dual tick's optimum map goes through the run's ``_MapMemory``, so computed
-ticks of an orbit give the rows of copied ones: a seed's trace is the same
-whatever else shares its batch, which rests only when all its seeds do.
+dual tick's optimum map goes through the run's ``_MapMemory``, and a dual
+orbit is copied only while the memory keeps every row its ticks took over,
+so computed ticks of an orbit give the rows of copied ones: a seed's trace
+is the same whatever else shares its batch, which rests only when all its
+seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
 ``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
@@ -451,57 +453,105 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 class _MapMemory:
-    """A run's memory of the optimum map, called in its place: per row, in one ring
-    per seed, the last ``REST_DEPTH`` rows ``optimum_step`` solved, with optima and
-    solver states.  A row bit-equal to one takes those over and changes nothing; the
-    others are solved in one step and written over their seed's oldest entries."""
+    """A run's memory of the optimum map, called in its place.  Per seed it keeps the
+    rows of the seed's last ``REST_DEPTH`` calls that solved one of them, with their
+    optima and solver states.  A row bit-equal to a kept one takes over its optimum
+    and state; the others are solved in one step from their current states, and then
+    the seed's rows are kept over its oldest.  A call that solves nothing keeps
+    nothing, so a computed orbit gives the rows of a copied one as long as its rows
+    are all still kept: ``reach`` counts the last calls for which that holds."""
 
     def __init__(self, step, n_seeds: int, dim: int):
-        self.step, self.n_seeds, self.slot = step, n_seeds, np.zeros(n_seeds, dtype=int)
+        self.step, self.n_seeds = step, n_seeds
         self.item = np.dtype((np.void, 8 * dim))  # a row of coefficients as one item
-        self.rows = self.last = self.ahead = None  # nothing solved yet
+        self.rows = None  # nothing solved yet
+        # the calls so far, and the last one that took over a row a later keep replaced
+        self.calls = self.fence = 0
 
-    def _keep(self, sel, rows, optima, last, ahead):
-        """Write the rows ``sel`` just solved (all when None) over their seeds' oldest entries."""
-        seed = 0 if self.n_seeds == 1 else self.seed[self.cols if sel is None else sel]
-        at = self.slot[seed]
-        if sel is None and self.n_seeds == 1:  # one seed writes whole slabs
-            self.rows[at], self.opt[at], self.lasts[at], self.aheads[at] = rows, optima, last, ahead
-        else:
-            sel = self.cols if sel is None else sel
-            self.rows[at, sel], self.opt[at, sel] = rows, optima
-            self.lasts[at, :, sel], self.aheads[at, :, sel] = last.T, ahead.T
-        self.slot[seed] = (at + 1) % REST_DEPTH
+    def reach(self) -> int:
+        """How many of the last calls took over only rows still kept."""
+        return self.calls - self.fence
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         finite = np.isfinite(thetas)
         if np.count_nonzero(finite) != finite.size:
             raise DomainError("the optimum map's rows must be finite", rows=~finite.all(axis=1))
         thetas = np.ascontiguousarray(thetas, dtype=float)  # rows compared as bytes below
-        # bit by bit, after a cheap look for rows whose first coefficient has an entry
-        if (self.rows is not None and np.count_nonzero(self.rows[..., 0] == thetas[:, 0])
-                and np.count_nonzero(hit := thetas.view(self.item)[:, 0] == self.keys)):
-            # every row's entry, then the rows with none solved over theirs
-            at, sel = hit.argmax(axis=0), np.flatnonzero(~hit.any(axis=0))
-            optima = self.opt[at, self.cols]
-            last, ahead = (ring[at, self.axis, self.cols] for ring in (self.lasts, self.aheads))
-            if sel.size:
-                solved = self.step(thetas[sel], self.last[:, sel], self.ahead[:, sel])
-                optima[sel], last[:, sel], ahead[:, sel] = solved
-                self._keep(sel, thetas[sel], *solved)
-            self.last, self.ahead = last, ahead
-            return optima
-        # every row moved, which a slice selects without a copy; the first call is cold
-        optima, self.last, self.ahead = self.step(thetas, self.last, self.ahead)
-        if self.rows is None:
-            n, depth = len(thetas), REST_DEPTH
+        self.calls += 1
+        if self.rows is None:  # the first call is cold
+            optima, self.last, self.ahead = self.step(thetas, None, None)
+            n, depth, seeds = len(thetas), REST_DEPTH, self.n_seeds
             self.rows, self.opt = np.full((depth, *thetas.shape), np.nan), np.empty((depth, n))
             self.keys = self.rows.view(self.item)[..., 0]  # the rows as items, (depth, n)
             self.lasts, self.aheads = np.empty((2, depth, *self.last.shape), complex)
-            self.cols, self.axis = np.arange(n), np.arange(len(self.last))[:, None]
-            self.seed = self.cols // (n // self.n_seeds)
-        self._keep(None, thetas, optima, self.last, self.ahead)
+            self.cols, self.block = np.arange(n), n // seeds
+            # the coefficient a cheap look compares: the smallest moves first
+            self.col = int(np.abs(thetas).sum(axis=0).argmin())
+            # per seed, the slot it keeps its rows in next, and the last call that took
+            # over a row from each slot; per row, the slot of its current state
+            self.slot, self.taken = np.zeros(seeds, dtype=int), np.zeros((depth, seeds), dtype=int)
+            self.cur = np.zeros(n, dtype=int)
+        # a cheap look for rows with one coefficient kept, then bit by bit
+        elif (np.count_nonzero(look := self.rows[..., self.col] == thetas[:, self.col])
+                and (optima := self._take(thetas, look)) is not None):
+            return optima
+        else:  # every row moved, which a slice selects without a copy
+            optima, self.last, self.ahead = self.step(thetas, self.last, self.ahead)
+        self._keep(thetas, optima, None)
         return optima
+
+    def _take(self, thetas: np.ndarray, look: np.ndarray) -> np.ndarray | None:
+        """Kept rows take over their optima, and their states where these are not the
+        current ones; the other rows are solved.  None if no row is kept."""
+        cur, cols, items = self.cur, self.cols, thetas.view(self.item)[:, 0]
+        one = isinstance(cur, int)  # every row's current state in one slot
+        now = items == (self.keys[cur] if one else self.keys[cur, cols])  # the last call's rows
+        sel = (~now).nonzero()[0]
+        optima = self.opt[cur].copy() if one else self.opt[cur, cols]
+        if np.count_nonzero(look[:, sel]):  # a row that moved may be one kept before
+            hit = items[sel] == self.keys[:, sel]
+            older = hit.any(axis=0)
+            if np.count_nonzero(older):
+                at, back, sel = hit.argmax(axis=0)[older], sel[older], sel[~older]
+                optima[back] = self.opt[at, back]
+                self.last[:, back] = self.lasts[at, :, back].T
+                self.ahead[:, back] = self.aheads[at, :, back].T
+                self.taken[at, back // self.block] = self.calls
+                self.cur = np.array(np.broadcast_to(cur, now.shape))
+                self.cur[back] = at
+        if sel.size == now.size:
+            return None
+        # the slots taken from, which a keep within an orbit's calls must not replace
+        if one and self.n_seeds == 1:
+            self.taken[cur, 0] = self.calls
+        else:
+            kept = now.nonzero()[0]
+            self.taken[self.cur[kept], kept // self.block] = self.calls
+        if sel.size:
+            optima[sel], self.last[:, sel], self.ahead[:, sel] = self.step(
+                thetas[sel], self.last[:, sel], self.ahead[:, sel])
+            self._keep(thetas, optima, sel)
+        return optima
+
+    def _keep(self, thetas: np.ndarray, optima: np.ndarray, sel) -> None:
+        """Keep the rows of each seed that solved one of them (every seed when ``sel``
+        is None), with their optima and current states, over the seed's oldest."""
+        if self.n_seeds == 1:  # one seed keeps whole slabs
+            at = self.cur = int(self.slot[0])
+            self.fence = max(self.fence, int(self.taken[at, 0]))
+            self.rows[at], self.opt[at], self.lasts[at], self.aheads[at] = (
+                thetas, optima, self.last, self.ahead)
+            self.slot[0] = (at + 1) % REST_DEPTH
+            return
+        m = self.block
+        seeds = np.arange(self.n_seeds) if sel is None else np.unique(sel // m)
+        slot = self.slot[seeds]
+        self.fence = max(self.fence, int(self.taken[slot, seeds].max()))
+        cols, at = (seeds[:, None] * m + np.arange(m)).ravel(), np.repeat(slot, m)
+        self.rows[at, cols], self.opt[at, cols] = thetas[cols], optima[cols]
+        self.lasts[at, :, cols], self.aheads[at, :, cols] = self.last[:, cols].T, self.ahead[:, cols].T
+        self.cur[cols] = at
+        self.slot[seeds] = (slot + 1) % REST_DEPTH
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
@@ -555,9 +605,10 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
 
     def period(start: tuple, span: int) -> int:
         """The least q <= span such that the tick q - 1 ticks before the last one
-        started from ``start`` and from the estimates now held, or 0."""
+        started from ``start`` and from the estimates now held, and the map's
+        memory still keeps every row its last q calls took over, or 0."""
         thetas = ens.thetas.tobytes()
-        for q in range(1, min(len(starts), span) + 1):
+        for q in range(1, min(len(starts), span, memory.reach() if memory else span) + 1):
             if starts[-q] == start and estimates[-q].tobytes() == thetas:
                 return q
         return 0
@@ -566,8 +617,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     starts, estimates = deque(maxlen=REST_DEPTH), deque(maxlen=REST_DEPTH)
     start = plant.x.tobytes(), plant.state()
     changes = None  # input_changes(), once a tick repeats a start: a noisy run never does
-    solve = (_MapMemory(model.optimum_step, len(seeds), model.dim) if model.optimum_step
-             else model.optimum_map_batch)
+    memory = _MapMemory(model.optimum_step, len(seeds), model.dim) if dual and model.optimum_step else None
     k = 0
     while k <= cfg.horizon:
         starts.append(start)
@@ -580,7 +630,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             ens = adapt(ens, phi, known, j_obs)
             centre, dev = moments(ens.thetas)
             try:
-                ps = predict(ens, dev, phi_ref, dphi_ref, model, solve)
+                ps = predict(ens, dev, phi_ref, dphi_ref, model, memory)
             except DomainError as exc:  # the map refuses non-finite predicted estimates
                 raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
                            "estimator ensemble diverged") from None

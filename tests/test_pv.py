@@ -617,6 +617,26 @@ def test_memory_takes_over_rows_solved_two_and_four_calls_back(monkeypatch):
     np.testing.assert_array_equal(memory(c), model.optimum_step(c, *after_a[1:])[0])
 
 
+def test_memory_reach_stops_at_a_taken_over_row_a_later_solve_replaced():
+    # A, B, C, D, A, E: the solve of E replaces the entry of A taken over one call
+    # before, so computing A, E again would solve A anew: the memory reaches one
+    # call back.  That next A is solved from E's state and kept, and then the
+    # cycle A, E computed once more gives its bits and keeps nothing new
+    model, a, b = _warm_blocks(17)
+    rng = np.random.default_rng(18)
+    c, d, e = (b * (1.0 + 1e-6 * rng.standard_normal(b.shape)) for _ in range(3))
+    memory = _memory(model)
+    out = [memory(x) for x in (a, b, c, d, a, e)]
+    np.testing.assert_array_equal(out[4], out[0])
+    assert memory.reach() == 1
+    cycle = [memory(x) for x in (a, e)]
+    assert memory.reach() >= 2
+    kept = memory.rows.copy()
+    for x, y in zip(cycle, [memory(x) for x in (a, e)]):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(memory.rows, kept)
+
+
 def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
     # every tick after the first refines the roots of the ticks before, over
     # the whole shipped horizon; the spy counts the rows sent to the
