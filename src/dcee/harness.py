@@ -62,7 +62,7 @@ import csv
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,8 +127,9 @@ class ScenarioConfig:
     """Validated scenario: the merged sections (``data``) and the objects a run
     uses, but no output path.  ``plant`` is the ``LinearPlant`` at its initial
     state (quadratic, with its servo ``gains``) or the ``PvParams`` panel (mppt,
-    with its ``profile``).  ``config_from_dict`` checks the hc / ic tracker
-    settings; the loop builds the trackers' starting states from them."""
+    with ``env``, its profile's (irradiance, temperature) at every tick time,
+    evaluated by the build and sliced by each run).  ``config_from_dict``
+    checks the hc / ic tracker settings; the loop builds the trackers from them."""
 
     kind: str
     data: dict
@@ -139,7 +140,7 @@ class ScenarioConfig:
     noise: NoiseSpec
     plant: LinearPlant | PvParams
     gains: ServoGains | None = None
-    profile: EnvProfile | None = None
+    env: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def section(self, name: str) -> dict:
         return self.data[name]
@@ -264,8 +265,9 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         d["plant"]["n_cells"] = _integer(d["plant"]["n_cells"], "plant.n_cells")
         params, profile = PvParams(**d["plant"]), EnvProfile(**d["profile"])
         params.check_temperatures(v for _, v in profile.temperature)
-        params.check_conditions(times := np.arange(horizon + 1) * dt, *profile_eval(profile, times))
-        built = dict(plant=params, profile=profile)
+        env = profile_eval(profile, times := np.arange(horizon + 1) * dt)
+        params.check_conditions(times, *env)
+        built = dict(plant=params, env=env)
 
     n = _integer(ens["n"], "ensemble.n")
     if n > MAX_ESTIMATORS:
@@ -381,7 +383,7 @@ class _Servo:
 class _Panel:
     """The PV panel; its voltage (S,) is both its state x and the
     reference ``ref``.  hc and ic keep one tracker state per seed; ``__init__``
-    picks the run's tracker once."""
+    picks the run's tracker once and slices its ticks from the config's ``env``."""
 
     tail, row = (), ("v", "u", "i", "p")
 
@@ -399,9 +401,12 @@ class _Panel:
             start = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
             self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x.tolist(), pv.i.tolist())
         self.trackers = [start] * n_seeds
-        # the environment of every tick in one profile evaluation, and the oracle of
+        # the environment of every tick, as the config evaluated it, and the oracle of
         # every distinct (irradiance, temperature) of the run in one batched solve
-        irr, temp = self.inputs = profile_eval(cfg.profile, np.arange(cfg.horizon + 1) * cfg.dt)
+        irr, temp = self.inputs = [a[:cfg.horizon + 1] for a in cfg.env]
+        if irr.size <= cfg.horizon or cfg.dt != float(cfg.section("run")["dt"]):  # a replace
+            raise ConfigError(f"the config evaluated its profile at {irr.size} ticks of "
+                              f"{cfg.section('run')['dt']} s: build it for this horizon and dt")
         self.env = list(zip(irr.tolist(), temp.tolist()))
         index = {}  # condition -> its place in the solve, in order of first tick
         at = [index.setdefault(cond, len(index)) for cond in self.env]
@@ -706,14 +711,9 @@ def compare(configs) -> list[tuple[str, Metrics]]:
     configs = list(configs)
     if not configs:
         raise ConfigError("compare needs at least one scenario")
-    ref = configs[0]
-    for c in configs[1:]:
-        same = (c.section("plant") == ref.section("plant")
-                and c.data.get("profile") == ref.data.get("profile")
-                and c.horizon == ref.horizon and c.dt == ref.dt)
-        if not same:
-            raise ConfigError("compared scenarios must share plant, profile "
-                              "and horizon")
+    shared = [(c.section("plant"), c.data.get("profile"), c.horizon, c.dt) for c in configs]
+    if shared.count(shared[0]) < len(shared):
+        raise ConfigError("compared scenarios must share plant, profile and horizon")
     out = []
     for c in configs:
         trace = run_scenario(c)

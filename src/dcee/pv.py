@@ -17,6 +17,7 @@ dP/dV, in which each condition steps and stops on its own.
 Their Wright omega function comes from ``scipy.special``, imported by
 the first diode evaluation rather than with this module: it takes most
 of ``import dcee``, and a quadratic run never evaluates the diode.
+A config keeps its ``EnvProfile`` evaluated once at every tick time; runs slice it.
 
 The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
@@ -269,21 +270,20 @@ def profile_eval(profile: EnvProfile, t):
     """(irradiance, temperature) at time t, right-continuous at breakpoints.
 
     t may be an array of times, which gives two arrays of its shape; a
-    scalar t gives a tuple of floats.  Irradiance is interpolated as
-    (1 - w) v0 + w v1 between the breakpoints around t.
+    scalar t gives a tuple of floats.  Irradiance is (1 - w) v0 + w v1 between
+    the breakpoints around t, or v0 exactly where v0 = v1 (the sum can miss it).
     """
     t = np.asarray(t, dtype=float)
     if np.count_nonzero(~(t >= 0.0)):  # a NaN time is refused too
         raise ValueError("time must be nonnegative")
     (ts, vs), (temp_ts, temp_vs) = profile._knots
-    # the knots up to t; searchsorted's right side passes over equal knots,
-    # so t0 <= t < t1 between them
+    # searchsorted's right side passes over equal knots, so t0 <= t < t1 between
+    # them; outside them i0 = i1, which holds the end value
     n = np.searchsorted(ts, t, side="right")
     i0, i1 = np.maximum(n - 1, 0), np.minimum(n, ts.size - 1)
-    t0, t1 = ts[i0], ts[i1]
-    # outside the knots i0 = i1 and w = 0 gives the end value as it is
+    t0, t1, v0, v1 = ts[i0], ts[i1], vs[i0], vs[i1]
     w = np.divide(t - t0, t1 - t0, out=np.zeros(t.shape), where=(n > 0) & (n < ts.size))
-    irr = (1.0 - w) * vs[i0] + w * vs[i1]
+    irr = np.where(v0 == v1, v0, (1.0 - w) * v0 + w * v1)
     temp = temp_vs[np.maximum(np.searchsorted(temp_ts, t, side="right") - 1, 0)]
     if t.ndim == 0:
         return float(irr), float(temp)

@@ -20,7 +20,7 @@ from dcee import (adapt, contraction_check, exploit_grad, init_ensemble, moments
                   spread)
 from dcee.ensemble import BeliefStats, _mean, _rows, _step
 from dcee.mppt_baselines import HcState, IcState, hc_step, ic_step
-from dcee.pv import mpp_oracle, profile_eval, pv_current
+from dcee.pv import EnvProfile, mpp_oracle, profile_eval, pv_current
 from dcee.reward import sample_noise
 
 
@@ -80,8 +80,9 @@ def reference_mppt_run(cfg) -> dict:
         names += ["r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm",
                   "contraction_ok"]
     rows, v = [], np.array([float(ctl["v_init"])])
+    profile = EnvProfile(**cfg.section("profile"))
     for k in range(cfg.horizon + 1):
-        env = profile_eval(cfg.profile, k * cfg.dt)
+        env = profile_eval(profile, k * cfg.dt)
         i = pv_current(cfg.plant, v, *env)
         p = v * i
         j_obs = p + noise[k]

@@ -26,14 +26,14 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = {
     "quadratic-seed1": "3185e9da761d1e18573cb632b6993e1792765cdb64afa40da85efd95322ee1f9",
     "quadratic-seed7": "9bbdbc426b965749901cb888216608d6edf22dc908cd3f2692101e1537de8e48",
-    "mppt-hc": "0d8f8dca9c147afba2aa6bba4886715481adcdb5c2a6aeec99ce508208995471",
-    "mppt-ic": "a70d26be21b02f749e34e80445281e75dc16617d932776caf18594ec47a671b3",
-    "mppt-dcee": "60578ac718ecd2391e8d21227d97f90591fc468ba87b890482192f6a8c74e93f",
+    "mppt-hc": "e14b73b079b40efca1b4d2f9e248b6149a66ff44f62ddd3f21b70df6cbb7644e",
+    "mppt-ic": "f8e63732457c28109f6369c7247ee829442b72d24f7be2495bb124aa74ef66de",
+    "mppt-dcee": "6b458cd8f26dc904b01be863683b650b9ac825c145a577446feeac7dec7bdbbf",
 }
 SWEEP = "ddb4eec2bd79037b62b49f9c081df5e7dc6f75a7169654bf24abbf359647aff3"
 CSV_BYTES = {
-    "mppt-hc": "129f020fcbd428d0e2e8e9b8ae901e025ace862d2e2a31792163e6fb67016a6b",
-    "mppt-dcee": "05b7ded3dfd8f254853cdd650ff3d02ed62dd4b9b2772b518f3570693048511e",
+    "mppt-hc": "395a2c1246f51ee03d5502b54b544f08c7c756d9e9aec66d36e31753a5398dfb",
+    "mppt-dcee": "06ad3e5b5d8f62ca6a8234324abb998f0203551ea1e6b1e348539fec35d4eaec",
     "quadratic-50-ticks": "a96a0074a3823c1fdf2dc562403f7312aca814622581339ea417ebbc6f0e842c",
 }
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 
@@ -350,6 +351,8 @@ def _array_eval(points, t, linear):
     t0, t1 = ts[i], ts[i + 1]
     if t1 == t0:
         return float(vs[i + 1])
+    if vs[i] == vs[i + 1]:  # a held segment gives its level, not an interpolation of it
+        return float(vs[i])
     w = (t - t0) / (t1 - t0)
     return float((1.0 - w) * vs[i] + w * vs[i + 1])
 
@@ -359,7 +362,9 @@ def test_profile_eval_matches_array_search():
     for _ in range(20):
         times = np.sort(rng.uniform(0.0, 2.0, 8)).round(3)
         times[3] = times[2]  # a step
-        irradiance = [[t, v] for t, v in zip(times, rng.uniform(0.0, 1200.0, 8))]
+        levels = rng.uniform(0.0, 1200.0, 8)
+        levels[5], levels[7] = levels[4], levels[6]  # two held segments
+        irradiance = [[t, v] for t, v in zip(times, levels)]
         temperature = [[t, v] for t, v in zip(times[::2], rng.uniform(-10.0, 60.0, 4))]
         profile = EnvProfile(irradiance=irradiance, temperature=temperature)
         ts = np.concatenate([times, rng.uniform(0.0, 2.5, 50), [0.0, 2.5]])
@@ -373,6 +378,46 @@ def test_profile_eval_matches_array_search():
         irradiance, temperature = profile_eval(profile, ts)
         one_by_one = np.array([profile_eval(profile, float(t)) for t in ts]).T
         assert (_bits([irradiance, temperature]) == _bits(one_by_one)).all()
+
+
+LEVELS = st.floats(0.0, 1200.0)
+
+
+@st.composite
+def held_profiles(draw):
+    """Irradiance knots whose level often repeats the one before, with
+    duplicated times, and times to evaluate that include every knot."""
+    n = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0 / 3.0, 0.7]),
+                          min_size=n - 1, max_size=n - 1))
+    times = np.cumsum([draw(st.sampled_from([0.0, 0.05])), *steps]).tolist()
+    levels = [draw(LEVELS)]
+    for _ in range(n - 1):
+        levels.append(levels[-1] if draw(st.booleans()) else draw(LEVELS))
+    evals = draw(st.lists(st.floats(0.0, times[-1] + 0.5), max_size=30))
+    return times, levels, times + evals
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=held_profiles())
+def test_profile_eval_holds_a_level_exactly_and_keeps_ramp_bits(case):
+    # a held segment (equal levels at its two knots) gives its level bit for
+    # bit, where (1 - w) v0 + w v1 can miss it by an ulp; a ramp keeps the
+    # bits of that interpolation, and times on or past the end knots hold them
+    times, levels, ts = case
+    profile = EnvProfile(irradiance=list(zip(times, levels)), temperature=[[0.0, 25.0]])
+    irr = profile_eval(profile, np.array(ts))[0].tolist()
+    for t, got in zip(ts, irr):
+        i = bisect.bisect_right(times, t) - 1  # t0 <= t < t1 between knots i and i + 1
+        if i < 0 or i == len(times) - 1:
+            want = levels[max(i, 0)]
+        elif levels[i] == levels[i + 1]:
+            want = levels[i]
+        else:
+            w = (t - times[i]) / (times[i + 1] - times[i])
+            want = (1.0 - w) * levels[i] + w * levels[i + 1]
+        assert _bits(got) == _bits(want), (t, got, want)
+        assert profile_eval(profile, t)[0] == got
 
 
 @pytest.mark.parametrize("t", [-0.5, math.nan, [0.0, math.nan], [0.1, -1e-300]],
