@@ -783,7 +783,7 @@ def test_the_profile_is_evaluated_once_per_config_build(monkeypatch):
 def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
     # each computed tick hands its rows to the run's memory of the map once,
     # which solves the rows that moved in one step; a 30-tick run moves every
-    # row on every tick; the shipped run's seed 1, and seed 7, where one
+    # row on every tick; the shipped run's seeds 1 and 5, and seed 7, where one
     # estimator cycles with period 2, rest on about a quarter of their ticks
     solved = []
     build = harness.pv_poly_reward
@@ -802,7 +802,7 @@ def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
     calls = _count_calls(monkeypatch, "predict")
     run_scenario(short_mppt(horizon=30))
     assert solved == [50] * 31 and calls["predict"] == 31
-    for seed, computed, steps in ((1, 1410, 1406), (7, 1420, 1414)):
+    for seed, computed, steps in ((1, 1410, 1406), (5, 1397, 1394), (7, 1420, 1414)):
         solved.clear()
         calls["predict"] = 0
         run_scenario(config_from_dict(builtin_config("mppt")).with_updates(seed=seed))
@@ -927,9 +927,10 @@ _DCEE_CASES = {"shipped": _dcee_case(), "noisy": _dcee_case(300, 1.0),
 def test_dcee_runs_match_a_plain_tick_loop(capsys):
     # the batched loop, its fast-forward over periodic orbits and its memory of
     # the optimum map keep the tick of a plain per-seed loop on the model's cold
-    # map: the period-2 seed 7, a batch, a noisy run and two other degrees
+    # map: seed 5, the period-2 seed 7, a batch, a noisy run and two other degrees
     worst = {}
-    for case, seeds in (("shipped", [1]), ("shipped", [7]), ("shipped", [1, 7, 17]),
+    for case, seeds in (("shipped", [1]), ("shipped", [5]), ("shipped", [7]),
+                        ("shipped", [1, 5, 7, 13]),
                         ("noisy", [1]), ("degree-4", [1]), ("degree-6", [1])):
         for seed, tr in zip(seeds, run_seeds(_DCEE_CASES[case], seeds)):
             ref = _reference_dcee(case, seed)
