@@ -164,7 +164,7 @@ def stats(ens: Ensemble, model: RewardModel) -> BeliefStats:
 
 
 def predict(ens: Ensemble, dev: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
-            model: RewardModel, solve=None) -> BeliefStats:
+            model: RewardModel) -> BeliefStats:
     """Belief statistics, of the batch shape, after a hypothetical observation at y_cand.
 
     ``phi`` and ``dphi`` are the regressor and its derivative at y_cand,
@@ -177,12 +177,12 @@ def predict(ens: Ensemble, dev: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
     gradient ``r_var_grad`` = d r_var / d y_cand by the chain rule through
     the optimum jacobian; r_mean drops out since the r_i - r_mean sum to
     zero.  A pinned optimum has a zero jacobian and adds nothing to it.
-    r_var and the gradient's sum are taken by one reduction.  ``solve``, if given, is the map.
+    r_var and the gradient's sum are taken by one reduction.
     """
     phi_row, along = phi[..., None, :], dev @ phi[..., :, None]
     pred = _step(ens, along, phi_row)
     rows = _rows(pred)
-    optima = (model.optimum_map_batch if solve is None else solve)(rows)
+    optima = model.optimum_map_batch(rows)
     r = optima.reshape(pred.shape[:-1])
     r_mean = _mean(r, -1)
     centred = r - r_mean[..., None]

@@ -32,12 +32,10 @@ environment).  When q <= ``REST_DEPTH`` ticks with the same inputs lead
 back to the state the first of them started from, a periodic orbit (q = 1
 is a fixed point; hc's dither and an estimator cycling with period 2 are
 others), the loop copies whole cycles of their rows up to the first tick
-whose inputs differ, or to the last tick, which is always computed.  A
-dual tick's optimum map goes through the run's ``_MapMemory``, and a dual
-orbit is copied only while the memory keeps every row its ticks took over,
-so computed ticks of an orbit give the rows of copied ones: a seed's trace
-is the same whatever else shares its batch, which rests only when all its
-seeds do.
+whose inputs differ, or to the last tick, which is always computed.  The
+optimum map is a function of each row alone, so computed ticks of an orbit
+give the rows of copied ones: a seed's trace is the same whatever else
+shares its batch, which rests only when all its seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
 ``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
@@ -62,7 +60,7 @@ import csv
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +99,7 @@ _INT_COLUMNS = {"k", "contraction_ok"}
 # panel its profile, for every tick
 MAX_TICKS = 1_000_000
 MAX_ESTIMATORS = 100_000
-# the longest orbit the loop copies, and the solves of a row the map's memory keeps
+# the longest orbit the loop copies
 REST_DEPTH = 4
 
 # the only keys a scenario may set that have no built-in default; every
@@ -146,12 +144,15 @@ class ScenarioConfig:
         return self.data[name]
 
     def with_updates(self, seed=None, algo=None) -> "ScenarioConfig":
+        """This scenario under another seed or tracking algorithm.  Only what it
+        sets is checked; the built model, plant, gains and environment are shared."""
         d = copy.deepcopy(self.data)
         if seed is not None:
-            d["run"]["seed"] = seed
+            d["run"]["seed"] = seed = _seed(seed)
         if algo is not None:
-            d["controller"]["algo"] = str(algo)
-        return config_from_dict(d)
+            _check_keys(self.kind, "controller", {"algo"}, set(d["controller"]))
+            d["controller"]["algo"] = _algo(str(algo))
+        return replace(self, data=d, seed=self.seed if seed is None else seed)
 
 
 def _check_keys(kind, section, given, allowed):
@@ -207,6 +208,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    seed = _integer(value, "run.seed")
+    if seed < 0:
+        raise ConfigError("run.seed must be nonnegative")
+    return seed
+
+
+def _algo(value) -> str:
+    if value not in ("dcee", "hc", "ic"):
+        raise ConfigError("controller.algo must be dcee, hc or ic")
+    return value
+
+
 @np.errstate(all="ignore")  # what overflows fails a check: the plant's, the gains', the panel's
 def _build(kind: str, d: dict) -> ScenarioConfig:
     run, rw, ens, ctl = d["run"], d["reward"], d["ensemble"], d["controller"]
@@ -223,9 +237,7 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
     if not 0 <= horizon <= MAX_TICKS:
         raise ConfigError(f"run horizon (or duration / dt) must be nonnegative and at most "
                           f"{MAX_TICKS} ticks, got {horizon}")
-    seed = _integer(run["seed"], "run.seed")
-    if seed < 0:
-        raise ConfigError("run.seed must be nonnegative")
+    seed = _seed(run["seed"])
     _positive(ctl["delta"], "controller.delta")
 
     if kind == "quadratic-linear":
@@ -248,8 +260,7 @@ def _build(kind: str, d: dict) -> ScenarioConfig:
         model = pv_poly_reward(degree=_integer(rw["degree"], "reward.degree"),
                                v_range=rw["v_range"], v_scale=float(rw["v_scale"]),
                                v_shift=float(rw["v_shift"]))
-        if ctl["algo"] not in ("dcee", "hc", "ic"):
-            raise ConfigError("controller.algo must be dcee, hc or ic")
+        _algo(ctl["algo"])
         for name in ("u_max", "hc_step", "ic_step"):
             _positive(ctl[name], f"controller.{name}")
         if not 0 <= float(ctl["ic_deadband"]) < np.inf:
@@ -457,108 +468,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-class _MapMemory:
-    """A run's memory of the optimum map, called in its place.  Per seed it keeps the
-    rows of the seed's last ``REST_DEPTH`` calls that solved one of them, with their
-    optima and solver states.  A row bit-equal to a kept one takes over its optimum
-    and state; the others are solved in one step from their current states, and then
-    the seed's rows are kept over its oldest.  A call that solves nothing keeps
-    nothing, so a computed orbit gives the rows of a copied one as long as its rows
-    are all still kept: ``reach`` counts the last calls for which that holds."""
-
-    def __init__(self, step, n_seeds: int, dim: int):
-        self.step, self.n_seeds = step, n_seeds
-        self.item = np.dtype((np.void, 8 * dim))  # a row of coefficients as one item
-        self.rows = None  # nothing solved yet
-        # the calls so far, and the last one that took over a row a later keep replaced
-        self.calls = self.fence = 0
-
-    def reach(self) -> int:
-        """How many of the last calls took over only rows still kept."""
-        return self.calls - self.fence
-
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(thetas)
-        if np.count_nonzero(finite) != finite.size:
-            raise DomainError("the optimum map's rows must be finite", rows=~finite.all(axis=1))
-        thetas = np.ascontiguousarray(thetas, dtype=float)  # rows compared as bytes below
-        self.calls += 1
-        if self.rows is None:  # the first call is cold
-            optima, self.last, self.ahead = self.step(thetas, None, None)
-            n, depth, seeds = len(thetas), REST_DEPTH, self.n_seeds
-            self.rows, self.opt = np.full((depth, *thetas.shape), np.nan), np.empty((depth, n))
-            self.keys = self.rows.view(self.item)[..., 0]  # the rows as items, (depth, n)
-            self.lasts, self.aheads = np.empty((2, depth, *self.last.shape), complex)
-            self.cols, self.block = np.arange(n), n // seeds
-            # the coefficient a cheap look compares: the smallest moves first
-            self.col = int(np.abs(thetas).sum(axis=0).argmin())
-            # per seed, the slot it keeps its rows in next, and the last call that took
-            # over a row from each slot; per row, the slot of its current state
-            self.slot, self.taken = np.zeros(seeds, dtype=int), np.zeros((depth, seeds), dtype=int)
-            self.cur = np.zeros(n, dtype=int)
-        # a cheap look for rows with one coefficient kept, then bit by bit
-        elif (np.count_nonzero(look := self.rows[..., self.col] == thetas[:, self.col])
-                and (optima := self._take(thetas, look)) is not None):
-            return optima
-        else:  # every row moved, which a slice selects without a copy
-            optima, self.last, self.ahead = self.step(thetas, self.last, self.ahead)
-        self._keep(thetas, optima, None)
-        return optima
-
-    def _take(self, thetas: np.ndarray, look: np.ndarray) -> np.ndarray | None:
-        """Kept rows take over their optima, and their states where these are not the
-        current ones; the other rows are solved.  None if no row is kept."""
-        cur, cols, items = self.cur, self.cols, thetas.view(self.item)[:, 0]
-        one = isinstance(cur, int)  # every row's current state in one slot
-        now = items == (self.keys[cur] if one else self.keys[cur, cols])  # the last call's rows
-        sel = (~now).nonzero()[0]
-        optima = self.opt[cur].copy() if one else self.opt[cur, cols]
-        if np.count_nonzero(look[:, sel]):  # a row that moved may be one kept before
-            hit = items[sel] == self.keys[:, sel]
-            older = hit.any(axis=0)
-            if np.count_nonzero(older):
-                at, back, sel = hit.argmax(axis=0)[older], sel[older], sel[~older]
-                optima[back] = self.opt[at, back]
-                self.last[:, back] = self.lasts[at, :, back].T
-                self.ahead[:, back] = self.aheads[at, :, back].T
-                self.taken[at, back // self.block] = self.calls
-                self.cur = np.array(np.broadcast_to(cur, now.shape))
-                self.cur[back] = at
-        if sel.size == now.size:
-            return None
-        # the slots taken from, which a keep within an orbit's calls must not replace
-        if one and self.n_seeds == 1:
-            self.taken[cur, 0] = self.calls
-        else:
-            kept = now.nonzero()[0]
-            self.taken[self.cur[kept], kept // self.block] = self.calls
-        if sel.size:
-            optima[sel], self.last[:, sel], self.ahead[:, sel] = self.step(
-                thetas[sel], self.last[:, sel], self.ahead[:, sel])
-            self._keep(thetas, optima, sel)
-        return optima
-
-    def _keep(self, thetas: np.ndarray, optima: np.ndarray, sel) -> None:
-        """Keep the rows of each seed that solved one of them (every seed when ``sel``
-        is None), with their optima and current states, over the seed's oldest."""
-        if self.n_seeds == 1:  # one seed keeps whole slabs
-            at = self.cur = int(self.slot[0])
-            self.fence = max(self.fence, int(self.taken[at, 0]))
-            self.rows[at], self.opt[at], self.lasts[at], self.aheads[at] = (
-                thetas, optima, self.last, self.ahead)
-            self.slot[0] = (at + 1) % REST_DEPTH
-            return
-        m = self.block
-        seeds = np.arange(self.n_seeds) if sel is None else np.unique(sel // m)
-        slot = self.slot[seeds]
-        self.fence = max(self.fence, int(self.taken[slot, seeds].max()))
-        cols, at = (seeds[:, None] * m + np.arange(m)).ravel(), np.repeat(slot, m)
-        self.rows[at, cols], self.opt[at, cols] = thetas[cols], optima[cols]
-        self.lasts[at, :, cols], self.aheads[at, :, cols] = self.last[:, cols].T, self.ahead[:, cols].T
-        self.cur[cols] = at
-        self.slot[seeds] = (slot + 1) % REST_DEPTH
-
-
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Simulate one scenario deterministically for its configured seed."""
     return _run(config, [config.seed])[0]
@@ -610,10 +519,9 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
 
     def period(start: tuple, span: int) -> int:
         """The least q <= span such that the tick q - 1 ticks before the last one
-        started from ``start`` and from the estimates now held, and the map's
-        memory still keeps every row its last q calls took over, or 0."""
+        started from ``start`` and from the estimates now held, or 0."""
         thetas = ens.thetas.tobytes()
-        for q in range(1, min(len(starts), span, memory.reach() if memory else span) + 1):
+        for q in range(1, min(len(starts), span) + 1):
             if starts[-q] == start and estimates[-q].tobytes() == thetas:
                 return q
         return 0
@@ -622,7 +530,6 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     starts, estimates = deque(maxlen=REST_DEPTH), deque(maxlen=REST_DEPTH)
     start = plant.x.tobytes(), plant.state()
     changes = None  # input_changes(), once a tick repeats a start: a noisy run never does
-    memory = _MapMemory(model.optimum_step, len(seeds), model.dim) if dual and model.optimum_step else None
     k = 0
     while k <= cfg.horizon:
         starts.append(start)
@@ -635,7 +542,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             ens = adapt(ens, phi, known, j_obs)
             centre, dev = moments(ens.thetas)
             try:
-                ps = predict(ens, dev, phi_ref, dphi_ref, model, memory)
+                ps = predict(ens, dev, phi_ref, dphi_ref, model)
             except DomainError as exc:  # the map refuses non-finite predicted estimates
                 raise fail(~exc.rows.reshape(len(seeds), -1).any(axis=1), k, k,
                            "estimator ensemble diverged") from None
@@ -678,9 +585,7 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
 def run_seeds(config: ScenarioConfig, seeds) -> list[Trace]:
     """Run the same scenario under each seed, all seeds as one batch;
     traces in seed order, each the same as the seed's run alone."""
-    seeds = [_integer(s, "run.seed") for s in seeds]
-    if any(s < 0 for s in seeds):
-        raise ConfigError("run.seed must be nonnegative")
+    seeds = [_seed(s) for s in seeds]
     return _run(config, seeds) if seeds else []
 
 

@@ -21,9 +21,10 @@ A config keeps its ``EnvProfile`` evaluated once at every tick time; runs slice 
 
 The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
-polynomial over the operating band, through the roots of the derivative:
-companion-matrix eigenvalues cold, or the model's pure ``optimum_step``,
-Newton steps from a solver state that the run keeps (see ``harness``).
+polynomial over the operating band.  Bernstein bounds on a grid of cells
+certify where the maximum lies and Newton steps find it there; a row that
+fails the certificate goes to the roots of the derivative by companion-matrix
+eigenvalues.  Each row's optimum is a function of that row alone.
 """
 
 from __future__ import annotations
@@ -290,127 +291,153 @@ def profile_eval(profile: EnvProfile, t):
     return irr, temp
 
 
-# of the shipped mppt run's 2000 warm calls (seed 1), from the extrapolated start,
-# 1172 settle in 1 sweep, 780 in 2, 47 in 3 and 1 in 4
-NEWTON_SWEEPS = 4
+# the certified map's cells on the operating band, and its tolerances: a cell
+# whose bound reaches the best grid value within CERT_TOL of it could hold the
+# maximum; a Newton step of at most STEP_TOL of the root is a settled one
+CELLS = 16
+CERT_TOL = 1e-12
+STEP_TOL = 1e-8
+# the rows solved at once: larger blocks' arrays get fresh pages on every call
+BLOCK_ROWS = 128
+_AROUND = np.array([[-1], [0], [1]])
 
 
 @functools.lru_cache(maxsize=None)
-def _orders(m: int) -> np.ndarray:
-    """The derivative's factors 1.0 .. m - 1 as a column; read-only, as it is shared."""
-    orders = np.arange(1.0, m)[:, None]
-    orders.flags.writeable = False
-    return orders
-
-
-def _newton(monic: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refine starting roots z (d, k) of k monic polynomials by Newton steps.
-
-    ``monic`` (d + 1, k) holds ascending coefficients, the last row 1.
-    Each sweep moves every root on its own by p(z) / p'(z), which
-    converges quadratically from a start near a simple root.  A polynomial
-    is accepted when every root's last step is at most 1e-8 (1 + |z|), z
-    the root it stepped from, and its roots sum to minus the
-    next-to-leading coefficient (Vieta), so two iterates that settle on
-    one root and miss another are refused.  Each polynomial stops at its
-    own first sweep of small steps, so the others cannot change its roots.
-    Returns the roots, in z's memory layout, and the accepted polynomials.
-    Horner runs against ``monic`` copied into a complex block of z's
-    shape, which gives the same sums without a cast of a broadcast float
-    row in every step.
+def _bernstein(m: int, s_lo: float, s_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``CELLS`` + 1 grid points of [s_lo, s_hi], and the matrix that takes
+    the m coefficients of p (ascending) to p's values at the grid points, p's
+    Bernstein coefficients on each cell, their second differences (the sign of
+    p'' there), and the coefficients of p', p'' and p''' on s^0 .. s^(m - 2),
+    each one exact product.  The cell blocks run coefficient by coefficient.
+    On a cell [g, g + h], p(g + h t) = sum_i a_i t^i with a_i = sum_j theta_j
+    C(j, i) g^(j - i) h^i, and t^i = sum_k C(k, i) / C(m - 1, i) B_k(t).
+    Both arrays are read-only, as they are shared.
     """
-    d, k = z.shape
-    block = np.empty((d + 1, d, k), dtype=complex)  # monic, one row per root
-    block[...] = monic[:, None, :]
-    done = np.zeros(k, dtype=bool)
-    with np.errstate(all="ignore"):  # a stalled polynomial turns inf or NaN, then is refused
-        for sweep in range(NEWTON_SWEEPS):
-            p, dp = z + block[-2], block[-1]  # p'(z)'s Horner starts from the leading 1
-            for c in block[-3::-1]:
-                dp = dp * z + p
-                p = p * z + c
-            step = p / dp
-            size = np.abs(z)  # before the step, so an infinite step is never small
-            z = np.where(done, z, z - step) if sweep else z - step
-            done |= np.logical_and.reduce(np.abs(step) <= 1e-8 * (1.0 + size), axis=0)
-            if np.count_nonzero(done) == k:
-                break
-        vieta = np.abs(np.add.reduce(z) + monic[-2]) <= 1e-8 * (1.0 + np.add.reduce(size))
-    return z, done & vieta
+    grid, h, j = np.linspace(s_lo, s_hi, CELLS + 1), (s_hi - s_lo) / CELLS, np.arange(m)
+    binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)  # C(col, row)
+    gap = np.maximum(j[:, None] - j, 0)  # j - i where C(j, i) is not 0
+    cells = np.stack([(binom.T * g ** gap * h ** j) @ (binom / binom[:, -1:])
+                      for g in grid[:-1]], axis=-1)
+    # the r-th derivative of p' at s^i: theta_(i + r + 1) (i + 1) ... (i + r + 1)
+    derivs = np.zeros((m, 3, m - 1))
+    for r, i in ((r, i) for r in range(3) for i in range(m - r - 1)):
+        derivs[i + r + 1, r, i] = math.perm(i + r + 1, r + 1)
+    second = cells[:, 2:] - 2.0 * cells[:, 1:-1] + cells[:, :-2]
+    matrix = np.hstack([grid ** j[:, None], *(a.reshape(m, -1) for a in (cells, second, derivs))])
+    grid.flags.writeable = matrix.flags.writeable = False
+    return grid, matrix
+
+
+def _certified_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: float,
+                            shift: float) -> np.ndarray:
+    """Maximiser of each polynomial sum_j theta_j s^j over [s_lo, s_hi] as
+    s * scale + shift, (N,), for ``thetas`` (N, degree + 1), degree >= 2.
+
+    Bernstein coefficients bound a polynomial on an interval (Farouki & Rajan,
+    CAGD 4, 1987).  A row is certified when, s_b its maximum on the grid of
+    ``CELLS`` cells, only the cells beside s_b reach p(s_b) within ``CERT_TOL``.
+    Then, if s_b is interior and p'' < 0 on both cells, one Halley and two
+    Newton steps on p' from the vertex of the parabola through the three grid
+    values around s_b find the maximiser, accepted when the last step is at
+    most ``STEP_TOL`` (1 + |s|) and s stays within a cell of s_b.  An end s_b
+    whose end cell stays at or below p(s_b) is the maximiser, exactly.  Other
+    rows go to the eigenvalues (``_poly_argmax_batch``).  Each operation acts
+    on every row on its own, so no row's result depends on the others'.
+    """
+    n, m = thetas.shape
+    if n > BLOCK_ROWS:  # a row's result does not depend on its block
+        return np.concatenate([_certified_argmax_batch(thetas[i:i + BLOCK_ROWS], s_lo, s_hi, scale,
+                                                       shift) for i in range(0, n, BLOCK_ROWS)])
+    grid, matrix = _bernstein(m, s_lo, s_hi)
+    # a stacked matmul, one product per row, then one column per row, so each
+    # operation runs along the batch
+    out = np.ascontiguousarray((thetas[:, None, :] @ matrix)[:, 0].T)
+    values, rest = out[:CELLS + 1], out[CELLS + 1:]
+    cells = rest[:CELLS * m].reshape(m, CELLS, n)
+    concave = np.maximum.reduce(rest[CELLS * m:CELLS * (2 * m - 2)].reshape(m - 2, CELLS, n)) < 0.0
+    d = rest[CELLS * (2 * m - 2):].reshape(3, m - 1, n)  # p', p'' and p''' on s^0 .. s^(m - 2)
+    cols = np.arange(n)
+    b = values.argmax(axis=0)
+    best = values[b, cols]
+    # the cells that reach p(s_b): both cells beside s_b hold it as a coefficient
+    count = np.add.reduce(np.maximum.reduce(cells) >= best - CERT_TOL * (1.0 + np.abs(best)))
+    near = np.minimum(np.maximum(b, 1), CELLS - 1) + _AROUND  # an interior s_b and its neighbours
+    y0, y1, y2 = values[near, cols]
+    interior = (count == 2) & (b == near[1]) & np.logical_and.reduce(concave[near[:2], cols])
+    h, centre = grid[1] - grid[0], grid[near[1]]
+    with np.errstate(all="ignore"):  # a flat or stalled row turns inf or NaN, then fails
+        s = centre + 0.5 * h * (y0 - y2) / ((y0 - y1) + (y2 - y1))
+        pw = np.empty((m - 1, n))
+        pw[0] = 1.0
+        for sweep in range(3):  # Halley, then Newton twice
+            pw[1:] = s
+            np.multiply.accumulate(pw, out=pw)
+            if sweep:
+                slope, curv = np.add.reduce(d[:2] * pw, axis=1)
+                step = slope / curv
+            else:
+                slope, curv, third = np.add.reduce(d * pw, axis=1)
+                step = slope * curv / (curv * curv - 0.5 * slope * third)
+            s = s - step
+        found = interior & (np.abs(step) <= STEP_TOL * (1.0 + np.abs(s))) & (np.abs(s - centre) < h)
+    ends = np.flatnonzero(b != near[1])  # s_b at an end of the interval
+    if ends.size:
+        upper = b[ends] == CELLS
+        # the end cell alone reaches p(s_b), and its coefficients but p(s_b) stay at or below it
+        end = np.where(upper, np.maximum.reduce(cells[:-1, -1, ends]),
+                       np.maximum.reduce(cells[1:, 0, ends]))
+        found[ends] = (count[ends] == 1) & (end <= best[ends])
+        s[ends] = np.where(upper, s_hi, s_lo)
+    optima = s * scale + shift
+    if np.count_nonzero(found) < n:
+        optima[~found] = _poly_argmax_batch(thetas[~found], s_lo, s_hi, scale, shift)
+    return optima
 
 
 def _companion_roots(monic: np.ndarray) -> np.ndarray:
     """All d roots (d, k) of k monic polynomials, ascending coefficients
-    (d + 1, k), by batched companion-matrix eigenvalues, C-ordered."""
+    (d + 1, k), by batched companion-matrix eigenvalues."""
     d, k = monic.shape[0] - 1, monic.shape[1]
     comp = np.zeros((k, d, d))
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     comp[:, :, -1] = -monic[:-1].T
-    return np.ascontiguousarray(np.linalg.eigvals(comp).T)
+    return np.linalg.eigvals(comp).T
 
 
 def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: float,
-                       shift: float = 0.0, start: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximiser of each polynomial sum_j theta_j s^j over [s_lo, s_hi].
+                       shift: float = 0.0) -> np.ndarray:
+    """``_certified_argmax_batch`` by eigenvalues, its fallback.
 
-    ``thetas`` is (N, degree + 1).  The candidates are the endpoints and
-    the real parts of the stationary points, clipped into the interval;
-    the one with the largest Horner value wins.  Every candidate is a
-    point of the interval, so the real part of a complex stationary point
+    The candidates are the endpoints and the real parts of the stationary
+    points, the roots of the derivative (``_companion_roots``, or np.roots
+    where its leading coefficient is numerically zero), clipped into the
+    interval; the one with the largest Horner value wins.  Every candidate is
+    a point of the interval, so the real part of a complex stationary point
     cannot beat the maximum, which is an endpoint or a real one.
-    Stationary points are the roots of the derivative, one column per
-    polynomial, the layout of ``_newton`` and ``_companion_roots``.  Cold,
-    they are batched companion eigenvalues.  Given ``start``,
-    (degree - 1, N) complex roots near those of the derivatives (such as a
-    previous call's for nearby polynomials), they are refined from there
-    by Newton steps (``_newton``), and only the polynomials it refuses go
-    to the eigenvalues.  Rows whose leading derivative coefficient is
-    (numerically) zero use np.roots; only a batch with such rows splits
-    its columns, the others keep the solver's roots as they are.  Without
-    ``start`` the result does not depend on any earlier call.  No row's
-    result depends on the other rows.  Returns the maximisers mapped to
-    s * scale + shift, (N,), and the derivative roots, (degree - 1, N),
-    NaN in the np.roots columns.  The polynomial degree must be at least 2.
     """
     # one column per polynomial, so each operation runs along the batch
     coef = np.asarray(thetas, dtype=float).T
     m, n = coef.shape
-    deg = m - 2  # degree of the derivative polynomial
-    deriv = coef[1:] * _orders(m)
+    deriv = coef[1:] * np.arange(1.0, m)[:, None]
     size = np.abs(deriv)
     tiny = 1e-12 * np.maximum.reduce(size, initial=1.0)
     ok = size[-1] > tiny
-    every = np.count_nonzero(ok) == n
-    cols = slice(None) if every else ok
-    monic = deriv[:, cols] / deriv[-1, cols]
-    if start is not None:
-        found, fine = _newton(monic, start[:, cols])
-        if np.count_nonzero(fine) != fine.size:
-            found[:, ~fine] = _companion_roots(monic[:, ~fine])
-    else:
-        found = _companion_roots(monic)
-    roots = found if every else np.full((deg, n), np.nan, dtype=complex)
-    if not every:
-        roots[:, ok] = found
-    cand = np.empty((m, n))  # the two endpoints, then the deg roots
-    cand[0], cand[1] = s_lo, s_hi
-    # fmax sends the np.roots columns' NaN to s_lo
-    np.minimum(np.fmax(roots.real, s_lo), s_hi, out=cand[2:])
-    if not every:
-        for idx in np.flatnonzero(~ok):
-            # drop the negligible leading coefficients: a subnormal one
-            # would overflow np.roots' companion matrix
-            keep = np.flatnonzero(size[:, idx] > tiny[idx])
-            rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]).real if keep.size else []
-            cand[2:2 + len(rr), idx] = np.minimum(np.maximum(rr, s_lo), s_hi)
+    cand = np.full((m, n), s_lo)  # the two endpoints, then the m - 2 roots, s_lo where none
+    cand[1] = s_hi
+    roots = _companion_roots(deriv[:, ok] / deriv[-1, ok]).real
+    cand[2:, ok] = np.minimum(np.maximum(roots, s_lo), s_hi)
+    for idx in np.flatnonzero(~ok):
+        # drop the negligible leading coefficients: a subnormal one
+        # would overflow np.roots' companion matrix
+        keep = np.flatnonzero(size[:, idx] > tiny[idx])
+        rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]).real if keep.size else []
+        cand[2:2 + len(rr), idx] = np.minimum(np.maximum(rr, s_lo), s_hi)
     vals = coef[-1] * cand
     for c in coef[-2:0:-1]:
         vals += c
         vals *= cand
     vals += coef[0]
-    best = cand[vals.argmax(axis=0), np.arange(n)]
-    return best * scale + shift, roots
+    return cand[vals.argmax(axis=0), np.arange(n)] * scale + shift
 
 
 def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
@@ -421,13 +448,9 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
     normalisation keeps it well conditioned over the operating range, and
     the estimated coefficients are simply reparameterised accordingly.  The
     basis and optimum-map jacobians are closed-form, so the exploration
-    gradient needs no extra optimum-map solves.
-
-    ``optimum_map_batch`` solves cold; ``optimum_step(thetas, last, ahead)``
-    is cold when ``last`` is None, and otherwise starts each row from
-    ``ahead`` (see ``_poly_argmax_batch``).  It returns the optima, the
-    (complex) roots z_k and the next start 2 z_k - z_(k-1), z_(k-1) = ``last``
-    (z_k itself after a cold solve).  Its rows must be finite.
+    gradient needs no extra optimum-map solves.  ``optimum_map_batch`` is
+    ``_certified_argmax_batch``, a pure function of each row; its rows must be
+    finite.
     """
     if degree < 2:
         raise ValueError("polynomial degree must be at least 2")
@@ -454,13 +477,7 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         if np.count_nonzero(finite) != finite.size:
             raise DomainError("polynomial coefficients must be finite",
                               rows=~finite.all(axis=1))
-        return _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)[0]
-
-    def step(thetas, last, ahead):
-        optima, roots = _poly_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift, ahead)
-        if last is None:  # eigenvalues that are all real come back real
-            return optima, roots.astype(complex), roots.astype(complex)
-        return optima, roots, 2.0 * roots - last
+        return _certified_argmax_batch(thetas, s_lo, s_hi, v_scale, v_shift)
 
     def basis(y):
         s = (np.asarray(y, dtype=float) - v_shift) / v_scale
@@ -492,5 +509,4 @@ def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),
         optimum_map_batch=opt_batch,
         basis_jacobian=dbasis,
         optimum_jacobian=dopt,
-        optimum_step=step,
     )

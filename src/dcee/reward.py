@@ -8,9 +8,10 @@ unknown part that is linear in an environment parameter vector:
 The bases take an array of scalar outputs (one per batch entry) and add
 a trailing axis for the regressor.  ``optimum_map_batch`` sends a stack
 of parameter vectors to the operating points that maximise the reward;
-the optimum is the quantity the dual controller tracks.  Every model also supplies the jacobians of
-the regressor and of the optimum map, which give the exploration
-gradient in closed form (see ``ensemble.predict``).
+the optimum is the quantity the dual controller tracks.  The map keeps no
+state: each row's optimum depends on that row alone.  Every model also
+supplies the jacobians of the regressor and of the optimum map, which give
+the exploration gradient in closed form (see ``ensemble.predict``).
 Models carry the admissible operating interval; ``scan_regressor_bound``
 finds the largest ``||phi(y)||`` on it by grid scan.
 """
@@ -47,8 +48,10 @@ class RewardModel:
     y_range : (float, float)
         Admissible operating interval (scalar output models).
     optimum_map_batch : callable
-        (N, dim) parameter vectors -> (N,) maximising outputs, solved
-        cold; a single vector is a batch of one row.
+        (N, dim) parameter vectors -> (N,) maximising outputs; a single
+        vector is a batch of one row.  Each row's output is a function of
+        that row alone, whatever else shares its batch and whatever was
+        solved before.
     basis_jacobian : callable
         outputs y -> d(unknown_basis)/dy, shape y.shape + (dim,).
     optimum_jacobian : callable
@@ -58,10 +61,6 @@ class RewardModel:
         again.  Where the map pins an optimum (the quadratic model's
         parameter floor) the jacobian is zero, so a pinned estimator adds
         nothing to the exploration gradient.
-    optimum_step : callable or None
-        The map as a pure function of a solver state, for a run's memory of it
-        (``harness``): (thetas, last, ahead) -> (optima, roots, next start), cold
-        when ``last`` is None; None where the map has no solver state (quadratic).
     """
 
     known_basis: Callable[[np.ndarray], np.ndarray]
@@ -71,7 +70,6 @@ class RewardModel:
     optimum_map_batch: Callable[[np.ndarray], np.ndarray]
     basis_jacobian: Callable[[np.ndarray], np.ndarray]
     optimum_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    optimum_step: Callable[..., tuple] | None = None
 
 
 @dataclass

@@ -10,8 +10,8 @@ keeps the sign in the derivative of the predicted estimates and reduces
 r_var and the gradient's sum separately.  ``reference_mppt_run`` runs an
 mppt config's hc or ic tracker, or its dual law, one tick after another
 for its seed alone, computing every tick, as the run would without its
-fast-forward over periodic orbits, its batching and, for dcee, the
-memory of the optimum map: each dual tick calls the model's cold map.
+fast-forward over periodic orbits and its batching; each dual tick calls
+the model's optimum map, which keeps no state.
 """
 
 import numpy as np

@@ -28,12 +28,12 @@ GOLDEN = {
     "quadratic-seed7": "9bbdbc426b965749901cb888216608d6edf22dc908cd3f2692101e1537de8e48",
     "mppt-hc": "e14b73b079b40efca1b4d2f9e248b6149a66ff44f62ddd3f21b70df6cbb7644e",
     "mppt-ic": "f8e63732457c28109f6369c7247ee829442b72d24f7be2495bb124aa74ef66de",
-    "mppt-dcee": "6b458cd8f26dc904b01be863683b650b9ac825c145a577446feeac7dec7bdbbf",
+    "mppt-dcee": "82a3ba67f413c38ab9a03bc9461a35a2aa3706c3b5e73dc6bd3229843bc80625",
 }
 SWEEP = "ddb4eec2bd79037b62b49f9c081df5e7dc6f75a7169654bf24abbf359647aff3"
 CSV_BYTES = {
     "mppt-hc": "395a2c1246f51ee03d5502b54b544f08c7c756d9e9aec66d36e31753a5398dfb",
-    "mppt-dcee": "06ad3e5b5d8f62ca6a8234324abb998f0203551ea1e6b1e348539fec35d4eaec",
+    "mppt-dcee": "2c2e971016f530ba57d5b958869ccc650ee873ef351f5947200179ad24748dea",
     "quadratic-50-ticks": "a96a0074a3823c1fdf2dc562403f7312aca814622581339ea417ebbc6f0e842c",
 }
 

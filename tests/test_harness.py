@@ -225,8 +225,7 @@ def test_trace_length_and_finiteness():
                                   lambda: short_mppt(horizon=200, algo="dcee")],
                          ids=["quadratic", "mppt-dcee"])
 def test_bit_identical_reruns(make):
-    # the mppt run warm-starts its optimum map tick to tick; nothing of
-    # that may carry over into the next run of the same config
+    # nothing of a run may carry over into the next run of the same config
     cfg = make()
     a = run_scenario(cfg)
     b = run_scenario(cfg)
@@ -234,7 +233,7 @@ def test_bit_identical_reruns(make):
         assert np.array_equal(a.values[col], b.values[col]), col
 
 
-@pytest.mark.parametrize("rate, variance, horizon, seeds, cold_rows", [
+@pytest.mark.parametrize("rate, variance, horizon, seeds, blocks", [
     pytest.param(None, 0.0, 100, [1], [50], id="returns"),
     pytest.param(50.0, 0.0, 100, [1], [50], id="raises"),
     # seed 0 diverges first, at step 317: seed 3 runs again alone and
@@ -242,39 +241,36 @@ def test_bit_identical_reruns(make):
     pytest.param(4.0, 1.0, 400, [3, 0], [100, 50], id="re-runs-the-seeds-before"),
 ])
 def test_optimum_map_is_cold_again_after_a_run(monkeypatch, rate, variance, horizon,
-                                               seeds, cold_rows):
+                                               seeds, blocks):
+    # the map keeps nothing of a run that returns, raises, or re-runs the
+    # seeds before a failing one: the model's map gives the rows of the run's
+    # last call the bits the run got, as a fresh model's map does
     d = builtin_config("mppt")
     d["run"] = {"horizon": horizon, "seed": 1}
     d["noise"]["variance"] = variance
     if rate is not None:
         d["ensemble"]["rate"] = rate  # the estimates diverge: the run raises
     cfg = config_from_dict(d)
-    argmax, seen, starts = pv._poly_argmax_batch, [], []
+    argmax, calls = pv._certified_argmax_batch, []
 
-    def spy(thetas, s_lo, s_hi, scale, shift=0.0, start=None):
-        seen.append(np.array(thetas))
-        starts.append(start)
-        return argmax(thetas, s_lo, s_hi, scale, shift, start)
+    def spy(thetas, *args):
+        calls.append((np.array(thetas), argmax(thetas, *args)))
+        return calls[-1][1].copy()
 
-    monkeypatch.setattr(pv, "_poly_argmax_batch", spy)
+    monkeypatch.setattr(pv, "_certified_argmax_batch", spy)
     if rate is None:
         run_seeds(cfg, seeds)
     else:
         with pytest.raises(NumericalError):
             run_seeds(cfg, seeds)
-    # the run, and a re-run of the seeds before a failing one, warm-start
-    # every call after their first
-    cold = [i for i, start in enumerate(starts) if start is None]
-    assert cold[0] == 0 and [len(seen[i]) for i in cold] == cold_rows
-    # the run's memory went with it: the model's map solves the last call's
-    # rows cold, twice, and gives the bits of a fresh model's map
-    thetas, starts[:] = seen[-1], []
-    assert len(thetas) == 50
-    got = [cfg.model.optimum_map_batch(thetas) for _ in range(2)]
-    assert starts == [None] * 2
-    cold = config_from_dict(d).model.optimum_map_batch(thetas)
-    for out in got:
-        assert np.array_equal(out, cold)
+    # the batch's calls, then those of the seeds run again on their own
+    sizes = [len(thetas) for thetas, _ in calls]
+    assert [n for i, n in enumerate(sizes) if not i or n != sizes[i - 1]] == blocks
+    thetas, got = calls[-1]
+    fresh = config_from_dict(d).model
+    for out in (cfg.model.optimum_map_batch(thetas), cfg.model.optimum_map_batch(thetas),
+                fresh.optimum_map_batch(thetas)):
+        assert np.array_equal(out, got)
 
 
 def test_noise_stream_independent_of_ensemble_size():
@@ -329,14 +325,14 @@ def _computed_ticks(monkeypatch) -> list:
 
 def test_resting_seeds_trace_does_not_depend_on_their_batch(monkeypatch):
     # the noise-free run comes to rest on an exact fixed point, from which a
-    # seed alone fast-forwards to the next change of input; seed 7 keeps one
+    # seed alone fast-forwards to the next change of input; seed 9 keeps one
     # estimator in a period-2 cycle of its last bits, which the run
     # copies too, so the batch rests on the orbit of period 2 its seeds form,
     # and the optimum map gets blocks whose rows only partly repeat; each seed
     # must still get the bits of its run alone.  With the irradiance stepped
     # from 950 to 1000 W/m2 at t = 1.7 s, seed 1 alone rests, resumes at the
     # step and rests again
-    ticks, step, seeds = _computed_ticks(monkeypatch), 1700, [1, 12345, 7, 5]
+    ticks, step, seeds = _computed_ticks(monkeypatch), 1700, [1, 12345, 9, 5]
     for stepped in (False, True):
         d = builtin_config("mppt")
         if stepped:
@@ -397,6 +393,20 @@ def test_seed_trace_does_not_depend_on_its_batch(case, seeds):
 def test_run_seeds_rejects_negative_seeds():
     with pytest.raises(ConfigError, match="seed"):
         run_seeds(quad_config(horizon=5), [1, -1])
+
+
+def test_with_updates_checks_what_it_sets_and_shares_the_build():
+    cfg = short_mppt(horizon=40)
+    for bad, message in (({"seed": -1}, "nonnegative"), ({"seed": 1.5}, "integer"),
+                         ({"algo": "sweep"}, "dcee, hc or ic")):
+        with pytest.raises(ConfigError, match=message):
+            cfg.with_updates(**bad)
+    with pytest.raises(ConfigError, match="algo"):  # a quadratic scenario has no algo
+        quad_config(horizon=5).with_updates(algo="hc")
+    ic = cfg.with_updates(seed=7, algo="ic")
+    assert (ic.seed, ic.section("run")["seed"], ic.section("controller")["algo"]) == (7, 7, "ic")
+    assert ic.model is cfg.model and ic.plant is cfg.plant and ic.env is cfg.env
+    assert (cfg.seed, cfg.section("controller")["algo"]) == (1, "dcee")
 
 
 def test_seeds_given_in_code_are_integers_too():
@@ -751,7 +761,7 @@ def test_design_gains_runs_once_per_validation(tmp_path, monkeypatch):
     cfg_path = tmp_path / "quad.json"
     cfg_path.write_text(json.dumps(cfg.data))
     assert cli_main(["run", "--config", str(cfg_path), "--seed", "3"]) == 0
-    assert len(calls) == 2  # load_config and the --seed re-validation
+    assert len(calls) == 1  # load_config; --seed checks the seed alone
     calls.clear()
     run_seeds(cfg, range(1, 11))
     assert calls == []  # the seeds share the config's gains; nothing is re-validated
@@ -759,19 +769,20 @@ def test_design_gains_runs_once_per_validation(tmp_path, monkeypatch):
 
 def test_the_profile_is_evaluated_once_per_config_build(monkeypatch):
     # the build evaluates the environment at every tick time to check it and
-    # keeps it; runs slice it, so no run evaluates the profile again
+    # keeps it; runs slice it, so no run evaluates the profile again, and a
+    # config under another seed or algorithm shares it, so the one build is all
     calls = _count_calls(monkeypatch, "profile_eval")
     cfg = short_mppt(horizon=40)
     hc = cfg.with_updates(algo="hc")
-    assert calls["profile_eval"] == 2
+    assert calls["profile_eval"] == 1
     run_scenario(cfg)
     run_seeds(hc, [1, 2])
-    compare([cfg, hc, cfg.with_updates(algo="ic")])
-    assert calls["profile_eval"] == 3  # the ic config's build
+    compare([cfg, hc, cfg.with_updates(seed=3, algo="ic")])
+    assert calls["profile_eval"] == 1
     # a replace that shortens the horizon runs on the kept arrays' first ticks,
     # as a config built for it does; one that lengthens it, or changes dt, is refused
     short = run_scenario(dataclasses.replace(hc, horizon=10))
-    assert calls["profile_eval"] == 3
+    assert calls["profile_eval"] == 1
     built = run_scenario(short_mppt(horizon=10, algo="hc"))
     for col in built.columns:
         assert np.array_equal(short.values[col], built.values[col]), col
@@ -781,33 +792,32 @@ def test_the_profile_is_evaluated_once_per_config_build(monkeypatch):
 
 
 def test_mppt_dcee_solves_the_optimum_map_once_per_tick(monkeypatch):
-    # each computed tick hands its rows to the run's memory of the map once,
-    # which solves the rows that moved in one step; a 30-tick run moves every
-    # row on every tick; the shipped run's seeds 1 and 5, and seed 7, where one
-    # estimator cycles with period 2, rest on about a quarter of their ticks
+    # each computed tick solves the model's map once, for every estimator; a
+    # 30-tick run computes every tick; the shipped run's seeds 1, 5 and 7, and
+    # seed 9, where one estimator cycles with period 2, rest on about a
+    # quarter of their ticks
     solved = []
     build = harness.pv_poly_reward
 
     def counting_model(*args, **kwargs):
         model = build(*args, **kwargs)
-        step = model.optimum_step
+        solve = model.optimum_map_batch
 
-        def counted(thetas, last, ahead):
+        def counted(thetas):
             solved.append(len(thetas))
-            return step(thetas, last, ahead)
+            return solve(thetas)
 
-        return dataclasses.replace(model, optimum_step=counted)
+        return dataclasses.replace(model, optimum_map_batch=counted)
 
     monkeypatch.setattr(harness, "pv_poly_reward", counting_model)
     calls = _count_calls(monkeypatch, "predict")
     run_scenario(short_mppt(horizon=30))
     assert solved == [50] * 31 and calls["predict"] == 31
-    for seed, computed, steps in ((1, 1410, 1406), (5, 1397, 1394), (7, 1420, 1414)):
+    for seed, computed in ((1, 1419), (5, 1422), (7, 1424), (9, 1420)):
         solved.clear()
         calls["predict"] = 0
         run_scenario(config_from_dict(builtin_config("mppt")).with_updates(seed=seed))
-        assert (calls["predict"], len(solved)) == (computed, steps)
-        assert max(solved) == 50 and min(solved) >= 1
+        assert calls["predict"] == computed and solved == [50] * computed
 
 
 def _count_calls(monkeypatch, *names) -> dict:
@@ -828,7 +838,7 @@ def _count_calls(monkeypatch, *names) -> dict:
 
 
 @pytest.mark.parametrize("kind, algo, ticks, computed", [
-    ("mppt", "dcee", 1410, 1410),
+    ("mppt", "dcee", 1419, 1419),
     ("mppt", "ic", 632, 0),
     ("mppt", "hc", 629, 0),
     ("quadratic-linear", None, 0, 5001),

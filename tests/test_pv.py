@@ -10,7 +10,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 from dcee import (DomainError, EnvProfile, PvParams, mpp_oracle, open_circuit_voltage,
                   profile_eval, pv, pv_current, pv_poly_reward)
-from dcee.harness import _MapMemory
 from dcee.pv import _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
@@ -467,226 +466,17 @@ def test_poly_argmax_matches_brute_force():
     grid = np.linspace(s_lo, s_hi, 20_001)
     for _ in range(200):
         th = rng.uniform(-50.0, 50.0, size=6)
-        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0][0]
+        got = _poly_argmax_batch(th[None, :], s_lo, s_hi, 22.0, 22.0)[0]
         vals = np.polyval(th[::-1], grid)
         best = vals.max()
         at_got = np.polyval(th[::-1], (got - 22.0) / 22.0)
         assert at_got >= best - 1e-9 * max(1.0, abs(best))
 
 
-def test_warm_start_refuses_two_roots_collapsed_onto_one():
-    # p'(s) = -(s - 0.1)(s - a)(s - b) with a close pair a, b: the maximum
-    # on [-1, 1] is at 0.1.  Two starting roots on b both stay there, so every
-    # Newton step is tiny and the root at 0.1 would be missed; the
-    # roots' sum (Vieta) refuses the row and the eigenvalues find it.
-    roots = np.array([0.1, 0.98619106, 0.98647133])
-    deriv = -np.poly(roots)[::-1]
-    thetas = np.concatenate([[0.0], deriv / np.arange(1, 5)])[None, :]
-    start = np.array([0.98619106, 0.98647133, 0.98647133 + 1e-13j])[:, None]
-    cold, cold_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0)
-    warm, warm_roots = _poly_argmax_batch(thetas, -1.0, 1.0, 1.0, 0.0, start)
-    assert warm[0] == cold[0] == pytest.approx(0.1)
-    np.testing.assert_array_equal(warm_roots, cold_roots)
-
-
-def test_warm_start_refuses_a_root_started_where_the_slope_vanishes():
-    # p'(s) = 3 s^2 - 3 has p''(0) = 0: a root started at 0 takes an
-    # infinite Newton step, which must refuse the row, not accept it with a
-    # root at infinity and lose the maximum at -1
-    thetas = np.array([[0.0, -3.0, 0.0, 1.0]])
-    cold, cold_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0)
-    for start in ([0.0, 0.0], [0.0, 0.9]):
-        warm, warm_roots = _poly_argmax_batch(thetas, -2.0, 1.5, 1.0, 0.0,
-                                              np.array(start, dtype=complex)[:, None])
-        assert warm[0] == cold[0] == -1.0
-        np.testing.assert_array_equal(warm_roots, cold_roots)
-
-
-def test_warm_argmax_of_a_block_does_not_depend_on_the_rows_stacked_with_it():
-    # two blocks of the shipped prior's polynomials, each started from the
-    # roots of a perturbed copy: the near start settles in fewer Newton
-    # sweeps than the far one, and stacking the blocks must not give the
-    # near block the far block's extra sweeps
-    from dcee import builtin_config
-    prior = builtin_config("mppt")["ensemble"]
-    rng = np.random.default_rng(3)
-    blocks, starts = [], []
-    for drift in (1e-9, 1e-3):
-        thetas = rng.uniform(prior["prior_low"], prior["prior_high"], size=(50, 6))
-        moved = thetas * (1.0 + drift * rng.standard_normal(thetas.shape))
-        blocks.append(thetas)
-        starts.append(_poly_argmax_batch(moved, -1.0, 1.0, 22.0, 22.0)[1])
-    optima, roots = _poly_argmax_batch(np.vstack(blocks), -1.0, 1.0, 22.0, 22.0,
-                                       np.hstack(starts))
-    for b, (thetas, start) in enumerate(zip(blocks, starts)):
-        alone = _poly_argmax_batch(thetas, -1.0, 1.0, 22.0, 22.0, start)
-        rows = slice(50 * b, 50 * (b + 1))
-        np.testing.assert_array_equal(optima[rows], alone[0])
-        np.testing.assert_array_equal(roots[:, rows], alone[1])
-
-
-def _warm_blocks(seed):
-    """The shipped model, 50 prior draws A, and A drifted by 1e-6 relative (B)."""
-    model, low, high = _shipped_model_and_prior()
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(low, high, size=(50, 6))
-    return model, a, a * (1.0 + 1e-6 * rng.standard_normal(a.shape))
-
-
-def _solved_rows(monkeypatch):
-    """Spy on ``_poly_argmax_batch``: the list of the row counts it solves."""
-    argmax, solved = pv._poly_argmax_batch, []
-
-    def spy(thetas, *args):
-        solved.append(len(thetas))
-        return argmax(thetas, *args)
-
-    monkeypatch.setattr(pv, "_poly_argmax_batch", spy)
-    return solved
-
-
-def _memory(model, n_seeds=1):
-    """A run's memory of the model's optimum map, as the tick loop makes it."""
-    return _MapMemory(model.optimum_step, n_seeds, model.dim)
-
-
-def test_optimum_step_is_pure():
-    # the same rows and state give the same bits whatever was called before,
-    # on this model or a fresh one, and no argument is written to
-    model, a, b = _warm_blocks(10)
-    cold = model.optimum_step(a, None, None)
-    np.testing.assert_array_equal(cold[0], model.optimum_map_batch(a))
-    np.testing.assert_array_equal(cold[2], cold[1])  # a cold solve starts the next from its roots
-    args = (b, cold[1], cold[2])
-    kept = [x.copy() for x in args]
-    first = model.optimum_step(*args)
-    model.optimum_step(2.0 * b - a, *first[1:])
-    _memory(model)(b)
-    for again in (model.optimum_step(*args),
-                  pv_poly_reward(5, (2.0, 43.0), 22.0, 22.0).optimum_step(*args)):
-        for x, y in zip(first, again):
-            np.testing.assert_array_equal(x, y)
-    for x, y in zip(args, kept):
-        np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(first[2], 2.0 * first[1] - cold[1])
-
-
-def test_warm_map_repeated_call_leaves_the_next_call_as_it_was():
-    # the calls A, A, B give B the bits that A, B give: the repeat of A
-    # advances no root history (a first call P gives A a history, from
-    # which B starts extrapolated)
-    model, a, b = _warm_blocks(11)
-    p = 2.0 * a - b
-    memory, direct = _memory(model), _memory(model)
-    for thetas in (p, a, a):
-        memory(thetas)
-    for thetas in (p, a):
-        direct(thetas)
-    np.testing.assert_array_equal(memory(b), direct(b))
-
-
-def test_warm_map_repeated_call_returns_the_last_optimum_unsolved(monkeypatch):
-    model, a, b = _warm_blocks(12)
-    solved = _solved_rows(monkeypatch)
-    memory = _memory(model)
-    memory(b)
-    first = memory(a)
-    again = memory(a.copy())
-    np.testing.assert_array_equal(again, first)
-    again[:] = np.nan  # each call's array is its caller's own
-    np.testing.assert_array_equal(memory(a), first)
-    assert solved == [50, 50]
-
-
-def test_warm_map_partly_repeated_block_solves_only_the_rows_that_moved(monkeypatch):
-    # rows 0-24 repeat A's bits in the second call: they get A's optima, and
-    # their history does not advance, so the third call gives them the bits
-    # of a memory that never saw the second call
-    model, a, b = _warm_blocks(13)
-    mixed = np.vstack([a[:25], b[25:]])
-    c = b * (1.0 + 1e-6 * np.random.default_rng(14).standard_normal(b.shape))
-    solved = _solved_rows(monkeypatch)
-    memory = _memory(model)
-    first, second, third = memory(a), memory(mixed), memory(c)
-    assert solved == [50, 25, 50]
-    np.testing.assert_array_equal(second[:25], first[:25])
-    memory = _memory(model)
-    memory(a)
-    np.testing.assert_array_equal(third[:25], memory(c)[:25])
-    memory = _memory(model)  # the moved rows have the history of rows that moved
-    memory(a)
-    np.testing.assert_array_equal(second[25:], memory(b)[25:])
-
-
-def test_warm_map_partly_repeated_block_after_all_real_roots():
-    # a cold solve whose derivative roots are all real (every row of a
-    # quadratic) gets a real array of roots from the eigenvalues, and the step
-    # hands them back complex; a later call that solves only the moved row
-    # still gives it the bits it gets when every row moves
-    model = pv_poly_reward(2, (-1.0, 1.0))
-    a = np.array([[0.0, 1.0, -1.0], [0.5, -0.3, -2.0]])
-    b = a * (1.0 + 1e-6)
-    assert np.isrealobj(pv._poly_argmax_batch(a, -1.0, 1.0, 1.0)[1])
-    _, roots, ahead = model.optimum_step(a, None, None)
-    assert roots.dtype == ahead.dtype == complex
-    part, whole = _memory(model), _memory(model)
-    part(a)
-    whole(a)
-    np.testing.assert_array_equal(part(np.vstack([a[:1], b[1:]]))[1], whole(b)[1])
-
-
-def test_memory_takes_over_rows_solved_two_and_four_calls_back(monkeypatch):
-    # a period-2 cycle A, B, A, B solves each row once; after four solves
-    # A, B, C, D a repeat of A is taken over from four solves back, and the
-    # solve of E that follows replaces A's entry, the oldest, not B's; a
-    # taken-over row also takes over its state: A, B, A, C starts C from A's
-    model, a, b = _warm_blocks(15)
-    rng = np.random.default_rng(16)
-    c, d, e = (b * (1.0 + 1e-6 * rng.standard_normal(b.shape)) for _ in range(3))
-    solved = _solved_rows(monkeypatch)
-    memory = _memory(model)
-    cycle = [memory(x) for x in (a, b, a, b)]
-    assert solved == [50, 50]
-    for x, y in zip(cycle[:2], cycle[2:]):
-        np.testing.assert_array_equal(x, y)
-    solved.clear()
-    memory = _memory(model)
-    out = [memory(x) for x in (a, b, c, d, a, e, b)]
-    assert solved == [50] * 5
-    np.testing.assert_array_equal(out[4], out[0])
-    np.testing.assert_array_equal(out[6], out[1])
-    memory = _memory(model)
-    after_a = model.optimum_step(a, None, None)
-    for x in (a, b, a):
-        memory(x)
-    np.testing.assert_array_equal(memory(c), model.optimum_step(c, *after_a[1:])[0])
-
-
-def test_memory_reach_stops_at_a_taken_over_row_a_later_solve_replaced():
-    # A, B, C, D, A, E: the solve of E replaces the entry of A taken over one call
-    # before, so computing A, E again would solve A anew: the memory reaches one
-    # call back.  That next A is solved from E's state and kept, and then the
-    # cycle A, E computed once more gives its bits and keeps nothing new
-    model, a, b = _warm_blocks(17)
-    rng = np.random.default_rng(18)
-    c, d, e = (b * (1.0 + 1e-6 * rng.standard_normal(b.shape)) for _ in range(3))
-    memory = _memory(model)
-    out = [memory(x) for x in (a, b, c, d, a, e)]
-    np.testing.assert_array_equal(out[4], out[0])
-    assert memory.reach() == 1
-    cycle = [memory(x) for x in (a, e)]
-    assert memory.reach() >= 2
-    kept = memory.rows.copy()
-    for x, y in zip(cycle, [memory(x) for x in (a, e)]):
-        np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(memory.rows, kept)
-
-
-def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
-    # every tick after the first refines the roots of the ticks before, over
-    # the whole shipped horizon; the spy counts the rows sent to the
-    # companion eigenvalues instead
-    from dcee import builtin_config, config_from_dict, pv, run_scenario
+def test_shipped_run_sends_no_row_to_the_eigenvalues(monkeypatch):
+    # every row of every tick of the shipped run is certified: the spy
+    # counts the rows sent to the companion eigenvalues instead
+    from dcee import builtin_config, config_from_dict, run_scenario
     eig, rows = pv._companion_roots, []
 
     def counted(monic):
@@ -697,7 +487,7 @@ def test_shipped_run_warm_starts_without_eigenvalue_fallbacks(monkeypatch):
     d = builtin_config("mppt")
     d["run"]["seed"] = 1
     run_scenario(config_from_dict(d))
-    assert rows == [50]  # the first tick, cold
+    assert rows == []
 
 
 def test_pv_poly_reward_optimum_matches_fit(params):
@@ -789,8 +579,7 @@ def test_pv_poly_optimum_map_rejects_non_finite_coefficients(bad):
     with pytest.raises(DomainError) as err:
         model.optimum_map_batch(thetas)
     assert np.flatnonzero(err.value.rows).tolist() == [17]  # the refused rows
-    memory = _memory(model, n_seeds=2)  # a run's memory refuses them too, from any seed
-    memory(np.where(np.isfinite(thetas), thetas, 0.0))
-    with pytest.raises(DomainError) as err:  # a warm call, started from those roots
-        memory(thetas[::-1])
+    model.optimum_map_batch(np.where(np.isfinite(thetas), thetas, 0.0))
+    with pytest.raises(DomainError) as err:  # whatever the map solved before
+        model.optimum_map_batch(thetas[::-1])
     assert np.flatnonzero(err.value.rows).tolist() == [32]
