@@ -28,14 +28,15 @@ reference, so one regressor serves ``adapt`` and ``predict``.
 
 A tick is a function of the state it starts from (the plant's, the hc / ic
 trackers' and the estimates) and of its inputs (the noise, and the panel's
-environment).  When q <= ``REST_DEPTH`` ticks with the same inputs lead
-back to the state the first of them started from, a periodic orbit (q = 1
-is a fixed point; hc's dither and an estimator cycling with period 2 are
-others), the loop copies whole cycles of their rows up to the first tick
-whose inputs differ, or to the last tick, which is always computed.  The
-optimum map is a function of each row alone, so computed ticks of an orbit
-give the rows of copied ones: a seed's trace is the same whatever else
-shares its batch, which rests only when all its seeds do.
+environment).  The loop keeps the starts (x, state and estimates, one key
+each) of the last ``REST_DEPTH`` ticks since an input changed.  A tick that
+ends on one of them closes an orbit of q ticks (q = 1 is a fixed point;
+hc's dither and an estimator cycling with period 2 are others), and the
+loop copies whole cycles of its rows up to the next input change or the
+last tick, which is always computed.  The optimum map is a function of each
+row alone, so computed ticks of an orbit give the rows of copied ones: a
+seed's trace is the same whatever else shares its batch, which rests only
+when all its seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
 ``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
@@ -54,7 +55,6 @@ that tick (zero on the terminal row, where no control is applied).
 
 from __future__ import annotations
 
-import bisect
 import copy
 import csv
 import json
@@ -403,14 +403,9 @@ class _Panel:
         self.params, self.model, self.u_max = cfg.plant, cfg.model, float(ctl["u_max"])
         self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
         self.x = self.ref = np.full(n_seeds, float(ctl["v_init"]))
-        # hc reads the observed power, ic the voltage and current; a closure over
-        # self would be a cycle that keeps each finished panel until a full gc
-        if ctl["algo"] == "hc":
-            start = HcState(step=float(ctl["hc_step"]))
-            self.steps = lambda pv, j_obs: map(hc_step, pv.trackers, j_obs.tolist())
-        else:
-            start = IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"]))
-            self.steps = lambda pv, _: map(ic_step, pv.trackers, pv.x.tolist(), pv.i.tolist())
+        self.hc = ctl["algo"] == "hc"
+        start = (HcState(step=float(ctl["hc_step"])) if self.hc else
+                 IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"])))
         self.trackers = [start] * n_seeds
         # the environment of every tick, as the config evaluated it, and the oracle of
         # every distinct (irradiance, temperature) of the run in one batched solve
@@ -451,8 +446,13 @@ class _Panel:
         return phi, model.known_basis(v), phi, model.basis_jacobian(v)
 
     def track(self, j_obs: np.ndarray) -> np.ndarray:
-        """The hc or ic increment of every seed, (S,)."""
-        inc, self.trackers = zip(*self.steps(self, j_obs))
+        """The hc or ic increment of every seed, (S,): hc reads the observed
+        power, ic the voltage and current."""
+        if self.hc:
+            steps = map(hc_step, self.trackers, j_obs.tolist())
+        else:
+            steps = map(ic_step, self.trackers, self.x.tolist(), self.i.tolist())
+        inc, self.trackers = zip(*steps)
         return np.array(inc)
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:
@@ -509,31 +509,21 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             _run(cfg, seeds[:i])
         return NumericalError(f"{what} at step {k}", step=k, trace=trace(i, n_rows))
 
-    def input_changes() -> list[int]:
-        """The ticks whose inputs (the bits of each seed's noise and of the
-        environment) differ from the tick before's, then the last tick, which
-        applies no control and is always computed."""
-        bits = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
-        moved = np.logical_or.reduce([(b[:, 1:] != b[:, :-1]).any(axis=0) for b in bits])
-        return [*(np.flatnonzero(moved) + 1).tolist(), cfg.horizon]
-
-    def period(start: tuple, span: int) -> int:
-        """The least q <= span such that the tick q - 1 ticks before the last one
-        started from ``start`` and from the estimates now held, or 0."""
-        thetas = ens.thetas.tobytes()
-        for q in range(1, min(len(starts), span) + 1):
-            if starts[-q] == start and estimates[-q].tobytes() == thetas:
-                return q
-        return 0
-
-    # the x bytes and plant state, and the estimates, that the last ticks started from
-    starts, estimates = deque(maxlen=REST_DEPTH), deque(maxlen=REST_DEPTH)
-    start = plant.x.tobytes(), plant.state()
-    changes = None  # input_changes(), once a tick repeats a start: a noisy run never does
+    # the ticks whose inputs (the bits of each seed's noise and of the environment)
+    # differ from the tick before's, then the last tick, which is always computed
+    bits = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
+    moved = np.logical_or.reduce([(b[:, 1:] != b[:, :-1]).any(axis=0) for b in bits])
+    changes = iter([*(np.flatnonzero(moved) + 1).tolist(), cfg.horizon])
+    # the starts (x bytes, plant state, estimates) of the last ticks since an input
+    # change or a copy, newest first
+    starts = deque(maxlen=REST_DEPTH)
+    start, end = (plant.x.tobytes(), plant.state(), ens.thetas.tobytes()), next(changes)
     k = 0
     while k <= cfg.horizon:
-        starts.append(start)
-        estimates.append(ens.thetas)
+        if k == end:  # the stored starts ran under other inputs
+            starts.clear()
+            end = next(changes, end)
+        starts.appendleft(start)
         j_obs = plant.observe(k, noise[:, k])
         if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
             raise fail(np.isfinite(j_obs), k, k, "reward observation became non-finite")
@@ -559,17 +549,12 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
         if not _all_finite(plant.x):
             raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
                        "state became non-finite")
-        # ticks k - q + 1..k that led back to the state they started from give
-        # their rows again, in turn, until an input moves; x first, where a
-        # moving tick differs
-        start = plant.x.tobytes(), plant.state()
+        # a start stored q ticks back closes an orbit whose rows repeat, in turn,
+        # up to the next input change; x first, where a moving tick differs
+        start = plant.x.tobytes(), plant.state(), ens.thetas.tobytes()
         if k < cfg.horizon and start in starts:
-            # the inputs of ticks first..end - 1 all equal k's
-            changes = changes or input_changes()
-            i = bisect.bisect_right(changes, k)
-            first, end = changes[i - 1] if i else 0, changes[i]
-            q = period(start, k + 1 - first)
-            m = (end - 1 - k) // q if q else 0  # whole cycles before end
+            q = starts.index(start) + 1
+            m = (end - 1 - k) // q  # whole cycles before end
             if m:
                 stop = k + 1 + m * q
                 for r in range(q):
@@ -577,7 +562,6 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
                 k = stop - 1
                 # the stored starts would name ticks that the copy skipped
                 starts.clear()
-                estimates.clear()
         k += 1
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
