@@ -15,7 +15,9 @@ for the PV kind).  Unknown keys are rejected.  Two kinds exist:
 
 Each run owns a seeded random generator; ``_start`` derives independent
 sub-streams for ensemble initialisation and measurement noise, so
-changing the ensemble size never perturbs the noise sequence.  One tick
+changing the ensemble size never perturbs the noise sequence.  The loop
+owns the control law's state: the dual law's ensemble, or one hc / ic
+tracker record per seed; hc and ic runs draw no ensemble.  One tick
 loop serves both kinds, for a batch of seeds at once on the ensemble
 ops' seed axis (``run_seeds``; ``run_scenario`` is a batch of one):
 ``adapt`` to the observation, take the estimates' ``moments`` once,
@@ -26,24 +28,25 @@ bases, evaluated once per tick point: the servo's regressor at the
 output is the one its observation took, and the panel's output is its
 reference, so one regressor serves ``adapt`` and ``predict``.
 
-A tick is a function of the state it starts from (the plant's, the hc / ic
-trackers' and the estimates) and of its inputs (the noise, and the panel's
-environment).  The loop keeps the starts (x, state and estimates, one key
-each) of the last ``REST_DEPTH`` ticks since an input changed.  A tick that
-ends on one of them closes an orbit of q ticks (q = 1 is a fixed point;
-hc's dither and an estimator cycling with period 2 are others), and the
-loop copies whole cycles of its rows up to the next input change or the
-last tick, which is always computed.  The optimum map is a function of each
+A tick is a function of the state it starts from (the plant's x and
+reference, and the law's: the estimates or the trackers) and of its inputs
+(the noise, and the panel's environment).  The loop keys each tick's start
+once, as (x, ref, the law's state), and keeps the keys of the last
+``REST_DEPTH`` ticks since an input changed.  A tick that starts on one of
+them closes an orbit of q ticks (q = 1 is a fixed point; hc's dither and an
+estimator cycling with period 2 are others), and the loop copies whole
+cycles of its rows up to the next input change.  The last tick counts as
+one, so it is always computed.  The optimum map is a function of each
 row alone, so computed ticks of an orbit give the rows of copied ones: a
 seed's trace is the same whatever else shares its batch, which rests only
 when all its seeds do.
 
 All that differs between the kinds sits in the plant, ``_Servo`` or
-``_Panel``: ``observe`` gives the rewards, ``bases`` the ops' bases,
-``step`` moves the reference ``ref`` by an increment and returns the
-tick's ``row`` and ``tail`` columns, ``state`` is what a tick starts from
-besides x and the estimates, ``inputs`` are the environment's columns, and
-``shared`` holds the columns all seeds share.
+``_Panel``, which holds no state of the law: ``observe`` gives the rewards,
+``bases`` the ops' bases, ``step`` moves the reference ``ref`` by an
+increment and returns the tick's ``row`` and ``tail`` columns, ``inputs``
+are the environment's columns, and ``shared`` holds the columns all seeds
+share.
 
 A run is stored in one ``(column, seed, tick)`` block; ``_build_trace``
 turns a seed's slice of it into a ``Trace``, as it does for the partial
@@ -339,17 +342,20 @@ def _build_trace(names, columns) -> Trace:
     return Trace(columns=tuple(names), values=values)
 
 
-def _start(cfg: ScenarioConfig, seeds) -> tuple[Ensemble, np.ndarray]:
-    """The batched ensemble and the (S, ticks) measurement noise of the seeds."""
+def _start(cfg: ScenarioConfig, seeds, dual: bool) -> tuple[Ensemble | None, np.ndarray]:
+    """The batched ensemble of the seeds (only for the dual law) and their
+    (S, ticks) measurement noise."""
     ens_cfg = cfg.section("ensemble")
     inits, noise = [], []
     for seed in seeds:
         # one stream for the ensemble draw, one for the noise
         rng_init, rng_noise = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
-                                   ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
+        if dual:
+            inits.append(init_ensemble(int(ens_cfg["n"]), ens_cfg["prior_low"],
+                                       ens_cfg["prior_high"], ens_cfg["rate"], rng_init))
         noise.append(sample_noise(cfg.noise, rng_noise, cfg.horizon + 1))
-    return Ensemble(np.stack([e.thetas for e in inits]), inits[0].rates), np.stack(noise)
+    ens = Ensemble(np.stack([e.thetas for e in inits]), inits[0].rates) if dual else None
+    return ens, np.stack(noise)
 
 
 class _Servo:
@@ -371,10 +377,6 @@ class _Servo:
         self.at_y = phi, known = self.model.unknown_basis(y), self.model.known_basis(y)
         return known + phi @ self.theta_true + noise
 
-    def state(self) -> bytes:
-        """What a tick starts from besides x and the estimates: the reference."""
-        return self.ref.tobytes()
-
     def bases(self) -> tuple:
         """The regressor and the known offset at the output observed last, taken
         there once for the reward, then the regressor and its derivative at ``ref``."""
@@ -393,8 +395,7 @@ class _Servo:
 
 class _Panel:
     """The PV panel; its voltage (S,) is both its state x and the
-    reference ``ref``.  hc and ic keep one tracker state per seed; ``__init__``
-    picks the run's tracker once and slices its ticks from the config's ``env``."""
+    reference ``ref``.  ``__init__`` slices its ticks from the config's ``env``."""
 
     tail, row = (), ("v", "u", "i", "p")
 
@@ -403,10 +404,6 @@ class _Panel:
         self.params, self.model, self.u_max = cfg.plant, cfg.model, float(ctl["u_max"])
         self.v_lo, self.v_hi = (float(v) for v in ctl["v_limits"])
         self.x = self.ref = np.full(n_seeds, float(ctl["v_init"]))
-        self.hc = ctl["algo"] == "hc"
-        start = (HcState(step=float(ctl["hc_step"])) if self.hc else
-                 IcState(step=float(ctl["ic_step"]), deadband=float(ctl["ic_deadband"])))
-        self.trackers = [start] * n_seeds
         # the environment of every tick, as the config evaluated it, and the oracle of
         # every distinct (irradiance, temperature) of the run in one batched solve
         irr, temp = self.inputs = [a[:cfg.horizon + 1] for a in cfg.env]
@@ -432,28 +429,11 @@ class _Panel:
         self.p = v * self.i
         return self.p + noise
 
-    def state(self) -> list:
-        """What a tick starts from besides x (the reference) and the estimates:
-        the trackers.  Their floats enter the increments only through comparisons
-        and differences, which a zero's sign does not change, so equal records
-        give equal ticks."""
-        return self.trackers
-
     def bases(self) -> tuple:
         """As ``_Servo.bases``; the output is the reference, so one regressor serves both."""
         v, model = self.x, self.model
         phi = model.unknown_basis(v)
         return phi, model.known_basis(v), phi, model.basis_jacobian(v)
-
-    def track(self, j_obs: np.ndarray) -> np.ndarray:
-        """The hc or ic increment of every seed, (S,): hc reads the observed
-        power, ic the voltage and current."""
-        if self.hc:
-            steps = map(hc_step, self.trackers, j_obs.tolist())
-        else:
-            steps = map(ic_step, self.trackers, self.x.tolist(), self.i.tolist())
-        inc, self.trackers = zip(*steps)
-        return np.array(inc)
 
     def step(self, inc: np.ndarray, last: bool) -> tuple:
         v = self.x
@@ -482,7 +462,8 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     oracle solves included."""
     plant = (_Servo if cfg.kind == "quadratic-linear" else _Panel)(cfg, len(seeds))
     model, ctl = cfg.model, cfg.section("controller")
-    delta, dual = float(ctl["delta"]), ctl.get("algo", "dcee") == "dcee"
+    delta, algo = float(ctl["delta"]), ctl.get("algo", "dcee")
+    dual = algo == "dcee"
     learn = ([f"theta_{s}_{i}" for s in ("mean", "std") for i in range(model.dim)]
              + ["r_mean", "p_explore", "grad_exploit_norm", "grad_explore_norm"]) if dual else []
     k_col = np.arange(cfg.horizon + 1)
@@ -495,7 +476,15 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     data = np.empty((len(written), len(seeds), len(k_col)))
     data[n_tick:] = np.array([*shared.values()], dtype=float)[:, None]
     learned = data[n_tick - len(learn):n_tick]  # what the estimators record
-    ens, noise = _start(cfg, seeds)
+    ens, noise = _start(cfg, seeds, dual)
+    # hc and ic keep one tracker record per seed.  Its floats enter the increments
+    # only through comparisons and differences, which a zero's sign does not
+    # change, so equal records give equal ticks
+    if algo == "hc":
+        trackers = (HcState(step=float(ctl["hc_step"])),) * len(seeds)
+    elif algo == "ic":
+        trackers = (IcState(step=float(ctl["ic_step"]),
+                            deadband=float(ctl["ic_deadband"])),) * len(seeds)
 
     def trace(i: int, n_rows: int) -> Trace:
         cols = dict(zip(written, data[:, i, :n_rows]))
@@ -514,15 +503,26 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
     bits = [a.view(np.int64).reshape(-1, len(k_col)) for a in (noise, *plant.inputs)]
     moved = np.logical_or.reduce([(b[:, 1:] != b[:, :-1]).any(axis=0) for b in bits])
     changes = iter([*(np.flatnonzero(moved) + 1).tolist(), cfg.horizon])
-    # the starts (x bytes, plant state, estimates) of the last ticks since an input
-    # change or a copy, newest first
-    starts = deque(maxlen=REST_DEPTH)
-    start, end = (plant.x.tobytes(), plant.state(), ens.thetas.tobytes()), next(changes)
-    k = 0
+    # the starts of the last ticks since an input change or a copy, newest first
+    starts, end, k = deque(maxlen=REST_DEPTH), next(changes), 0
     while k <= cfg.horizon:
+        # x first, where a moving tick differs, then the reference and the law's state
+        start = plant.x.tobytes(), plant.ref.tobytes(), ens.thetas.tobytes() if dual else trackers
         if k == end:  # the stored starts ran under other inputs
             starts.clear()
             end = next(changes, end)
+        elif start in starts:
+            # a start stored q ticks back closes an orbit whose rows repeat, in
+            # turn, up to the next input change
+            q = starts.index(start) + 1
+            m = (end - k) // q  # whole cycles before end
+            if m:
+                for r in range(q):
+                    data[:n_tick, :, k + r:k + m * q:q] = data[:n_tick, :, k - q + r, None]
+                k += m * q
+                # the stored starts would name ticks that the copy skipped
+                starts.clear()
+                continue
         starts.appendleft(start)
         j_obs = plant.observe(k, noise[:, k])
         if not _all_finite(j_obs):  # no estimate can follow a non-finite observation
@@ -540,8 +540,10 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
             inc = -delta * (g_exploit + g_explore)
             learn_row = (*centre[:, 0].T, *spread(dev).T, ps.r_mean, ps.r_var,
                          np.abs(g_exploit), np.abs(g_explore))
-        else:
-            inc, learn_row = plant.track(j_obs), ()
+        else:  # hc reads the observed power, ic the voltage and current
+            inc, trackers = zip(*(map(hc_step, trackers, j_obs.tolist()) if algo == "hc" else
+                                  map(ic_step, trackers, plant.x.tolist(), plant.i.tolist())))
+            inc, learn_row = np.array(inc), ()
         data[:n_tick, :, k] = (j_obs, *plant.step(inc, k == cfg.horizon), *learn_row)
         if learn and not _all_finite(learned[:, :, k]):
             raise fail(np.isfinite(learned[:, :, k]).all(axis=0), k, k,
@@ -549,19 +551,6 @@ def _run(cfg: ScenarioConfig, seeds: list[int]) -> list[Trace]:
         if not _all_finite(plant.x):
             raise fail(np.isfinite(plant.x).reshape(len(seeds), -1).all(axis=1), k, k + 1,
                        "state became non-finite")
-        # a start stored q ticks back closes an orbit whose rows repeat, in turn,
-        # up to the next input change; x first, where a moving tick differs
-        start = plant.x.tobytes(), plant.state(), ens.thetas.tobytes()
-        if k < cfg.horizon and start in starts:
-            q = starts.index(start) + 1
-            m = (end - 1 - k) // q  # whole cycles before end
-            if m:
-                stop = k + 1 + m * q
-                for r in range(q):
-                    data[:n_tick, :, k + 1 + r:stop:q] = data[:n_tick, :, k - q + 1 + r, None]
-                k = stop - 1
-                # the stored starts would name ticks that the copy skipped
-                starts.clear()
         k += 1
     return [trace(i, len(k_col)) for i in range(len(seeds))]
 
@@ -646,8 +635,8 @@ def read_trace_csv(path) -> Trace:
     many or too few, or a counter that is not an integer is a ``ValueError``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValueError(f"trace file {path} is empty: no header line")
+        if not header:  # an empty file, or a blank first line
+            raise ValueError(f"trace file {path} has no header line")
         lines = fh.read().splitlines()
     if not lines:
         return _build_trace(header, [()] * len(header))

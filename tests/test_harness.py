@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcee import (ConfigError, NumericalError, Trace, builtin_config, compare,
@@ -936,19 +936,24 @@ def test_an_orbit_does_not_run_across_an_input_change(monkeypatch):
             assert tr.column(name).astype(float).tobytes() == col.tobytes(), (step, name)
 
 
+def _set_degree(d, degree):
+    """Give an mppt scenario dict the model degree; the prior takes the
+    shipped prior's first bounds, the last repeated."""
+    d["reward"]["degree"] = degree
+    for key in ("prior_low", "prior_high"):
+        bounds = d["ensemble"][key]
+        d["ensemble"][key] = (bounds + bounds[-1:] * degree)[:degree + 1]
+
+
 def _dcee_case(horizon=None, variance=None, degree=None) -> "harness.ScenarioConfig":
-    """The shipped mppt dcee scenario, shortened, noisy or of another degree;
-    a degree takes the shipped prior's first bounds, the last repeated."""
+    """The shipped mppt dcee scenario, shortened, noisy or of another degree."""
     d = builtin_config("mppt")
     if horizon is not None:
         d["run"] = {"horizon": horizon}
     if variance is not None:
         d["noise"]["variance"] = variance
     if degree is not None:
-        d["reward"]["degree"] = degree
-        for key in ("prior_low", "prior_high"):
-            bounds = d["ensemble"][key]
-            d["ensemble"][key] = (bounds + bounds[-1:] * degree)[:degree + 1]
+        _set_degree(d, degree)
     return config_from_dict(d)
 
 
@@ -986,6 +991,66 @@ def test_quadratic_runs_match_a_plain_tick_loop():
             assert set(ref) == set(tr.columns)
             for name, col in ref.items():
                 assert tr.column(name).astype(float).tobytes() == col.tobytes(), (seed, name)
+
+
+def test_drawn_configs_give_the_bits_of_a_plain_tick_loop():
+    # scenarios drawn around the shipped ones (either kind, each mppt law, a
+    # batch of seeds, noise, a slower rate and step, another degree, a short
+    # horizon) give every seed of the batch the bits of a plain per-seed loop.
+    # The shipped profile ramps for 300 ticks, so a held one lets noise-free
+    # panels rest within the horizon.  A draw whose run diverges is discarded
+    discarded = []
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(law=st.sampled_from([("quadratic-linear", None), ("mppt", "dcee"), ("mppt", "hc"),
+                                ("mppt", "ic")]),
+           seeds=st.lists(st.integers(0, 1000), min_size=1, max_size=3, unique=True),
+           variance=st.floats(0.0, 2.0), rate=st.floats(0.5, 1.0), delta=st.floats(0.5, 1.0),
+           degree=st.integers(3, 6), horizon=st.integers(0, 150), held=st.booleans())
+    # the draws rest seldom; this batch rests on hc's dither after 19 ticks
+    @example(law=("mppt", "hc"), seeds=[1, 2], variance=0.0, rate=1.0, delta=1.0, degree=5,
+             horizon=150, held=True)
+    def check(law, seeds, variance, rate, delta, degree, horizon, held):
+        kind, algo = law
+        d = builtin_config(kind)
+        d["run"].pop("duration", None)
+        d["run"]["horizon"] = horizon
+        d["noise"]["variance"] = variance
+        d["ensemble"]["rate"] *= rate
+        d["controller"]["delta"] *= delta
+        if algo:
+            d["controller"]["algo"] = algo
+            _set_degree(d, degree)
+            if held:
+                d["profile"] = _PROFILES["held"]
+        cfg = config_from_dict(d)
+        try:
+            traces = run_seeds(cfg, seeds)
+        except NumericalError:
+            discarded.append(seeds)
+            assume(False)
+        for seed, tr in zip(seeds, traces):
+            one = cfg.with_updates(seed=seed)
+            ref = reference_mppt_run(one) if algo else reference_quadratic_run(one)
+            assert set(ref) == set(tr.columns)
+            for name, col in ref.items():
+                assert tr.column(name).astype(float).tobytes() == col.tobytes(), (seed, name)
+
+    check()
+    print(f"{len(discarded)} drawn runs diverged and were discarded")
+
+
+@pytest.mark.parametrize("algo", ["dcee", "hc", "ic"])
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]], ids=["alone", "3-seeds"])
+def test_a_run_builds_only_its_own_law_s_state(monkeypatch, algo, seeds):
+    # the ensemble is the dual law's: hc and ic runs draw none, and a dcee run
+    # draws one per seed and steps no tracker.  The noise makes every one of
+    # the 61 ticks an input change, so a tracker steps on each, once per seed
+    calls = _count_calls(monkeypatch, "init_ensemble", "hc_step", "ic_step")
+    run_seeds(_noisy_mppt(algo), seeds)
+    assert calls == {"init_ensemble": len(seeds) if algo == "dcee" else 0,
+                     "hc_step": 61 * len(seeds) if algo == "hc" else 0,
+                     "ic_step": 61 * len(seeds) if algo == "ic" else 0}
 
 
 @pytest.mark.parametrize("kind, horizon, per_tick", [("quadratic-linear", 300, 2), ("mppt", None, 1)])
@@ -1027,12 +1092,15 @@ def test_emit_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.values[col], tr.values[col])
 
 
-@pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3", pytest.param("", id="empty-file")])
+@pytest.mark.parametrize("bad_row", ["0,1", "0,1,2,3", pytest.param("", id="empty-file"),
+                                     pytest.param("\r\n", id="blank-header-line")])
 def test_read_trace_csv_rejects_ragged_rows(tmp_path, bad_row):
-    # the empty bad row stands for a file without even a header line
+    # the empty bad row stands for a file without even a header line, and a
+    # blank line alone for a file whose header line is blank
     path = tmp_path / "ragged.csv"
-    path.write_text(f"k,t,v\n0,0.0,1.5\n{bad_row}\n" if bad_row else "")
-    with pytest.raises(ValueError, match=None if bad_row else "ragged.csv"):
+    no_header = bad_row in ("", "\r\n")
+    path.write_bytes((bad_row if no_header else f"k,t,v\n0,0.0,1.5\n{bad_row}\n").encode())
+    with pytest.raises(ValueError, match="ragged.csv has no header line" if no_header else None):
         read_trace_csv(path)
 
 
@@ -1410,3 +1478,18 @@ def test_benchmark_tracer_names_exist(monkeypatch, tmp_path, capsys):
         assert traced.columns == untraced.columns
         for col in traced.columns:
             assert np.array_equal(traced.values[col], untraced.values[col]), col
+
+
+def test_a_session_stops_on_another_copy_of_the_package_on_pythonpath(tmp_path):
+    # pyproject.toml puts this checkout's src ahead of PYTHONPATH, so a session
+    # pointed at another copy would test this one unseen; it stops instead
+    other = tmp_path / "dcee" / "__init__.py"
+    other.parent.mkdir()
+    other.write_text("")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--collect-only", "tests/test_baselines.py"],
+                         capture_output=True, text=True, cwd=REPO, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)])})
+    assert out.returncode == pytest.ExitCode.USAGE_ERROR
+    assert str(other) in out.stderr and os.path.realpath(dcee.__file__) in out.stderr
