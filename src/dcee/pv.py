@@ -23,8 +23,8 @@ The controller's power-curve model is a polynomial in the voltage
 (``pv_poly_reward``); its optimum map is the argmax of each estimator's
 polynomial over the operating band.  Bernstein bounds on a grid of cells
 certify where the maximum lies and Newton steps find it there; a row that
-fails the certificate goes to the roots of the derivative by companion-matrix
-eigenvalues.  Each row's optimum is a function of that row alone.
+fails the certificate goes to the roots of its derivative, solved for that
+row alone by ``np.roots``.  Each row's optimum is a function of that row alone.
 """
 
 from __future__ import annotations
@@ -341,8 +341,9 @@ def _certified_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale:
     values around s_b find the maximiser, accepted when the last step is at
     most ``STEP_TOL`` (1 + |s|) and s stays within a cell of s_b.  An end s_b
     whose end cell stays at or below p(s_b) is the maximiser, exactly.  Other
-    rows go to the eigenvalues (``_poly_argmax_batch``).  Each operation acts
-    on every row on its own, so no row's result depends on the others'.
+    rows go to the roots of their derivatives, one row at a time
+    (``_poly_argmax_batch``).  Each operation acts on every row on its own, so
+    no row's result depends on the others'.
     """
     n, m = thetas.shape
     if n > BLOCK_ROWS:  # a row's result does not depend on its block
@@ -394,50 +395,28 @@ def _certified_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale:
     return optima
 
 
-def _companion_roots(monic: np.ndarray) -> np.ndarray:
-    """All d roots (d, k) of k monic polynomials, ascending coefficients
-    (d + 1, k), by batched companion-matrix eigenvalues."""
-    d, k = monic.shape[0] - 1, monic.shape[1]
-    comp = np.zeros((k, d, d))
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -monic[:-1].T
-    return np.linalg.eigvals(comp).T
-
-
 def _poly_argmax_batch(thetas: np.ndarray, s_lo: float, s_hi: float, scale: float,
-                       shift: float = 0.0) -> np.ndarray:
-    """``_certified_argmax_batch`` by eigenvalues, its fallback.
+                       shift: float) -> np.ndarray:
+    """``_certified_argmax_batch`` by the roots of each row's derivative, its fallback.
 
-    The candidates are the endpoints and the real parts of the stationary
-    points, the roots of the derivative (``_companion_roots``, or np.roots
-    where its leading coefficient is numerically zero), clipped into the
-    interval; the one with the largest Horner value wins.  Every candidate is
-    a point of the interval, so the real part of a complex stationary point
-    cannot beat the maximum, which is an endpoint or a real one.
+    The candidates are the two endpoints, then the real parts of the roots
+    ``np.roots`` finds once the derivative's leading coefficients of at most
+    1e-12 of its largest are dropped, clipped into the interval.  The first
+    with the largest Horner value (``np.polyval``) wins, so an endpoint wins a
+    tie.  Every candidate is a point of the interval, so the real part of a
+    complex stationary point cannot beat the maximum, an endpoint or a real one.
     """
-    # one column per polynomial, so each operation runs along the batch
-    coef = np.asarray(thetas, dtype=float).T
-    m, n = coef.shape
-    deriv = coef[1:] * np.arange(1.0, m)[:, None]
-    size = np.abs(deriv)
-    tiny = 1e-12 * np.maximum.reduce(size, initial=1.0)
-    ok = size[-1] > tiny
-    cand = np.full((m, n), s_lo)  # the two endpoints, then the m - 2 roots, s_lo where none
-    cand[1] = s_hi
-    roots = _companion_roots(deriv[:, ok] / deriv[-1, ok]).real
-    cand[2:, ok] = np.minimum(np.maximum(roots, s_lo), s_hi)
-    for idx in np.flatnonzero(~ok):
-        # drop the negligible leading coefficients: a subnormal one
-        # would overflow np.roots' companion matrix
-        keep = np.flatnonzero(size[:, idx] > tiny[idx])
-        rr = np.roots(deriv[:keep[-1] + 1, idx][::-1]).real if keep.size else []
-        cand[2:2 + len(rr), idx] = np.minimum(np.maximum(rr, s_lo), s_hi)
-    vals = coef[-1] * cand
-    for c in coef[-2:0:-1]:
-        vals += c
-        vals *= cand
-    vals += coef[0]
-    return cand[vals.argmax(axis=0), np.arange(n)] * scale + shift
+    optima = np.empty(len(thetas))
+    for row, coef in enumerate(thetas[:, ::-1]):  # descending, as np.roots and np.polyval take it
+        deriv = np.polyder(coef)
+        size = np.abs(deriv)
+        # a cut relative to the row's own scale keeps every ratio in np.roots'
+        # companion matrix at or below 1e12, so none overflows
+        keep = np.flatnonzero(size > 1e-12 * size.max())
+        roots = np.roots(deriv[keep[0]:]).real if keep.size else []
+        cand = np.concatenate([[s_lo, s_hi], np.clip(roots, s_lo, s_hi)])
+        optima[row] = cand[np.polyval(coef, cand).argmax()]
+    return optima * scale + shift
 
 
 def pv_poly_reward(degree: int = 5, v_range: tuple[float, float] = (2.0, 43.0),

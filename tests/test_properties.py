@@ -1,9 +1,10 @@
 """Property tests of the pv-poly optimum map and its closed-form gradient.
 
 The map certifies each row by Bernstein bounds and settles it by Newton
-steps (``_certified_argmax_batch``); rows that fail go to the eigenvalues
-(``_poly_argmax_batch``).  Both are checked against a dense grid, against
-each other, and for rows that keep their bits in any batch.
+steps (``_certified_argmax_batch``); rows that fail go to the roots of their
+derivatives, one row at a time (``_poly_argmax_batch``).  Both are checked
+against a dense grid, against each other, and for rows that keep their bits
+in any batch.
 
 Hypothesis runs derandomised, so every run draws the same examples.
 """
@@ -126,7 +127,7 @@ def test_certified_argmax_matches_the_eigenvalues(capsys):
 
     check()
     with capsys.disabled():
-        print("\nlargest gap of the certified map from the eigenvalues: "
+        print("\nlargest gap of the certified map from the per-row root solve: "
               f"value {worst['value']:.2g} (relative), maximiser {worst['maximiser']:.2g}")
 
 

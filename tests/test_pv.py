@@ -10,7 +10,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from dcee import (DomainError, EnvProfile, PvParams, mpp_oracle, open_circuit_voltage,
                   profile_eval, pv, pv_current, pv_poly_reward)
-from dcee.pv import _poly_argmax_batch, _thermal
+from dcee.pv import _certified_argmax_batch, _poly_argmax_batch, _thermal
 
 REF = dict(irradiance=1000.0, temperature=25.0)
 
@@ -474,20 +474,50 @@ def test_poly_argmax_matches_brute_force():
 
 
 def test_shipped_run_sends_no_row_to_the_eigenvalues(monkeypatch):
-    # every row of every tick of the shipped run is certified: the spy
-    # counts the rows sent to the companion eigenvalues instead
-    from dcee import builtin_config, config_from_dict, run_scenario
-    eig, rows = pv._companion_roots, []
+    # every row of every tick of the shipped runs is certified, without noise
+    # and at noise variance 1: the spy counts the rows sent to the fallback
+    from dcee import builtin_config, config_from_dict, run_scenario, run_seeds
+    fallback, rows = pv._poly_argmax_batch, []
 
-    def counted(monic):
-        rows.append(monic.shape[1])
-        return eig(monic)
+    def counted(thetas, *args):
+        rows.append(len(thetas))
+        return fallback(thetas, *args)
 
-    monkeypatch.setattr(pv, "_companion_roots", counted)
+    monkeypatch.setattr(pv, "_poly_argmax_batch", counted)
     d = builtin_config("mppt")
     d["run"]["seed"] = 1
     run_scenario(config_from_dict(d))
     assert rows == []
+    d["noise"]["variance"] = 1.0
+    run_seeds(config_from_dict(d), [1, 9])
+    assert rows == []
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-14, 1e-12, 1.0, 1e6])
+def test_argmax_does_not_depend_on_the_rows_scale(c):
+    # p and c p have one maximiser; rows too small for the certificate's
+    # tolerance go to the fallback, whose negligible coefficients are small
+    # against the row's own largest one
+    for row in ([0.0, 0.3, -1.0, 0.0, 0.1], [0.0, 0.0, -1.0]):
+        for argmax in (_certified_argmax_batch, _poly_argmax_batch):
+            want = argmax(np.array([row]), -1.0, 1.0, 1.0, 0.0)[0]
+            got = argmax(c * np.array([row]), -1.0, 1.0, 1.0, 0.0)[0]
+            assert abs(got - want) <= 1e-9, (row, argmax.__name__)
+
+
+@pytest.mark.parametrize("row, want", [
+    ([2.0, 0.0, 0.0, 0.0], -1.0),                     # constant: the lower endpoint
+    ([0.0, 0.3, -1.0, 0.0, 0.1, 5e-324], 0.1506843),  # a subnormal leading coefficient
+    ([0.0, 0.0, -1.0, 0.0, 0.0, 0.0], 0.0),           # exactly-zero leading coefficients
+    ([1.0, 0.0, -1.0, 0.0, 0.1], 0.0),                # p'(0) = 0: np.roots strips a trailing 0
+    ([0.0, 1e308, -1e308, 1e308], None),              # p' overflows: an endpoint
+])
+def test_poly_argmax_edge_rows(row, want):
+    with np.errstate(all="ignore"):  # as in the run loop
+        got = [argmax(np.array([row]), -1.0, 1.0, 1.0, 0.0)[0]
+               for argmax in (_certified_argmax_batch, _poly_argmax_batch)]
+    for s in got:
+        assert s in (-1.0, 1.0) if want is None else abs(s - want) <= 1e-6
 
 
 def test_pv_poly_reward_optimum_matches_fit(params):
